@@ -44,6 +44,7 @@ from .lattice import (
     hnf,
     lattice_contains,
     lattice_index,
+    lattice_points,
     min_image_sq_distance,
     quotient,
     shortest_vectors,

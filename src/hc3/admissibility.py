@@ -16,13 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .lattice import Quotient, Site, Window, sub
+from .lattice import IDENTITY_OP, Quotient, Site, Window, add, lattice_points
 
 Domain = Quotient | Window
 
 
 class PeriodTooShortError(ValueError):
     """The period lattice has a nonzero vector shorter than the exclusion distance."""
+
+
+def _conflict_offsets(d2: int) -> list[Site]:
+    """All offsets v with 0 < |v|^2 < d2.  Two distinct sites conflict
+    exactly when their difference is congruent to one of these offsets."""
+    return [v for v in lattice_points(IDENTITY_OP, (0, 0, 0), d2 - 1) if any(v)]
 
 
 @dataclass(frozen=True)
@@ -108,14 +114,12 @@ class Configuration:
 
         Empty list <=> the configuration is saturated.
         """
-        out = []
-        dist = self.domain.pair_sq_distance
-        for x in self.domain.sites():
-            if x in self.occupied:
-                continue
-            if all(dist(x, o) >= self.d2 for o in self.occupied):
-                out.append(x)
-        return out
+        reduce = self.domain.reduce
+        offsets = _conflict_offsets(self.d2)
+        blocked = set(self.occupied)
+        for o in self.occupied:
+            blocked.update(reduce(add(o, v)) for v in offsets)
+        return [x for x in self.domain.sites() if x not in blocked]
 
     def with_sites(self, occupied) -> "Configuration":
         return Configuration(self.domain, self.d2, frozenset(occupied))
@@ -158,22 +162,18 @@ class ExclusionGraph:
 def build_exclusion_graph(q: Quotient, d2: int) -> ExclusionGraph:
     """Exclusion graph of the torus at squared distance d2.
 
-    Adjacency depends only on the difference coset, so one minimum-image
-    distance per coset suffices.
+    The neighbors of a are the cosets of a + v over the conflict offsets v.
+    None of them is a itself, because no period vector is shorter than d2.
     """
     if q.min_period_sq_norm() < d2:
         raise PeriodTooShortError(
             f"period min squared norm {q.min_period_sq_norm()} < d2 = {d2}"
         )
-    reps = q.reps
-    n = len(reps)
-    conflict_diff = {
-        t for t in reps if 0 < q.pair_sq_distance(t, (0, 0, 0)) < d2
-    }
-    adj = [0] * n
-    for i, a in enumerate(reps):
-        for j in range(i + 1, n):
-            if q.reduce(sub(reps[j], a)) in conflict_diff:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    offsets = _conflict_offsets(d2)
+    index = q.rep_index
+    reduce = q.reduce
+    adj = []
+    for a in q.reps:
+        neighbors = {index[reduce(add(a, v))] for v in offsets}
+        adj.append(sum(1 << j for j in neighbors))
     return ExclusionGraph(q, d2, tuple(adj))

@@ -28,8 +28,8 @@ from .lattice import (
     dot,
     lattice_from_generators,
     lattice_contains,
+    plane_coefficients,
     scale,
-    sq_norm,
     sub,
 )
 
@@ -85,16 +85,7 @@ class MeshSpec:
 
     def in_plane_coefficients(self, w: Site) -> tuple[int, int] | None:
         """Integer (a, b) with a*g1 + b*g2 = w, or None."""
-        g1, g2 = self.generators
-        c = cross(g1, g2)
-        if dot(c, w):
-            return None
-        cc = sq_norm(c)
-        na = dot(cross(w, g2), c)
-        nb = dot(cross(g1, w), c)
-        if na % cc or nb % cc:
-            return None
-        return na // cc, nb // cc
+        return plane_coefficients(*self.generators, w)
 
     def contains(self, w: Site) -> bool:
         return self.in_plane_coefficients(w) is not None

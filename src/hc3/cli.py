@@ -103,6 +103,8 @@ def _load(path: str, validate: bool = True) -> Configuration:
 def _cmd_pack(args) -> int:
     if (args.diag is None) == (args.period is None):
         raise CliError("pack needs exactly one of --diag or --period", EXIT_BAD_INPUT)
+    if args.d2 < 1:
+        raise CliError("--d2 must be >= 1", EXIT_BAD_INPUT)
     if args.diag is not None:
         if args.diag < 1:
             raise CliError("--diag must be >= 1", EXIT_BAD_INPUT)
@@ -396,6 +398,8 @@ def _mesh_normal(g1: Site, g2: Site) -> Site:
 def _cmd_slide(args) -> int:
     c = _load(args.file, validate=not args.no_validate)
     if args.scan:
+        if args.max_shift_norm < 0:
+            raise CliError("--max-shift-norm must be >= 0", EXIT_BAD_INPUT)
         shifts = perturbations.standard_shifts(args.max_shift_norm)
         moves = perturbations.find_sliding(c, shifts=shifts)
         lines = [f"moves {len(moves)}"]

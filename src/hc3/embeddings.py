@@ -24,6 +24,8 @@ from .lattice import (
     dot,
     hnf,
     lattice_index,
+    lattice_points,
+    plane_coefficients,
     primitive,
     scale,
     shortest_vectors,
@@ -183,32 +185,9 @@ def _bezout(b: int, c: int) -> tuple[int, int]:
     return old_p, old_q
 
 
-def _coeffs_2d(u1: Site, u2: Site, w: Site) -> tuple[int, int] | None:
-    c = cross(u1, u2)
-    if dot(c, w):
-        return None
-    cc = sq_norm(c)
-    na = dot(cross(w, u2), c)
-    nb = dot(cross(u1, w), c)
-    if na % cc or nb % cc:
-        return None
-    return na // cc, nb // cc
-
-
 def _min_dist_to_layer(t: Site, u1: Site, u2: Site) -> int:
     """Exact min over la in span(u1,u2) of |t + la|^2 (2D lattice CVP)."""
-    area_sq = sq_norm(cross(u1, u2))
-    cap = sq_norm(t)
-    b1 = isqrt(4 * cap * sq_norm(u2)) // isqrt(area_sq) + 1
-    b2 = isqrt(4 * cap * sq_norm(u1)) // isqrt(area_sq) + 1
-    best = cap
-    for i in range(-b1, b1 + 1):
-        vi = add(t, scale(i, u1))
-        for j in range(-b2, b2 + 1):
-            d = sq_norm(add(vi, scale(j, u2)))
-            if d < best:
-                best = d
-    return best
+    return min(map(sq_norm, lattice_points((u1, u2), t, sq_norm(t))))
 
 
 def admits_layered(basis: Basis) -> tuple[bool, dict | None]:
@@ -250,15 +229,15 @@ def admits_layered(basis: Basis) -> tuple[bool, dict | None]:
             s = tuple(-x for x in s)
         # integer points of the layer plane of s, modulo the layer lattice
         v1, v2 = _plane_kernel_basis(n)
-        m11 = _coeffs_2d(v1, v2, u1)
-        m21 = _coeffs_2d(v1, v2, u2)
+        m11 = plane_coefficients(v1, v2, u1)
+        m21 = plane_coefficients(v1, v2, u2)
         assert m11 is not None and m21 is not None
         det2 = m11[0] * m21[1] - m11[1] * m21[0]
         reps = _coset_reps_2d((m11, m21))
         assert len(reps) == abs(det2)
         for i, j in reps:
             w = add(scale(i, v1), scale(j, v2))
-            if _coeffs_2d(u1, u2, w) is not None:
+            if plane_coefficients(u1, u2, w) is not None:
                 continue  # same coset as the original step
             t = add(s, w)
             if _min_dist_to_layer(t, u1, u2) >= d2:

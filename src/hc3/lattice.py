@@ -166,19 +166,6 @@ def lattice_index(basis: Basis) -> int:
     return abs(d)
 
 
-def _adjugate(basis: Basis) -> tuple[Site, Site, Site]:
-    """Adjugate of the generator matrix G (rows = generators): adj = det * G^-1."""
-    g1, g2, g3 = basis
-    c1, c2, c3 = cross(g2, g3), cross(g3, g1), cross(g1, g2)
-    # adj(G)[i][j] = cofactor(G)[j][i]; rows of adj are assembled from the
-    # cross products of the generator rows.
-    return (
-        (c1[0], c2[0], c3[0]),
-        (c1[1], c2[1], c3[1]),
-        (c1[2], c2[2], c3[2]),
-    )
-
-
 def solve_coefficients(basis: Basis, v: Site) -> tuple[int, int, int] | None:
     """Integer coefficients (a, b, c) with a*g1 + b*g2 + c*g3 = v, or None.
 
@@ -229,53 +216,106 @@ def lattice_from_generators(gens: list[Site]) -> Basis:
     return hnf(tuple(tuple(r) for r in rows))  # type: ignore[arg-type]
 
 
-def _coefficient_bound(basis: Basis, t_sq: int) -> tuple[int, int, int]:
-    """Box bounds B_i so that any lattice vector c.G with |c.G|^2 <= t_sq
-    has |c_i| <= B_i.
+def plane_coefficients(g1: Site, g2: Site, w: Site) -> tuple[int, int] | None:
+    """Integer (a, b) with a*g1 + b*g2 = w, or None (g1, g2 independent)."""
+    c = cross(g1, g2)
+    if dot(c, w):
+        return None
+    cc = sq_norm(c)
+    na = dot(cross(w, g2), c)
+    nb = dot(cross(g1, w), c)
+    if na % cc or nb % cc:
+        return None
+    return na // cc, nb // cc
 
-    Uses the dual basis rows: c_i = (c.G) . d_i with d_i the i-th column of
-    G^-1 = adj/det, hence |c_i| <= |c.G| * |d_i|.  The bound is rounded up,
-    which only enlarges the certified search box.
+
+def ceil_sqrt(n: int) -> int:
+    """Smallest integer r >= 0 with r*r >= n (n >= 0)."""
+    r = isqrt(n)
+    return r if r * r == n else r + 1
+
+
+def lattice_points(
+    basis: Basis | tuple[Site, Site], t: Site, r_sq: int
+) -> list[Site]:
+    """Every point t + c.B (c an integer vector) with squared norm <= r_sq.
+
+    ``basis`` holds two or three independent integer generators; the points
+    come in lexicographic order of c.  The coefficients lie in a box derived
+    from the dual basis: c_i = (p - t) . d_i with d_i = sum_j A_ij b_j / D,
+    where A is the adjugate and D the determinant of the Gram matrix, so
+    |c_i + t . d_i| <= sqrt(r_sq * A_ii / D).  All bounds are exact integer
+    roundings outward; the box is small when the basis is reduced.
     """
-    adj = _adjugate(basis)
-    d = abs(det(basis))
-    cols = tuple(zip(*adj))  # columns of adj = det * columns of G^-1
-    bounds = []
-    for i in range(3):
-        col_sq = sq_norm(cols[i])  # |det|^2 * |d_i|^2
-        bounds.append(isqrt(t_sq * col_sq) // d + 1)
-    return tuple(bounds)  # type: ignore[return-value]
+    k = len(basis)
+    gram = [[dot(u, v) for v in basis] for u in basis]
+    if k == 2:
+        (a, b), (_, c) = gram
+        adj = [[c, -b], [-b, a]]
+    else:
+        adj = [
+            [
+                gram[(j + 1) % 3][(i + 1) % 3] * gram[(j + 2) % 3][(i + 2) % 3]
+                - gram[(j + 1) % 3][(i + 2) % 3] * gram[(j + 2) % 3][(i + 1) % 3]
+                for j in range(3)
+            ]
+            for i in range(3)
+        ]
+    d = sum(gram[0][j] * adj[j][0] for j in range(k))
+    if d == 0:
+        raise SingularBasisError(f"generators are linearly dependent: {basis}")
+    tb = [dot(t, g) for g in basis]
+    points = [t]
+    for i, (g0, g1, g2) in enumerate(basis):
+        u = sum(adj[i][j] * tb[j] for j in range(k))  # D * (t . d_i)
+        s = ceil_sqrt(r_sq * adj[i][i] * d)  # >= D * sqrt(r_sq) * |d_i|
+        coeffs = range(-((u + s) // d), (s - u) // d + 1)
+        points = [
+            (x + c * g0, y + c * g1, z + c * g2) for x, y, z in points for c in coeffs
+        ]
+    return [p for p in points if sq_norm(p) <= r_sq]
+
+
+def reduce_basis(basis: Basis) -> Basis:
+    """A pairwise-reduced basis of the same lattice, shortest first.
+
+    Repeatedly subtracts from each generator the nearest-integer multiple of
+    another one while that makes it strictly shorter (exact rounding).  In
+    dimension 3 this keeps the generators short and nearly orthogonal, which
+    is what keeps the boxes of ``lattice_points`` small.
+    """
+    if det(basis) == 0:
+        raise SingularBasisError(f"generators are linearly dependent: {basis}")
+    b = list(basis)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(3):
+            for j in range(3):
+                if i == j:
+                    continue
+                gg = sq_norm(b[j])
+                k = (2 * dot(b[i], b[j]) + gg) // (2 * gg)
+                if k:
+                    cand = sub(b[i], scale(k, b[j]))
+                    if sq_norm(cand) < sq_norm(b[i]):
+                        b[i] = cand
+                        changed = True
+    b.sort(key=lambda g: (sq_norm(g), g))
+    return tuple(b)  # type: ignore[return-value]
 
 
 def shortest_vectors(basis: Basis) -> tuple[int, list[Site]]:
     """Exact minimum nonzero squared norm of the lattice and all attaining vectors.
 
-    Enumerates coefficients inside a box certified to contain every lattice
-    vector at least as short as the shortest generator.
+    Enumerates the ball whose radius is the shortest reduced generator.
     """
-    if det(basis) == 0:
-        raise SingularBasisError(f"generators are linearly dependent: {basis}")
-    cap = min(sq_norm(g) for g in basis)
-    bx, by, bz = _coefficient_bound(basis, cap)
-    g1, g2, g3 = basis
-    best = cap
-    attain: list[Site] = []
-    for a in range(-bx, bx + 1):
-        va = scale(a, g1)
-        for b in range(-by, by + 1):
-            vb = add(va, scale(b, g2))
-            for c in range(-bz, bz + 1):
-                if a == 0 and b == 0 and c == 0:
-                    continue
-                v = add(vb, scale(c, g3))
-                n = sq_norm(v)
-                if n < best:
-                    best = n
-                    attain = [v]
-                elif n == best:
-                    attain.append(v)
-    attain.sort()
-    return best, attain
+    reduced = reduce_basis(basis)
+    vecs = [
+        v for v in lattice_points(reduced, (0, 0, 0), sq_norm(reduced[0])) if any(v)
+    ]
+    best = min(sq_norm(v) for v in vecs)
+    return best, sorted(v for v in vecs if sq_norm(v) == best)
 
 
 def canonical_class_rep(basis: Basis) -> Basis:
@@ -300,24 +340,26 @@ class Quotient:
     """The finite torus Z^3 modulo a full-rank period sublattice.
 
     Representatives are the integer points of the HNF fundamental box
-    ``[0,d0) x [0,d1) x [0,d2)`` in lexicographic order.  Minimum-image
-    squared distances are exact, computed by certified coefficient-box
-    enumeration and memoized per difference coset.
+    ``[0,d0) x [0,d1) x [0,d2)`` in lexicographic order.  Lattice points are
+    enumerated over ``reduced``, a reduced basis of the same period lattice.
+    Minimum-image squared distances are exact and memoized per difference
+    coset.
     """
 
     def __init__(self, period: Basis):
         self.period = hnf(period)
         self.index = lattice_index(self.period)
+        self.reduced = reduce_basis(self.period)
         d0, d1, d2 = (self.period[i][i] for i in range(3))
-        self._diag = (d0, d1, d2)
         self.reps: tuple[Site, ...] = tuple(
             itertools.product(range(d0), range(d1), range(d2))
         )
         self.rep_index = {r: i for i, r in enumerate(self.reps)}
         self._min_norm: int | None = None
         self._dist_cache: dict[Site, int] = {(0, 0, 0): 0}
-        adj_cols = tuple(zip(*_adjugate(self.period)))
-        self._adj_col_sq = tuple(sq_norm(col) for col in adj_cols)
+        # Babai's nearest-plane bound: every coset has a point of squared
+        # norm <= sum |b_i*|^2 / 4 <= sum |b_i|^2 / 4.
+        self._cover_sq = (sum(sq_norm(g) for g in self.reduced) + 3) // 4
 
     def __repr__(self) -> str:
         return f"Quotient(period={self.period}, index={self.index})"
@@ -335,7 +377,7 @@ class Quotient:
     def min_period_sq_norm(self) -> int:
         """Shortest nonzero squared norm of the period lattice."""
         if self._min_norm is None:
-            self._min_norm = shortest_vectors(self.period)[0]
+            self._min_norm = shortest_vectors(self.reduced)[0]
         return self._min_norm
 
     def reduce(self, v: Site) -> Site:
@@ -353,48 +395,13 @@ class Quotient:
         x -= q * r0[0]
         return (x, y, z)
 
-    def _size_reduce(self, t: Site) -> Site:
-        """Shorten t by lattice vectors (exact nearest-integer Babai rounds);
-        the result is in the same coset and keeps enumeration boxes small."""
-        changed = True
-        while changed:
-            changed = False
-            for g in self.period:
-                gg = sq_norm(g)
-                k = (2 * dot(t, g) + gg) // (2 * gg)
-                if k:
-                    cand = sub(t, scale(k, g))
-                    if sq_norm(cand) < sq_norm(t):
-                        t = cand
-                        changed = True
-        return t
-
-    def _bounds_for(self, t_sq: int) -> tuple[int, int, int]:
-        d = self.index
-        return tuple(
-            isqrt(t_sq * col_sq) // d + 1 for col_sq in self._adj_col_sq
-        )  # type: ignore[return-value]
-
     def pair_sq_distance(self, a: Site, b: Site) -> int:
         """Exact minimum-image squared distance between the cosets of a and b."""
         t = self.reduce(sub(a, b))
-        cached = self._dist_cache.get(t)
-        if cached is not None:
-            return cached
-        t2 = self._size_reduce(t)
-        best = sq_norm(t2)
-        if best:
-            bx, by, bz = self._bounds_for(4 * best)
-            g1, g2, g3 = self.period
-            for i in range(-bx, bx + 1):
-                vi = add(t2, scale(i, g1))
-                for j in range(-by, by + 1):
-                    vj = add(vi, scale(j, g2))
-                    for k in range(-bz, bz + 1):
-                        n = sq_norm(add(vj, scale(k, g3)))
-                        if n < best:
-                            best = n
-        self._dist_cache[t] = best
+        best = self._dist_cache.get(t)
+        if best is None:
+            best = min(map(sq_norm, lattice_points(self.reduced, t, self._cover_sq)))
+            self._dist_cache[t] = best
         return best
 
     def sites(self) -> tuple[Site, ...]:
@@ -403,21 +410,10 @@ class Quotient:
     def images_near(self, base: Site, center: Site, r_sq: int) -> list[Site]:
         """All points base + p (p in the period lattice) with
         |point - center|^2 <= r_sq, in deterministic order."""
-        t = self._size_reduce(sub(base, center))
-        bound = isqrt(r_sq) + isqrt(sq_norm(t)) + 2
-        bx, by, bz = self._bounds_for(bound * bound)
-        g1, g2, g3 = self.period
-        out = []
-        for i in range(-bx, bx + 1):
-            vi = add(t, scale(i, g1))
-            for j in range(-by, by + 1):
-                vj = add(vi, scale(j, g2))
-                for k in range(-bz, bz + 1):
-                    v = add(vj, scale(k, g3))
-                    if sq_norm(v) <= r_sq:
-                        out.append(add(v, center))
-        out.sort()
-        return out
+        return sorted(
+            add(v, center)
+            for v in lattice_points(self.reduced, sub(base, center), r_sq)
+        )
 
 
 def quotient(period: Basis) -> Quotient:

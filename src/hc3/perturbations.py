@@ -11,7 +11,6 @@ particle count and admissibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 from .admissibility import Configuration
 from .catalog import (
@@ -21,7 +20,7 @@ from .catalog import (
     SelectorEmptyError,
     mesh_shift,
 )
-from .lattice import Quotient, Site, add, sq_norm, sub
+from .lattice import IDENTITY_OP, Quotient, Site, add, lattice_points, sq_norm, sub
 
 __all__ = [
     "Excitation",
@@ -139,10 +138,12 @@ def enumerate_excitations(
     """
     if not isinstance(c.domain, Quotient):
         raise ValueError("excitation enumeration requires a periodic configuration")
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
     dom = c.domain
     d2 = c.d2
     candidates = []
-    for x in _ball_points(radius):
+    for x in lattice_points(IDENTITY_OP, (0, 0, 0), radius * radius):
         if dom.reduce(x) not in c.occupied:
             candidates.append(x)
     candidates.sort(key=lambda x: (sq_norm(x), x))
@@ -229,15 +230,6 @@ def revalidate_excitation(c: Configuration, exc: Excitation) -> bool:
     return removed == set(exc.removed)
 
 
-def _ball_points(radius: int):
-    r_sq = radius * radius
-    for x in range(-radius, radius + 1):
-        for y in range(-radius, radius + 1):
-            for z in range(-radius, radius + 1):
-                if x * x + y * y + z * z <= r_sq:
-                    yield (x, y, z)
-
-
 @dataclass(frozen=True)
 class SlidingMove:
     selector: Selector
@@ -247,16 +239,8 @@ class SlidingMove:
 
 def standard_shifts(max_sq_norm: int = 2) -> list[Site]:
     """All nonzero integer shifts up to the given squared norm."""
-    r = isqrt(max_sq_norm)
-    out = [
-        (x, y, z)
-        for x in range(-r, r + 1)
-        for y in range(-r, r + 1)
-        for z in range(-r, r + 1)
-        if (x, y, z) != (0, 0, 0) and x * x + y * y + z * z <= max_sq_norm
-    ]
-    out.sort()
-    return out
+    ball = lattice_points(IDENTITY_OP, (0, 0, 0), max_sq_norm)
+    return sorted(v for v in ball if any(v))
 
 
 def standard_selectors(c: Configuration) -> list[Selector]:

@@ -16,15 +16,21 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .admissibility import Configuration
-from .lattice import Quotient, Site, sq_norm, sub
+from .lattice import (
+    IDENTITY_OP,
+    Quotient,
+    Site,
+    ceil_sqrt,
+    lattice_points,
+    sq_norm,
+    sub,
+)
 
 __all__ = [
     "RationalPolytope",
     "Facet",
-    "CellUnboundedError",
     "voronoi_cell",
     "cell_volume",
     "tessellation_check",
@@ -33,13 +39,6 @@ __all__ = [
 ]
 
 FVec = tuple[Fraction, Fraction, Fraction]
-
-_MAX_DOUBLINGS = 8
-
-
-class CellUnboundedError(RuntimeError):
-    """The cell did not certify within the maximum cutoff radius."""
-
 
 @dataclass(frozen=True)
 class Facet:
@@ -232,11 +231,6 @@ def _order_cycle(verts, members: list[int], normal: Site) -> tuple[int, ...]:
     return tuple(sorted(members, key=functools.cmp_to_key(cmp)))
 
 
-def _sq_ceil_sqrt(n: int) -> int:
-    r = isqrt(n)
-    return r if r * r == n else r + 1
-
-
 def _cut_cell(center: Site, r: int, neighbors: list[Site]) -> _Poly:
     poly = _Poly.cube(center, r)
     ordered = sorted(neighbors, key=lambda y: (sq_norm(sub(y, center)), y))
@@ -269,15 +263,16 @@ def voronoi_cell(c: Configuration, x: Site) -> RationalPolytope:
     x = c.domain.reduce(x)
     if x not in c.occupied:
         raise ValueError(f"site {x} is not occupied")
-    r = 2 * _sq_ceil_sqrt(c.d2)
-    for _ in range(_MAX_DOUBLINGS):
+    # The doubling ends by the first r > sqrt(sum |b_i|^2) over the reduced
+    # basis b: that is at least twice the covering radius of the period
+    # lattice, so every Voronoi-relevant image x + p is cut and every vertex
+    # lies within the covering radius of x, inside r/2.
+    r = 2 * ceil_sqrt(c.d2)
+    while True:
         poly = _cut_cell(x, r, _periodic_neighbors(c, x, r))
         if 4 * poly.max_sq_radius(x) < r * r:
             return poly.freeze()
         r *= 2
-    raise CellUnboundedError(
-        f"cell of {x} did not certify within cutoff {r}"
-    )
 
 
 def cell_volume(p: RationalPolytope) -> Fraction:
@@ -327,14 +322,14 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
     NON-EXHAUSTIVE beyond the node budget: `completed` reports whether the
     search ran to the end.
     """
-    if radius < _sq_ceil_sqrt(d2):
+    if radius < ceil_sqrt(d2):
         raise ValueError(f"radius {radius} below exclusion distance for d2={d2}")
     r_sq = radius * radius
     cands = sorted(
         (
             v
-            for v in _ball_sites(radius)
-            if v != (0, 0, 0) and d2 <= sq_norm(v) <= r_sq
+            for v in lattice_points(IDENTITY_OP, (0, 0, 0), r_sq)
+            if v != (0, 0, 0) and d2 <= sq_norm(v)
         ),
         key=lambda v: (sq_norm(v), v),
     )
@@ -391,12 +386,3 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
         certified=best[0] is not None and not state["uncertified"],
         nodes=state["nodes"],
     )
-
-
-def _ball_sites(radius: int):
-    r_sq = radius * radius
-    for x in range(-radius, radius + 1):
-        for y in range(-radius, radius + 1):
-            for z in range(-radius, radius + 1):
-                if x * x + y * y + z * z <= r_sq:
-                    yield (x, y, z)

@@ -77,6 +77,17 @@ def test_bad_threads_value():
     assert r.returncode == 2
 
 
+def test_out_of_range_numbers_exit_2(tmp_path):
+    r = run_cli("pack", "--diag", "2", "--d2", "0")
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    doc = tmp_path / "pc2.json"
+    run_cli("pc", "--d2", "2", "--out", str(doc), check=True)
+    r = run_cli("slide", str(doc), "--scan", "--max-shift-norm", "-1")
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+
+
 def test_verify_reports_and_exit_codes(tmp_path):
     good = tmp_path / "good.json"
     run_cli("pc", "--d2", "2", "--out", str(good), check=True)

@@ -1,5 +1,7 @@
 """Lattice-core: norms, symmetry group, HNF, quotients, minimum images."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,10 +14,13 @@ from hc3.lattice import (
     canonical_class_rep,
     compose,
     det,
+    cross,
     hnf,
     lattice_contains,
     lattice_index,
+    lattice_points,
     min_image_sq_distance,
+    plane_coefficients,
     quotient,
     shortest_vectors,
     sq_norm,
@@ -26,6 +31,7 @@ from hc3.catalog import known_sublattice, known_sublattice_keys
 A3 = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 BCC2 = ((2, 0, 0), (0, 2, 0), (1, 1, 1))
 BCC4 = ((4, 0, 0), (0, 4, 0), (2, 2, 2))
+SKEW = ((12, 0, 0), (7, 2, 0), (9, 1, 1))  # an HNF; reduced norms 5, 6, 20
 
 coords = st.integers(min_value=-9, max_value=9)
 sites = st.tuples(coords, coords, coords)
@@ -216,7 +222,9 @@ small_sites = st.tuples(
 
 @settings(max_examples=25, deadline=None)
 @given(
-    st.sampled_from([BCC2, A3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)), known_sublattice(5)]),
+    st.sampled_from(
+        [BCC2, A3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)), known_sublattice(5), SKEW]
+    ),
     small_sites,
     small_sites,
 )
@@ -266,3 +274,46 @@ def test_images_near_finds_all_in_ball():
         if x % 2 == 0 and y % 2 == 0 and z % 2 == 0 and x * x + y * y + z * z <= 4
     )
     assert pts == expected
+
+
+small_coords = st.integers(-2, 2)
+small_vectors = st.tuples(small_coords, small_coords, small_coords)
+
+
+@st.composite
+def enumeration_inputs(draw):
+    """A rank-2 or rank-3 basis (raw small generators, or the skewed HNF of
+    a random rank-3 basis), an offset t and a squared radius."""
+    kind = draw(st.sampled_from(["plane", "raw", "hnf"]))
+    if kind == "plane":
+        basis = draw(
+            st.tuples(small_vectors, small_vectors).filter(
+                lambda b: cross(*b) != (0, 0, 0)
+            )
+        )
+    elif kind == "raw":
+        basis = draw(
+            st.tuples(small_vectors, small_vectors, small_vectors).filter(
+                lambda b: det(b) != 0
+            )
+        )
+    else:
+        basis = hnf(draw(nonsingular_bases()))
+    return basis, draw(small_sites), draw(st.integers(0, 16))
+
+
+@settings(max_examples=80, deadline=None)
+@given(enumeration_inputs())
+def test_lattice_points_matches_coordinate_box(inputs):
+    basis, t, r_sq = inputs
+    r = 4  # 4 * 4 >= every sampled r_sq
+    brute = []
+    for p in itertools.product(range(-r, r + 1), repeat=3):
+        w = tuple(p[i] - t[i] for i in range(3))
+        if len(basis) == 2:
+            member = plane_coefficients(*basis, w) is not None
+        else:
+            member = lattice_contains(basis, w)
+        if member and sq_norm(p) <= r_sq:
+            brute.append(p)
+    assert sorted(lattice_points(basis, t, r_sq)) == brute

@@ -113,6 +113,14 @@ def _ceil_sqrt(n):
     return r if r * r == n else r + 1
 
 
+def test_slab_cell_certifies_beyond_eight_doublings():
+    # the cell is a 360 x 360 x 1 box; certifying it needs cutoff 512, nine
+    # doublings of the starting cutoff 2
+    q = quotient(((360, 0, 0), (0, 360, 0), (0, 0, 1)))
+    c = Configuration(q, 1, frozenset({(0, 0, 0)}))
+    assert cell_volume(voronoi_cell(c, (0, 0, 0))) == q.index
+
+
 def test_volume_additivity_on_doubled_cells():
     for d2 in (2, 3, 5):
         basis = known_sublattice(d2)

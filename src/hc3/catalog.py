@@ -457,6 +457,11 @@ class PlaneSelector:
     anchor: Site
     normal: Site
 
+    def __post_init__(self) -> None:
+        # a zero normal would select every site: a global translation
+        if self.normal == (0, 0, 0):
+            raise ValueError("plane normal must be nonzero")
+
     def describe(self) -> str:
         return f"plane:{_fmt(self.anchor)}:{_fmt(self.normal)}"
 
@@ -467,8 +472,7 @@ class PlaneSelector:
             g = 0
             for p in c.domain.period:
                 g = gcd(g, abs(dot(n, p)))
-            if g == 0:
-                return frozenset(x for x in c.occupied if dot(n, x) == base)
+            # g > 0: a nonzero normal is orthogonal to at most two periods
             return frozenset(x for x in c.occupied if (dot(n, x) - base) % g == 0)
         return frozenset(x for x in c.occupied if dot(n, x) == base)
 

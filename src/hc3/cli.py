@@ -7,8 +7,9 @@ command to a single machine-readable JSON object.  Rationals are always
 rendered as "p/q" strings.  Exit codes: 0 success, 1 domain violation,
 2 bad input, 3 budget exhausted.
 
-The THREADS environment variable (positive integer, default 1) sets the
-solver's worker-thread count; results are independent of it.
+The THREADS environment variable (positive integer, default 1) is accepted
+and validated for compatibility; it has no effect, because the solver runs
+one sequential search.
 """
 
 from __future__ import annotations
@@ -45,6 +46,12 @@ def _threads() -> int:
     if n < 1:
         raise CliError(f"THREADS must be a positive integer, got {raw!r}", EXIT_BAD_INPUT)
     return n
+
+
+def _budget(budget: int | None) -> int | None:
+    if budget is not None and budget < 0:
+        raise CliError("--budget must be >= 0", EXIT_BAD_INPUT)
+    return budget
 
 
 def _parse_site(text: str, what: str = "site") -> Site:
@@ -122,7 +129,7 @@ def _cmd_pack(args) -> int:
             count=args.count or args.mod_translations,
             mod_translations=args.mod_translations,
             threads=_threads(),
-            node_budget=args.budget,
+            node_budget=_budget(args.budget),
         )
     except PeriodTooShortError as exc:
         raise CliError(str(exc), EXIT_DOMAIN)
@@ -332,7 +339,7 @@ def _cmd_excite(args) -> int:
     c = _load(args.file, validate=not args.no_validate)
     try:
         scan = perturbations.enumerate_excitations(
-            c, args.max_order, args.radius, budget=args.budget
+            c, args.max_order, args.radius, budget=_budget(args.budget)
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_INPUT)

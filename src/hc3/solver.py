@@ -8,18 +8,26 @@ optimum phase and lexicographic include-first order for the witness/count
 phase, which makes the reported witness the lexicographically least optimal
 set under the fixed coset order.
 
-Determinism contract: optimum, witness and count are identical no matter how
-many worker threads run the root subtrees.  The search never returns an
-unproven optimum: exceeding the node budget raises instead.
+Torus translations act transitively on the cosets, so both phases search
+only the sets that contain vertex 0.  The lexicographically least optimum
+contains vertex 0, and double counting gives the number of optima as
+n * c0 / k, where c0 of them contain vertex 0 and k is the optimum.  The
+translation orbit of an optimal set S meets the sets through vertex 0 in the
+k translates S - s (s in S), the least of which is the orbit's canonical
+form.
+
+Determinism contract: the search is one sequential depth-first pass, so
+optimum, witness, count and node count depend only on the input.  The
+``threads`` argument is accepted for compatibility and has no effect.  The
+search never returns an unproven optimum: exceeding the node budget raises
+instead.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
-from threading import Lock
 
 from .admissibility import (
     Configuration,
@@ -27,7 +35,7 @@ from .admissibility import (
     PeriodTooShortError,
     build_exclusion_graph,
 )
-from .lattice import Quotient, add
+from .lattice import Quotient, sub
 
 __all__ = [
     "PackingResult",
@@ -52,130 +60,97 @@ class PackingResult:
 
 
 class _Counter:
-    """Shared node counter with a hard budget."""
+    """Node counter with a hard budget."""
 
-    __slots__ = ("nodes", "budget", "lock")
+    __slots__ = ("nodes", "budget")
 
     def __init__(self, budget: int | None):
         self.nodes = 0
         self.budget = budget
-        self.lock = Lock()
 
-    def spend(self, n: int = 1) -> None:
-        with self.lock:
-            self.nodes += n
-            if self.budget is not None and self.nodes > self.budget:
-                raise BudgetExhaustedError(
-                    f"node budget {self.budget} exhausted"
-                )
-
-
-class _Best:
-    """Monotone shared best-so-far (max); safe under any thread schedule."""
-
-    __slots__ = ("value", "lock")
-
-    def __init__(self, value: int = 0):
-        self.value = value
-        self.lock = Lock()
-
-    def update(self, value: int) -> None:
-        with self.lock:
-            if value > self.value:
-                self.value = value
+    def spend(self) -> None:
+        self.nodes += 1
+        if self.budget is not None and self.nodes > self.budget:
+            raise BudgetExhaustedError(f"node budget {self.budget} exhausted")
 
 
 def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _greedy_clique_cover(cand: int, adj: tuple[int, ...]) -> int:
+def _greedy_clique_cover(cand: int, adj: tuple[int, ...], cap: int) -> int:
     """Number of cliques in a greedy cover of the candidate subgraph.
 
+    Clique i is the chain of lowest bits in the common neighborhood of what
+    cliques 0..i-1 left, which is the partition a scan of the candidates in
+    index order makes when it puts each one into the first clique it extends.
     An independent set picks at most one vertex per clique, so this is an
-    upper bound on the MIS size of the candidates.
+    upper bound on the MIS size of the candidates.  The count stops as soon
+    as it exceeds `cap`: the result is min(cover, max(cap, 0) + 1).
     """
-    cliques: list[int] = []  # common neighborhood masks
-    m = cand
+    rest = cand
     n_cliques = 0
-    while m:
-        v = _lowest_bit(m)
-        m &= m - 1
-        for i, common in enumerate(cliques):
-            if common >> v & 1:
-                cliques[i] = common & adj[v]
-                break
-        else:
-            cliques.append(adj[v] & cand)
-            n_cliques += 1
+    while rest:
+        n_cliques += 1
+        if n_cliques > cap:
+            break
+        common = rest
+        while common:
+            low = common & -common
+            rest ^= low
+            common &= adj[low.bit_length() - 1]
     return n_cliques
 
 
-def _take_isolated(cand: int, adj: tuple[int, ...]) -> tuple[int, int, int]:
-    """Move candidates with no remaining conflicts into the chosen set.
+def _isolated(cand: int, adj: tuple[int, ...]) -> int:
+    """Mask of the candidates with no remaining conflicts.
 
-    Such vertices belong to every maximal (hence every maximum) extension.
-    Returns (remaining candidates, number taken, mask taken).
+    Such vertices belong to every maximal (hence every maximum) extension,
+    so the searches move them into the chosen set.
     """
-    taken = 0
-    taken_mask = 0
+    isolated = 0
     m = cand
     while m:
-        v = _lowest_bit(m)
-        m &= m - 1
-        if not (adj[v] & cand):
-            taken += 1
-            taken_mask |= 1 << v
-    return cand & ~taken_mask, taken, taken_mask
+        low = m & -m
+        m ^= low
+        if not (adj[low.bit_length() - 1] & cand):
+            isolated |= low
+    return isolated
 
 
 def _search_optimum(
-    adj: tuple[int, ...],
-    cand: int,
-    size: int,
-    best: _Best,
-    counter: _Counter,
-) -> None:
+    adj: tuple[int, ...], cand: int, size: int, best: int, counter: _Counter
+) -> int:
+    """The larger of `best` and the largest independent set that adds
+    candidates to `size` chosen vertices."""
     counter.spend()
-    cand, taken, _ = _take_isolated(cand, adj)
-    size += taken
+    isolated = _isolated(cand, adj)
+    cand ^= isolated
+    size += isolated.bit_count()
     if not cand:
-        best.update(size)
-        return
-    if size + _greedy_clique_cover(cand, adj) <= best.value:
-        return
+        return max(best, size)
+    if size + _greedy_clique_cover(cand, adj, best - size) <= best:
+        return best
     # branch on the highest-degree candidate (ties to the lowest index)
     v, v_deg = -1, -1
     m = cand
     while m:
-        u = _lowest_bit(m)
-        m &= m - 1
+        low = m & -m
+        m ^= low
+        u = low.bit_length() - 1
         d = (adj[u] & cand).bit_count()
         if d > v_deg:
             v, v_deg = u, d
-    _search_optimum(adj, cand & ~adj[v] & ~(1 << v), size + 1, best, counter)
-    _search_optimum(adj, cand & ~(1 << v), size, best, counter)
-
-
-def _split_tasks(
-    adj: tuple[int, ...], cand: int, size: int, depth: int
-) -> list[tuple[int, int]]:
-    """Expand the first `depth` branching levels into independent subtrees."""
-    if depth == 0 or not cand:
-        return [(cand, size)]
-    v = _lowest_bit(cand)
-    out = _split_tasks(adj, cand & ~adj[v] & ~(1 << v), size + 1, depth - 1)
-    out += _split_tasks(adj, cand & ~(1 << v), size, depth - 1)
-    return out
+    best = _search_optimum(adj, cand & ~adj[v] & ~(1 << v), size + 1, best, counter)
+    return _search_optimum(adj, cand & ~(1 << v), size, best, counter)
 
 
 @dataclass
 class _EnumState:
     count: int = 0
-    witness: tuple[int, ...] | None = None
+    witness: int | None = None  # chosen mask of the first solution found
     solutions: list[int] | None = None  # chosen masks, when orbits are needed
     stop_at_first: bool = False
-    found: bool = False
 
 
 def _search_enumerate(
@@ -192,23 +167,22 @@ def _search_enumerate(
     Branches on the lowest candidate, include-first, so the first solution
     found is the lexicographically least one in this subtree.
     """
-    if state.stop_at_first and state.found:
+    if state.stop_at_first and state.witness is not None:
         return
     counter.spend()
-    cand, taken, taken_mask = _take_isolated(cand, adj)
-    size += taken
-    chosen |= taken_mask
+    isolated = _isolated(cand, adj)
+    cand ^= isolated
+    size += isolated.bit_count()
+    chosen |= isolated
     if not cand:
         if size == optimum:
             state.count += 1
-            state.found = True
-            key = _mask_to_tuple(chosen)
-            if state.witness is None or key < state.witness:
-                state.witness = key
+            if state.witness is None:
+                state.witness = chosen
             if state.solutions is not None:
                 state.solutions.append(chosen)
         return
-    if size + _greedy_clique_cover(cand, adj) < optimum:
+    if size + _greedy_clique_cover(cand, adj, optimum - size) < optimum:
         return
     v = _lowest_bit(cand)
     _search_enumerate(
@@ -230,107 +204,57 @@ def _solve(
     *,
     count: bool,
     mod_translations: bool,
-    threads: int,
     node_budget: int | None,
 ) -> tuple[int, tuple[int, ...], int | None, int]:
     adj = graph.adjacency
     n = graph.n
-    full = (1 << n) - 1
     counter = _Counter(node_budget)
-    threads = max(1, threads)
+    # Both phases start from the root that holds vertex 0 (module docstring).
+    root_cand = ((1 << n) - 1) & ~adj[0] & ~1
 
-    # Phase 1: the optimum value.  Torus translations act transitively on
-    # cosets, so some maximum set contains vertex 0; fixing it prunes the
-    # root without affecting the optimum (symmetry breaking is not used for
-    # counting, which runs in phase 2 over the full root).
-    best = _Best(0)
-    root_cand = full & ~adj[0] & ~1
-    root_size = 1
-    if threads == 1:
-        _search_optimum(adj, root_cand, root_size, best, counter)
-    else:
-        depth = max(1, (4 * threads - 1).bit_length() - 1)
-        tasks = _split_tasks(adj, root_cand, root_size, depth)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_search_optimum, adj, c, s, best, counter)
-                for (c, s) in tasks
-            ]
-            for f in futures:
-                f.result()
-    optimum = best.value
+    # Phase 1: the optimum value.
+    optimum = _search_optimum(adj, root_cand, 1, 0, counter)
 
     # Phase 2: lexicographically least witness, plus exact count on request.
-    need_solutions = count and mod_translations
-    if threads == 1 or not count:
-        state = _EnumState(
-            solutions=[] if need_solutions else None,
-            stop_at_first=not count,
-        )
-        _search_enumerate(adj, full, 0, 0, optimum, state, counter)
-        states = [state]
-    else:
-        depth = max(1, (4 * threads - 1).bit_length() - 1)
-        tasks = _split_prefixed(adj, full, 0, 0, depth)
-        states = [
-            _EnumState(solutions=[] if need_solutions else None) for _ in tasks
-        ]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(
-                    _search_enumerate, adj, cand, chosen, size, optimum, st, counter
-                )
-                for ((cand, chosen), size), st in zip(tasks, states)
-            ]
-            for f in futures:
-                f.result()
-
-    total_count = sum(st.count for st in states)
-    witnesses = [st.witness for st in states if st.witness is not None]
-    if not witnesses:
+    state = _EnumState(
+        solutions=[] if count and mod_translations else None,
+        stop_at_first=not count,
+    )
+    _search_enumerate(adj, root_cand, 1, 1, optimum, state, counter)
+    if state.witness is None:
         raise AssertionError("optimum proven but no witness enumerated")
-    witness = min(witnesses)
 
     reported: int | None = None
     if count:
         if mod_translations:
-            sols: list[int] = []
-            for st in states:
-                sols.extend(st.solutions or [])
-            reported = _count_orbits(graph.quotient, sols)
+            assert state.solutions is not None
+            reported = _count_orbits(graph.quotient, state.solutions)
         else:
-            reported = total_count
-    return optimum, witness, reported, counter.nodes
-
-
-def _split_prefixed(
-    adj: tuple[int, ...], cand: int, chosen: int, size: int, depth: int
-) -> list[tuple[tuple[int, int], int]]:
-    """Like _split_tasks but also carries the chosen mask, branching on the
-    lowest vertex so subtree order matches the sequential enumeration."""
-    if depth == 0 or not cand:
-        return [((cand, chosen), size)]
-    v = _lowest_bit(cand)
-    out = _split_prefixed(
-        adj, cand & ~adj[v] & ~(1 << v), chosen | 1 << v, size + 1, depth - 1
-    )
-    out += _split_prefixed(adj, cand & ~(1 << v), chosen, size, depth - 1)
-    return out
+            # every vertex lies in state.count optima: n * c0 = count * k
+            if n * state.count % optimum:
+                raise AssertionError("n * c0 is not a multiple of the optimum")
+            reported = n * state.count // optimum
+    return optimum, _mask_to_tuple(state.witness), reported, counter.nodes
 
 
 def _count_orbits(q: Quotient, solutions: list[int]) -> int:
-    """Number of orbits of the solution sets under the torus translations."""
+    """Number of translation orbits of optimal sets, given every optimal set
+    that contains vertex 0: the orbit of S is named by the least of its
+    translates S - s, s in S, the sets of the orbit through vertex 0."""
     reps = q.reps
     index_of = q.rep_index
-    perms = []
-    for t in reps:
-        perms.append(tuple(index_of[q.reduce(add(r, t))] for r in reps))
+    occurring = 0
+    for mask in solutions:
+        occurring |= mask
+    # s -> the permutation v -> v - s, for the vertices s that occur
+    shift_by = {
+        s: tuple(index_of[q.reduce(sub(r, reps[s]))] for r in reps)
+        for s in _mask_to_tuple(occurring)
+    }
     canon: set[tuple[int, ...]] = set()
     for mask in solutions:
         verts = _mask_to_tuple(mask)
-        canon.add(
-            min(tuple(sorted(p[v] for v in verts)) for p in perms)
-        )
+        canon.add(min(tuple(sorted(shift_by[s][v] for v in verts)) for s in verts))
     return len(canon)
 
 
@@ -348,15 +272,17 @@ def max_packing(
     The witness is the lexicographically least optimal set of coset
     representatives; with count=True the exact number of optimal
     configurations is reported (orbits under torus translations when
-    mod_translations is set).
+    mod_translations is set).  `threads` must be positive and has no effect:
+    the search is sequential (module docstring).
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     t0 = time.perf_counter()
     graph = build_exclusion_graph(q, d2)
     optimum, witness_idx, counted, nodes = _solve(
         graph,
         count=count,
         mod_translations=mod_translations,
-        threads=threads,
         node_budget=node_budget,
     )
     witness = Configuration(q, d2, frozenset(q.reps[i] for i in witness_idx))

@@ -11,6 +11,7 @@ from hc3.catalog import (
     LineSelector,
     MeshSelector,
     NotLayeredError,
+    PlaneSelector,
     SelectorEmptyError,
     UnknownCatalogEntryError,
     build_layered,
@@ -317,6 +318,14 @@ def test_mesh_shift_empty_selector():
     c = Configuration(q4, 4, frozenset({(0, 0, 0)}))
     with pytest.raises(SelectorEmptyError):
         mesh_shift(c, LineSelector((1, 0, 0), (0, 0, 1)), (0, 0, 1))
+
+
+def test_plane_selector_rejects_zero_normal():
+    with pytest.raises(ValueError):
+        PlaneSelector((0, 0, 0), (0, 0, 0))
+    q4 = quotient(((4, 0, 0), (0, 4, 0), (0, 0, 4)))
+    c = Configuration(q4, 4, frozenset({(0, 0, 0), (0, 0, 2), (2, 0, 0)}))
+    assert PlaneSelector((0, 0, 0), (0, 0, 1)).select(c) == {(0, 0, 0), (2, 0, 0)}
 
 
 def test_layer_family_alphabets():

@@ -86,6 +86,30 @@ def test_out_of_range_numbers_exit_2(tmp_path):
     r = run_cli("slide", str(doc), "--scan", "--max-shift-norm", "-1")
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
+    r = run_cli("pack", "--diag", "2", "--d2", "3", "--budget", "-5")
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == ["error: --budget must be >= 0"]
+    r = run_cli("excite", str(doc), "--max-order", "1", "--radius", "1", "--budget", "-1")
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == ["error: --budget must be >= 0"]
+    assert r.stdout == ""
+
+
+def test_slide_zero_plane_normal_exits_2(tmp_path):
+    # a zero normal would select every site and pass a global translation
+    # off as a slide
+    doc = tmp_path / "layered.json"
+    run_cli(
+        "layered", "--d2", "6", "--family", "I", "--word", "STUSTTUSSU",
+        "--out", str(doc), check=True,
+    )
+    r = run_cli("slide", str(doc), "--mesh", "plane:0,0,0:0,0,0", "--shift", "1,0,0")
+    assert r.returncode == 2
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith("error: ")
+    assert r.stdout == ""
+    r = run_cli("slide", str(doc), "--mesh", "line:0,0,0:0,0,0", "--shift", "1,0,0")
+    assert r.returncode == 1
 
 
 def test_verify_reports_and_exit_codes(tmp_path):

@@ -1,12 +1,15 @@
 """Exact packing solver: oracle equivalence, counts, determinism, bounds."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hc3.admissibility import build_exclusion_graph
 from hc3.catalog import known_sublattice, known_sublattice_keys, scaled_basis
-from hc3.lattice import quotient
+from hc3.lattice import add, quotient
 from hc3.solver import (
     BudgetExhaustedError,
+    _greedy_clique_cover,
     clique_cover_bound,
     count_optima,
     max_packing,
@@ -16,13 +19,14 @@ DIAG2 = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
 DIAG4 = ((4, 0, 0), (0, 4, 0), (0, 0, 4))
 
 
-def brute_force_optimum_and_count(q, d2):
-    """Independent oracle: scan all subsets of the exclusion graph."""
+def brute_force_optima(q, d2):
+    """Independent oracle: every maximum independent set of the exclusion
+    graph, as bitmasks, from a scan of all subsets."""
     g = build_exclusion_graph(q, d2)
     n = g.n
     adj = g.adjacency
     best = 0
-    count = 0
+    optima = []
     for mask in range(1 << n):
         ok = True
         m = mask
@@ -36,10 +40,27 @@ def brute_force_optimum_and_count(q, d2):
             continue
         size = mask.bit_count()
         if size > best:
-            best, count = size, 1
+            best, optima = size, [mask]
         elif size == best:
-            count += 1
-    return best, count
+            optima.append(mask)
+    return best, optima
+
+
+def brute_force_optimum_and_count(q, d2):
+    best, optima = brute_force_optima(q, d2)
+    return best, len(optima)
+
+
+def brute_force_orbit_count(q, masks):
+    """Translation orbits of the given sets, each canonicalised over all n
+    translations of the torus."""
+    reps = q.reps
+    perms = [[q.rep_index[q.reduce(add(r, t))] for r in reps] for t in reps]
+    canon = set()
+    for mask in masks:
+        verts = [v for v in range(len(reps)) if mask >> v & 1]
+        canon.add(min(sum(1 << p[v] for v in verts) for p in perms))
+    return len(canon)
 
 
 # quotients with at most 16 cosets that tolerate d2 up to 5
@@ -51,6 +72,10 @@ ORACLE_QUOTIENTS = [
     (known_sublattice(8), (2, 3, 4, 5)),
     (known_sublattice(6, "I"), (2, 3, 4, 5)),
     (((2, 0, 0), (0, 2, 0), (1, 1, 1)), (2, 3)),
+    # optima that are not lattice cosets: some translation orbits meet
+    # vertex 0 in more than one set
+    (((2, 0, 0), (0, 2, 0), (0, 0, 3)), (2, 3)),
+    (((2, 0, 0), (1, 2, 0), (0, 1, 3)), (2,)),
 ]
 
 
@@ -65,6 +90,48 @@ def test_solver_matches_bruteforce(period, d2s):
         assert got.count == want_count
         ok, _ = got.witness.is_admissible()
         assert ok and len(got.witness.occupied) == want_opt
+
+
+@pytest.mark.parametrize("period,d2s", ORACLE_QUOTIENTS)
+def test_orbit_count_matches_bruteforce(period, d2s):
+    q = quotient(period)
+    for d2 in d2s:
+        _, optima = brute_force_optima(q, d2)
+        want = brute_force_orbit_count(q, optima)
+        assert count_optima(q, d2, mod_translations=True) == want
+
+
+def list_scan_clique_cover(cand, adj):
+    """Reference greedy cover: scan candidates in index order and put each
+    into the first clique whose common neighborhood holds it."""
+    cliques = []  # common neighborhood masks
+    for v in range(len(adj)):
+        if not cand >> v & 1:
+            continue
+        for i, common in enumerate(cliques):
+            if common >> v & 1:
+                cliques[i] = common & adj[v]
+                break
+        else:
+            cliques.append(adj[v] & cand)
+    return len(cliques)
+
+
+COVER_GRAPHS = [
+    build_exclusion_graph(quotient(DIAG4), 4).adjacency,
+    build_exclusion_graph(quotient(((4, 0, 0), (1, 4, 0), (2, 1, 5))), 5).adjacency,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(COVER_GRAPHS), st.data())
+def test_clique_cover_matches_list_scan(adj, data):
+    cand = data.draw(st.integers(0, (1 << len(adj)) - 1))
+    cap = data.draw(st.integers(-2, len(adj)))
+    cover = list_scan_clique_cover(cand, adj)
+    assert _greedy_clique_cover(cand, adj, len(adj)) == cover
+    # a negative cap is exceeded by the first clique
+    assert _greedy_clique_cover(cand, adj, cap) == min(cover, max(cap, 0) + 1)
 
 
 def test_density_cardinality_table_small():
@@ -92,6 +159,11 @@ def test_determinism_across_thread_counts():
         assert r.optimum == base.optimum
         assert r.count == base.count
         assert r.witness.occupied == base.witness.occupied
+
+
+def test_threads_must_be_positive():
+    with pytest.raises(ValueError):
+        max_packing(quotient(DIAG2), 2, threads=0)
 
 
 def test_count_modulo_translations():

@@ -104,6 +104,13 @@ def _load(path: str, validate: bool = True) -> Configuration:
         raise CliError(f"bad document: {exc}", EXIT_BAD_INPUT)
 
 
+def _save(c: Configuration, path: str, metadata: dict[str, str]) -> None:
+    try:
+        documents.save(c, path, metadata)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}", EXIT_BAD_INPUT)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -152,7 +159,7 @@ def _cmd_pack(args) -> int:
     if result.count is not None:
         payload["count"] = result.count
     if args.out:
-        documents.save(result.witness, args.out, {"source": "pack"})
+        _save(result.witness, args.out, {"source": "pack"})
         lines.append(f"witness-file {args.out}")
         payload["witness_file"] = args.out
     _emit(args, lines, payload)
@@ -215,7 +222,7 @@ def _cmd_pc(args) -> int:
         "min_sq_norm": shortest_vectors(basis)[0],
     }
     if args.out:
-        documents.save(c, args.out, meta)
+        _save(c, args.out, meta)
         lines.append(f"file {args.out}")
         payload["file"] = args.out
     _emit(args, lines, payload)
@@ -245,7 +252,7 @@ def _cmd_layered(args) -> int:
         "min_pair_sq_distance": c.min_pair_sq_distance(),
     }
     if args.out:
-        documents.save(c, args.out, {"kind": "layered", "word": args.word})
+        _save(c, args.out, {"kind": "layered", "word": args.word})
         lines.append(f"file {args.out}")
         payload["file"] = args.out
     _emit(args, lines, payload)
@@ -287,8 +294,6 @@ def _write_obj(cell: voronoi.RationalPolytope, path: str) -> None:
         obj_lines.append("v " + " ".join(f"{float(x):.17g}" for x in v))
     for f in cell.facets:
         obj_lines.append("f " + " ".join(str(i + 1) for i in f.vertices))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(obj_lines) + "\n")
     sidecar = {
         "vertices": [[_fmt_fraction(Fraction(x)) for x in v] for v in cell.vertices],
         "facets": [
@@ -300,8 +305,13 @@ def _write_obj(cell: voronoi.RationalPolytope, path: str) -> None:
             for f in cell.facets
         ],
     }
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(obj_lines) + "\n")
+        with open(path + ".json", "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        raise CliError(f"cannot write {exc.filename}: {exc.strerror}", EXIT_BAD_INPUT)
 
 
 def _cmd_embed(args) -> int:

@@ -2,13 +2,20 @@
 
 A cell is built by cutting a bounding cube with the perpendicular bisector
 half-space of every sufficiently close periodic neighbor; the bisector of
-integer points x and y is the integer half-space 2(y-x).z <= |y|^2 - |x|^2,
-so the whole computation stays in rational arithmetic.  The cutoff radius
-doubles until every cell vertex lies strictly inside half the radius, which
-certifies that no farther neighbor can touch the cell.
+integer points x and y is the integer half-space 2(y-x).z <= |y|^2 - |x|^2.
+While cutting, a vertex is a homogeneous integer 4-tuple (X, Y, Z, W) with
+W > 0 and gcd 1, standing for (X/W, Y/W, Z/W): the side test of a vertex and
+the new vertex on a cut edge are pure integer arithmetic, and equal points
+are equal tuples.  Neighbors are cut in distance order, and cutting stops at
+the first neighbor y with |y-x|^2 > 4R^2, R the largest vertex distance from
+x: that bisector and every later one leave each vertex strictly inside.  The
+cutoff radius r doubles until 4R^2 < r^2, which certifies that no neighbor
+beyond the cutoff can touch the cell.  Vertices become Fractions once, in
+the finished polytope.
 
 Volumes are exact rationals obtained from an outward-oriented fan
-triangulation of the facet cycles.
+triangulation of the facet cycles, summed in integers over a common
+denominator.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .admissibility import Configuration
 from .lattice import (
@@ -23,6 +31,8 @@ from .lattice import (
     Quotient,
     Site,
     ceil_sqrt,
+    cross,
+    dot,
     lattice_points,
     sq_norm,
     sub,
@@ -39,6 +49,7 @@ __all__ = [
 ]
 
 FVec = tuple[Fraction, Fraction, Fraction]
+HVec = tuple[int, int, int, int]
 
 @dataclass(frozen=True)
 class Facet:
@@ -64,63 +75,43 @@ class RationalPolytope:
         return len(self.facets)
 
 
-def _fdot(a: Site, v: FVec) -> Fraction:
-    return a[0] * v[0] + a[1] * v[1] + a[2] * v[2]
-
-
-def _fsub(a: FVec, b: FVec) -> FVec:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _fcross(a, b) -> FVec:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _fdot3(a, b) -> Fraction:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 class _Poly:
     """Mutable vertex/half-space intersection used during cutting.
 
-    Facets are (normal, offset, vertex index set); vertex coordinates are
-    exact Fractions.
+    Facets are (normal, offset, vertex index set); vertices are homogeneous
+    integer 4-tuples (X, Y, Z, W), W > 0, gcd 1.
     """
 
     __slots__ = ("verts", "facets")
 
-    def __init__(self, verts, facets):
+    def __init__(self, verts: list[HVec], facets):
         self.verts = verts
         self.facets = facets
 
     @classmethod
     def cube(cls, center: Site, r: int) -> "_Poly":
-        cx, cy, cz = (Fraction(c) for c in center)
+        cx, cy, cz = center
         corners = []
         for sx in (-1, 1):
             for sy in (-1, 1):
                 for sz in (-1, 1):
-                    corners.append((cx + sx * r, cy + sy * r, cz + sz * r))
+                    corners.append((cx + sx * r, cy + sy * r, cz + sz * r, 1))
         faces = []
         for axis in range(3):
             for sign in (-1, 1):
                 normal = tuple(sign if i == axis else 0 for i in range(3))
                 offset = sign * center[axis] + r
                 members = {
-                    i
-                    for i, v in enumerate(corners)
-                    if _fdot(normal, v) == offset
+                    i for i, v in enumerate(corners) if dot(normal, v) == offset
                 }
                 faces.append((normal, offset, members))
         return cls(corners, faces)
 
     def cut(self, normal: Site, offset: int) -> bool:
         """Intersect with normal.z <= offset; returns True when changed."""
-        s = [_fdot(normal, v) - offset for v in self.verts]
+        a0, a1, a2 = normal
+        # W times (normal.v - offset): the side of v, in integers since W > 0
+        s = [a0 * x + a1 * y + a2 * z - offset * w for x, y, z, w in self.verts]
         pos = [i for i, si in enumerate(s) if si > 0]
         if not pos:
             return False
@@ -129,22 +120,22 @@ class _Poly:
         for fi, (_, _, members) in enumerate(self.facets):
             for i in members:
                 vfac[i].add(fi)
-        new_pts: list[FVec] = []
+        new_pts: list[HVec] = []
         new_facsets: list[set[int]] = []
         for i in keep:
-            if s[i] == 0:
+            si = s[i]
+            if si == 0:
                 continue
+            vi = self.verts[i]
             for j in pos:
                 common = vfac[i] & vfac[j]
                 if len(common) < 2:
                     continue
-                t = s[i] / (s[i] - s[j])
-                vi, vj = self.verts[i], self.verts[j]
-                pt = (
-                    vi[0] + t * (vj[0] - vi[0]),
-                    vi[1] + t * (vj[1] - vi[1]),
-                    vi[2] + t * (vj[2] - vi[2]),
-                )
+                # s_j v_i - s_i v_j lies on the plane, and its W is positive
+                sj, vj = s[j], self.verts[j]
+                h = [sj * vi[k] - si * vj[k] for k in range(4)]
+                g = gcd(*h)
+                pt = (h[0] // g, h[1] // g, h[2] // g, h[3] // g)
                 for k, q in enumerate(new_pts):
                     if q == pt:
                         new_facsets[k] |= common
@@ -170,58 +161,94 @@ class _Poly:
         self.facets = facets
         return True
 
-    def max_sq_radius(self, center: Site) -> Fraction:
-        cx, cy, cz = (Fraction(c) for c in center)
-        best = Fraction(0)
-        for v in self.verts:
-            d = (v[0] - cx) ** 2 + (v[1] - cy) ** 2 + (v[2] - cz) ** 2
-            if d > best:
-                best = d
-        return best
+    def sq_radius(self, center: Site) -> tuple[int, int]:
+        """The largest squared vertex distance from center, as a pair
+        (numerator, denominator)."""
+        cx, cy, cz = center
+        num, den = 0, 1
+        for x, y, z, w in self.verts:
+            n = (x - cx * w) ** 2 + (y - cy * w) ** 2 + (z - cz * w) ** 2
+            if n * den > num * w * w:
+                num, den = n, w * w
+        return num, den
+
+    def inside(self, center: Site, r: int) -> bool:
+        """Whether every vertex lies strictly inside half the cutoff r."""
+        num, den = self.sq_radius(center)
+        return 4 * num < r * r * den
+
+    def _scaled_cycles(self) -> tuple[list[Site], int, list[tuple[int, ...]]]:
+        pts, scale = _scaled(self.verts)
+        cycles = [_order_cycle(pts, sorted(m), a) for a, _, m in self.facets]
+        return pts, scale, cycles
 
     def freeze(self) -> RationalPolytope:
-        facets = []
-        for a, b, members in self.facets:
-            cycle = _order_cycle(self.verts, sorted(members), a)
-            facets.append(Facet(a, b, cycle))
+        _, _, cycles = self._scaled_cycles()
+        facets = [Facet(a, b, c) for (a, b, _), c in zip(self.facets, cycles)]
         facets.sort(key=lambda f: (f.normal, f.offset))
-        return RationalPolytope(tuple(self.verts), tuple(facets))
+        verts = tuple(
+            (Fraction(x, w), Fraction(y, w), Fraction(z, w))
+            for x, y, z, w in self.verts
+        )
+        return RationalPolytope(verts, tuple(facets))
 
     def volume(self) -> Fraction:
-        total = Fraction(0)
-        for a, _, members in self.facets:
-            cycle = _order_cycle(self.verts, sorted(members), a)
-            p0 = self.verts[cycle[0]]
-            for i in range(1, len(cycle) - 1):
-                p1, p2 = self.verts[cycle[i]], self.verts[cycle[i + 1]]
-                total += _fdot3(_fcross(p0, p1), p2)
-        return abs(total) / 6
+        return _fan_volume(*self._scaled_cycles())
 
 
-def _order_cycle(verts, members: list[int], normal: Site) -> tuple[int, ...]:
-    """Vertices of a facet ordered counterclockwise around the outward normal."""
+def _scaled(verts: list[HVec]) -> tuple[list[Site], int]:
+    """The homogeneous vertices over their least common denominator: integer
+    points p with vertex = p / scale, and the scale."""
+    scale = lcm(*(v[3] for v in verts))
+    pts = []
+    for x, y, z, w in verts:
+        m = scale // w
+        pts.append((x * m, y * m, z * m))
+    return pts, scale
+
+
+def _fan_volume(pts: list[Site], scale: int, cycles) -> Fraction:
+    """Exact volume of the polytope with vertices pts / scale and the given
+    outward-oriented facet cycles, as a sum of fan triple products."""
+    total = 0
+    for cycle in cycles:
+        p0 = pts[cycle[0]]
+        for i in range(1, len(cycle) - 1):
+            total += dot(cross(p0, pts[cycle[i]]), pts[cycle[i + 1]])
+    return Fraction(abs(total), 6 * scale**3)
+
+
+def _order_cycle(pts: list[Site], members: list[int], normal: Site) -> tuple[int, ...]:
+    """Vertices of a facet ordered counterclockwise around the outward normal.
+
+    pts are the vertices over a common positive denominator; the offsets from
+    the centroid are scaled by k = len(members) as well, which changes no
+    sign of a cross or dot product, so the order is that of the exact points.
+    """
     k = len(members)
-    cx = sum(verts[i][0] for i in members) / k
-    cy = sum(verts[i][1] for i in members) / k
-    cz = sum(verts[i][2] for i in members) / k
-    rel = {i: (verts[i][0] - cx, verts[i][1] - cy, verts[i][2] - cz) for i in members}
+    sx = sum(pts[i][0] for i in members)
+    sy = sum(pts[i][1] for i in members)
+    sz = sum(pts[i][2] for i in members)
+    rel = {
+        i: (k * pts[i][0] - sx, k * pts[i][1] - sy, k * pts[i][2] - sz)
+        for i in members
+    }
     ref = rel[members[0]]
 
     def half(w) -> int:
-        c = _fcross(ref, w)
-        d = _fdot3(c, normal)
+        d = dot(cross(ref, w), normal)
         if d > 0:
             return 0
         if d < 0:
             return 1
-        return 0 if _fdot3(ref, w) > 0 else 1
+        return 0 if dot(ref, w) > 0 else 1
 
     def cmp(i: int, j: int) -> int:
         wi, wj = rel[i], rel[j]
         hi, hj = half(wi), half(wj)
         if hi != hj:
             return -1 if hi < hj else 1
-        d = _fdot3(_fcross(wi, wj), normal)
+        d = dot(cross(wi, wj), normal)
         if d > 0:
             return -1
         if d < 0:
@@ -235,9 +262,15 @@ def _cut_cell(center: Site, r: int, neighbors: list[Site]) -> _Poly:
     poly = _Poly.cube(center, r)
     ordered = sorted(neighbors, key=lambda y: (sq_norm(sub(y, center)), y))
     c_sq = sq_norm(center)
+    num, den = poly.sq_radius(center)
     for y in ordered:
-        normal = tuple(2 * (y[k] - center[k]) for k in range(3))
-        poly.cut(normal, sq_norm(y) - c_sq)
+        d = sub(y, center)
+        d_sq = sq_norm(d)
+        # |y-x|^2 > 4R^2: this bisector and every later one miss the cell
+        if d_sq * den > 4 * num:
+            break
+        if poly.cut((2 * d[0], 2 * d[1], 2 * d[2]), sq_norm(y) - c_sq):
+            num, den = poly.sq_radius(center)
     return poly
 
 
@@ -270,21 +303,16 @@ def voronoi_cell(c: Configuration, x: Site) -> RationalPolytope:
     r = 2 * ceil_sqrt(c.d2)
     while True:
         poly = _cut_cell(x, r, _periodic_neighbors(c, x, r))
-        if 4 * poly.max_sq_radius(x) < r * r:
+        if poly.inside(x, r):
             return poly.freeze()
         r *= 2
 
 
 def cell_volume(p: RationalPolytope) -> Fraction:
     """Exact volume via outward-oriented fans over the facet cycles."""
-    total = Fraction(0)
-    for f in p.facets:
-        p0 = p.vertices[f.vertices[0]]
-        for i in range(1, len(f.vertices) - 1):
-            p1 = p.vertices[f.vertices[i]]
-            p2 = p.vertices[f.vertices[i + 1]]
-            total += _fdot3(_fcross(p0, p1), p2)
-    return abs(total) / 6
+    scale = lcm(*(x.denominator for v in p.vertices for x in v))
+    pts = [tuple(x.numerator * (scale // x.denominator) for x in v) for v in p.vertices]
+    return _fan_volume(pts, scale, [f.vertices for f in p.facets])
 
 
 def tessellation_check(c: Configuration) -> bool:
@@ -347,7 +375,6 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
 
     best: list = [None, None]  # volume, chosen mask
     state = {"nodes": 0, "complete": True, "uncertified": False}
-    cert_limit = Fraction(r_sq, 4)
 
     def dfs(chosen: int, cand: int) -> None:
         if state["nodes"] >= node_budget:
@@ -366,7 +393,7 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
         if best[0] is not None and vol >= best[0]:
             return
         if not cand:
-            if poly.max_sq_radius((0, 0, 0)) < cert_limit:
+            if poly.inside((0, 0, 0), radius):
                 best[0], best[1] = vol, chosen
             else:
                 state["uncertified"] = True

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 BASE_ENV = {**os.environ, "PYTHONHASHSEED": "0"}
 
 
@@ -92,6 +94,28 @@ def test_out_of_range_numbers_exit_2(tmp_path):
     r = run_cli("excite", str(doc), "--max-order", "1", "--radius", "1", "--budget", "-1")
     assert r.returncode == 2
     assert r.stderr.splitlines() == ["error: --budget must be >= 0"]
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pack", "--diag", "2", "--d2", "2", "--out", "{out}"],
+        ["pc", "--d2", "2", "--out", "{out}"],
+        ["layered", "--d2", "5", "--word", "ST", "--out", "{out}"],
+        ["voronoi", "{doc}", "--site", "0,0,0", "--dump-geometry", "{out}"],
+    ],
+    ids=["pack", "pc", "layered", "voronoi"],
+)
+def test_unwritable_output_exits_2(tmp_path, argv):
+    doc = tmp_path / "pc2.json"
+    run_cli("pc", "--d2", "2", "--out", str(doc), check=True)
+    out = tmp_path / "missing" / "x.json"
+    r = run_cli(*(a.format(doc=doc, out=out) for a in argv))
+    assert r.returncode == 2
+    # pack reports its search on a "#" line first
+    errors = [line for line in r.stderr.splitlines() if not line.startswith("#")]
+    assert errors == [f"error: cannot write {out}: No such file or directory"]
     assert r.stdout == ""
 
 

@@ -1,19 +1,30 @@
 """Exact Voronoi cells: construction, volumes, tessellation, minimal search."""
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hc3.admissibility import Configuration
 from hc3.catalog import build_layered, known_sublattice, scaled_basis
 from hc3.lattice import (
     apply_symmetry,
+    cross,
+    dot,
+    hnf,
     lattice_contains,
     lattice_index,
+    min_image_sq_distance,
     quotient,
+    sq_norm,
+    sub,
     symmetry_group,
 )
 from hc3.voronoi import (
+    Facet,
+    RationalPolytope,
     _cut_cell,
     cell_volume,
     min_cell_search,
@@ -165,3 +176,158 @@ def test_min_cell_search_partial_flag():
 def test_min_cell_search_rejects_small_radius():
     with pytest.raises(ValueError):
         min_cell_search(9, 2)
+
+
+# ---------------------------------------------------------------------------
+# reference cutter: every vertex an exact Fraction triple, every neighbor cut
+
+
+def reference_cell(center, r, neighbors):
+    """The cell cut from the cube of half-side r around center by the
+    bisector of every neighbor, in Fraction arithmetic, and its volume."""
+    corners = [
+        tuple(Fraction(center[k] + s[k] * r) for k in range(3))
+        for s in ((sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1))
+    ]
+    facets = []
+    for axis in range(3):
+        for sign in (-1, 1):
+            normal = tuple(sign if i == axis else 0 for i in range(3))
+            offset = sign * center[axis] + r
+            members = {i for i, v in enumerate(corners) if dot(normal, v) == offset}
+            facets.append((normal, offset, members))
+    verts = corners
+    c_sq = sq_norm(center)
+    for y in sorted(neighbors, key=lambda y: (sq_norm(sub(y, center)), y)):
+        normal = tuple(2 * (y[k] - center[k]) for k in range(3))
+        verts, facets = _reference_cut(verts, facets, normal, sq_norm(y) - c_sq)
+    cycles = [_reference_cycle(verts, sorted(m), a) for a, _, m in facets]
+    volume = Fraction(0)
+    for cycle in cycles:
+        for i in range(1, len(cycle) - 1):
+            p0, p1, p2 = verts[cycle[0]], verts[cycle[i]], verts[cycle[i + 1]]
+            volume += dot(cross(p0, p1), p2)
+    frozen = sorted(
+        (Facet(a, b, c) for (a, b, _), c in zip(facets, cycles)),
+        key=lambda f: (f.normal, f.offset),
+    )
+    return RationalPolytope(tuple(verts), tuple(frozen)), abs(volume) / 6
+
+
+def _reference_cut(verts, facets, normal, offset):
+    s = [dot(normal, v) - offset for v in verts]
+    pos = [i for i, si in enumerate(s) if si > 0]
+    if not pos:
+        return verts, facets
+    keep = [i for i, si in enumerate(s) if si <= 0]
+    vfac = {i: {fi for fi, f in enumerate(facets) if i in f[2]} for i in range(len(verts))}
+    new_pts, new_facsets = [], []
+    for i in keep:
+        if s[i] == 0:
+            continue
+        for j in pos:
+            common = vfac[i] & vfac[j]
+            if len(common) < 2:
+                continue
+            t = s[i] / (s[i] - s[j])
+            pt = tuple(verts[i][k] + t * (verts[j][k] - verts[i][k]) for k in range(3))
+            if pt in new_pts:
+                new_facsets[new_pts.index(pt)] |= common
+            else:
+                new_pts.append(pt)
+                new_facsets.append(set(common))
+    index_map = {old: n for n, old in enumerate(keep)}
+    base = len(keep)
+    out = []
+    for fi, (a, b, members) in enumerate(facets):
+        kept = {index_map[i] for i in members if i in index_map}
+        kept |= {base + k for k, fs in enumerate(new_facsets) if fi in fs}
+        if len(kept) >= 3:
+            out.append((a, b, kept))
+    cut_members = {index_map[i] for i in keep if s[i] == 0}
+    cut_members |= set(range(base, base + len(new_pts)))
+    if len(cut_members) >= 3:
+        out.append((normal, offset, cut_members))
+    return [verts[i] for i in keep] + new_pts, out
+
+
+def _reference_cycle(verts, members, normal):
+    k = len(members)
+    c = [sum(verts[i][a] for i in members) / k for a in range(3)]
+    rel = {i: tuple(verts[i][a] - c[a] for a in range(3)) for i in members}
+    ref = rel[members[0]]
+
+    def half(w):
+        d = dot(cross(ref, w), normal)
+        return 0 if d > 0 or (d == 0 and dot(ref, w) > 0) else 1
+
+    def cmp(i, j):
+        hi, hj = half(rel[i]), half(rel[j])
+        if hi != hj:
+            return -1 if hi < hj else 1
+        d = dot(cross(rel[i], rel[j]), normal)
+        return -1 if d > 0 else (1 if d < 0 else 0)
+
+    return tuple(sorted(members, key=functools.cmp_to_key(cmp)))
+
+
+@st.composite
+def cut_inputs(draw):
+    center = draw(st.tuples(*[st.integers(-3, 3)] * 3))
+    r = draw(st.integers(1, 4))
+    offsets = st.tuples(*[st.integers(-2 * r, 2 * r)] * 3).filter(
+        lambda v: v != (0, 0, 0)
+    )
+    neighbors = draw(st.lists(offsets, max_size=16))
+    return center, r, [tuple(c + o for c, o in zip(center, v)) for v in neighbors]
+
+
+@settings(max_examples=120, deadline=None)
+@given(cut_inputs())
+def test_cut_cell_matches_fraction_reference(inputs):
+    center, r, neighbors = inputs
+    cell = _cut_cell(center, r, neighbors).freeze()
+    want, volume = reference_cell(center, r, neighbors)
+    assert cell == want
+    assert cell_volume(cell) == volume
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut_inputs(), st.data())
+def test_neighbors_beyond_twice_the_cell_radius_do_not_cut(inputs, data):
+    center, r, neighbors = inputs
+    cell = _cut_cell(center, r, neighbors).freeze()
+    r_sq = max(sq_norm(tuple(v[k] - center[k] for k in range(3))) for v in cell.vertices)
+    far = data.draw(
+        st.lists(st.tuples(*[st.integers(-6 * r, 6 * r)] * 3), min_size=1, max_size=8)
+    )
+    far = [y for y in (tuple(c + o for c, o in zip(center, v)) for v in far)
+           if sq_norm(sub(y, center)) > 4 * r_sq]
+    assume(far)
+    assert _cut_cell(center, r, neighbors + far).freeze() == cell
+    assert reference_cell(center, r, neighbors + far)[0] == cell
+
+
+@st.composite
+def skewed_configurations(draw):
+    """A non-diagonal HNF period of index <= 64, a d2 no larger than its
+    shortest vector, and a greedy admissible set over randomly ordered sites."""
+    a = draw(st.integers(1, 8))
+    c = draw(st.integers(1, 64 // a))
+    f = draw(st.integers(1, 64 // (a * c)))
+    b, d = draw(st.integers(0, a - 1)), draw(st.integers(0, a - 1))
+    e = draw(st.integers(0, c - 1))
+    assume((b, d, e) != (0, 0, 0))
+    q = quotient(hnf(((a, 0, 0), (b, c, 0), (d, e, f))))
+    d2 = draw(st.integers(1, min(q.min_period_sq_norm(), 12)))
+    occupied = []
+    for x in draw(st.permutations(sorted(q.reps))):
+        if all(min_image_sq_distance(q, x, y) >= d2 for y in occupied):
+            occupied.append(x)
+    return Configuration(q, d2, frozenset(occupied))
+
+
+@settings(max_examples=40, deadline=None)
+@given(skewed_configurations())
+def test_tessellation_on_random_skewed_periods(c):
+    assert tessellation_check(c)

@@ -9,6 +9,13 @@ strictly closer pairs conflict.
 A quotient too small for d2 (some nonzero period vector shorter than the
 exclusion distance) is rejected at construction time: on such a torus a
 particle would conflict with its own periodic images.
+
+Conflicts are found from the conflict offsets {v : 0 < |v|^2 < d2}, one
+lattice ball, by set or dict lookups: insertion candidates, the exclusion
+graph and `conflict_masks` (the conflict bitmasks of a list of points) all
+use them.  Only `is_admissible` stays pairwise over the cached minimum-image
+distances, which is faster on the many small configurations of a sliding
+scan.
 """
 
 from __future__ import annotations
@@ -25,10 +32,29 @@ class PeriodTooShortError(ValueError):
     """The period lattice has a nonzero vector shorter than the exclusion distance."""
 
 
+class SitesOutsideWindowError(ValueError):
+    """Some occupied sites of a window configuration lie outside the window."""
+
+    def __init__(self, sites: list[Site]):
+        super().__init__(f"sites outside window: {sites[:3]}")
+        self.sites = sites
+
+
 def _conflict_offsets(d2: int) -> list[Site]:
     """All offsets v with 0 < |v|^2 < d2.  Two distinct sites conflict
     exactly when their difference is congruent to one of these offsets."""
     return [v for v in lattice_points(IDENTITY_OP, (0, 0, 0), d2 - 1) if any(v)]
+
+
+def conflict_masks(points: list[Site], d2: int) -> list[int]:
+    """For each of the distinct points, the bitmask (by list index) of the
+    points strictly closer than the exclusion distance, plain distances."""
+    index = {p: i for i, p in enumerate(points)}
+    offsets = _conflict_offsets(d2)
+    return [
+        sum(1 << index[q] for v in offsets if (q := add(p, v)) in index)
+        for p in points
+    ]
 
 
 @dataclass(frozen=True)
@@ -54,9 +80,9 @@ class Configuration:
                 frozenset(self.domain.reduce(x) for x in self.occupied),
             )
         else:
-            bad = [x for x in self.occupied if not self.domain.contains(x)]
+            bad = sorted(x for x in self.occupied if not self.domain.contains(x))
             if bad:
-                raise ValueError(f"sites outside window: {sorted(bad)[:3]}")
+                raise SitesOutsideWindowError(bad)
 
     # -- basic queries ------------------------------------------------------
 
@@ -103,11 +129,6 @@ class Configuration:
         return best
 
     # -- local moves --------------------------------------------------------
-
-    def conflicts_with(self, x: Site) -> list[Site]:
-        """Occupied sites (as stored) at squared distance < d2 from x."""
-        dist = self.domain.pair_sq_distance
-        return sorted(o for o in self.occupied if dist(x, o) < self.d2)
 
     def insertion_candidates(self) -> list[Site]:
         """All unoccupied domain sites insertable without violation.

@@ -52,7 +52,9 @@ __all__ = [
 
 
 class UnknownCatalogEntryError(KeyError):
-    pass
+    def __str__(self) -> str:
+        # the bare message: KeyError would print its repr
+        return str(self.args[0])
 
 
 class NotLayeredError(ValueError):
@@ -429,6 +431,12 @@ class LineSelector:
 
     anchor: Site
     direction: Site
+
+    def __post_init__(self) -> None:
+        # a zero direction would select every site of a window: a global
+        # translation, not a slide
+        if self.direction == (0, 0, 0):
+            raise ValueError("line direction must be nonzero")
 
     def describe(self) -> str:
         return f"line:{_fmt(self.anchor)}:{_fmt(self.direction)}"

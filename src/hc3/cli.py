@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import catalog, documents, embeddings, perturbations, solver, voronoi
-from .admissibility import Configuration, PeriodTooShortError
+from .admissibility import Configuration, PeriodTooShortError, SitesOutsideWindowError
 from .lattice import Quotient, Site, lattice_index, shortest_vectors
 from .solver import BudgetExhaustedError
 
@@ -443,6 +443,11 @@ def _cmd_slide(args) -> int:
         shifted = catalog.mesh_shift(c, sel, t)
     except catalog.SelectorEmptyError as exc:
         raise CliError(str(exc), EXIT_BAD_INPUT)
+    except SitesOutsideWindowError as exc:
+        lines = ["valid no", "outside-window " + " ".join(map(_fmt_site, exc.sites))]
+        payload = {"valid": False, "outside_window": [list(s) for s in exc.sites]}
+        _emit(args, lines, payload)
+        return EXIT_DOMAIN
     ok, pair = shifted.is_admissible()
     count_preserved = len(shifted.occupied) == len(c.occupied)
     valid = ok and count_preserved and shifted.occupied != c.occupied

@@ -6,17 +6,19 @@ squared norm 2*ell^2 have pairwise inner products ell^2 (the FCC Gram
 matrix).  This module enumerates all such sublattices, groups them into
 orbits of the 48 signed coordinate permutations, and decides geometrically
 whether an embedding admits the alternate (reflected) layer stacking - the
-ingredient needed for layered close-packings.  The arithmetic criterion
-(ell divisible by 3) is deliberately NOT consulted: it serves as the
-independent oracle in the tests.
+ingredient needed for layered close-packings; it probes the layer shifts
+in one `lattice_points` ball of the layer's covering radius.  The
+arithmetic criterion (ell divisible by 3) is deliberately NOT consulted: it
+serves as the independent oracle in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 
 from .lattice import (
+    IDENTITY_OP,
     Basis,
     Site,
     add,
@@ -27,7 +29,6 @@ from .lattice import (
     lattice_points,
     plane_coefficients,
     primitive,
-    scale,
     shortest_vectors,
     sq_norm,
     symmetry_group,
@@ -153,38 +154,6 @@ def fcc_scale_of(basis: Basis) -> int:
     raise NotAnFccEmbeddingError("no generating triple with the FCC Gram matrix")
 
 
-def _plane_kernel_basis(n: Site) -> tuple[Site, Site]:
-    """Basis of the full integer lattice {w : n.w = 0} for primitive n.
-
-    Built from an extended gcd; the cross product of the returned pair is n
-    itself, so the pair spans the whole kernel, not a sublattice.
-    """
-    a, b, c = n
-    if b == 0 and c == 0:
-        return (0, 1, 0), (0, 0, 1)
-    g = gcd(abs(b), abs(c))
-    p, q = _bezout(b, c)
-    v1 = (0, c // g, -b // g)
-    v2 = (-g, p * a, q * a)
-    assert cross(v1, v2) in (n, tuple(-x for x in n))
-    return v1, v2
-
-
-def _bezout(b: int, c: int) -> tuple[int, int]:
-    """(p, q) with p*b + q*c = gcd(|b|, |c|)."""
-    old_r, r = b, c
-    old_p, p = 1, 0
-    old_q, q = 0, 1
-    while r:
-        k = old_r // r
-        old_r, r = r, old_r - k * r
-        old_p, p = p, old_p - k * p
-        old_q, q = q, old_q - k * q
-    if old_r < 0:
-        return -old_p, -old_q
-    return old_p, old_q
-
-
 def _min_dist_to_layer(t: Site, u1: Site, u2: Site) -> int:
     """Exact min over la in span(u1,u2) of |t + la|^2 (2D lattice CVP)."""
     return min(map(sq_norm, lattice_points((u1, u2), t, sq_norm(t))))
@@ -194,9 +163,10 @@ def admits_layered(basis: Basis) -> tuple[bool, dict | None]:
     """Whether the FCC embedding admits the alternate (reflected) stacking.
 
     For each of the four triangular-layer systems of the embedding, search
-    the integer points of the adjacent layer plane, modulo the layer lattice,
-    for a second shift coset that keeps the stack admissible at the
-    embedding's exclusion distance.  Returns the witness shift when found.
+    the shifts s + w to the adjacent layer plane, s the step of the stack and
+    w an integer point of the layer plane outside the layer lattice, for a
+    second shift coset that keeps the stack admissible at the embedding's
+    exclusion distance.  Returns the witness shift when found.
     """
     ell = fcc_scale_of(basis)
     d2 = 2 * ell * ell
@@ -218,6 +188,11 @@ def admits_layered(basis: Basis) -> tuple[bool, dict | None]:
     normals.sort()
     assert len(normals) == 4, f"expected 4 layer systems, got {len(normals)}"
 
+    # Every coset of a triangular layer lattice of minimum norm d2 in its
+    # plane has a point within the covering radius sqrt(d2/3) (Conway &
+    # Sloane, SPLAG ch. 4), so this ball meets every candidate shift coset.
+    ball = lattice_points(IDENTITY_OP, (0, 0, 0), -(-d2 // 3))
+
     for n in normals:
         sextet = [w for w in mins if dot(n, w) == 0]
         u1 = sextet[0]
@@ -227,40 +202,10 @@ def admits_layered(basis: Basis) -> tuple[bool, dict | None]:
         s = min(w for w in off_plane if abs(dot(n, w)) == step_height)
         if dot(n, s) < 0:
             s = tuple(-x for x in s)
-        # integer points of the layer plane of s, modulo the layer lattice
-        v1, v2 = _plane_kernel_basis(n)
-        m11 = plane_coefficients(v1, v2, u1)
-        m21 = plane_coefficients(v1, v2, u2)
-        assert m11 is not None and m21 is not None
-        det2 = m11[0] * m21[1] - m11[1] * m21[0]
-        reps = _coset_reps_2d((m11, m21))
-        assert len(reps) == abs(det2)
-        for i, j in reps:
-            w = add(scale(i, v1), scale(j, v2))
-            if plane_coefficients(u1, u2, w) is not None:
-                continue  # same coset as the original step
+        for w in ball:
+            if dot(n, w) or plane_coefficients(u1, u2, w) is not None:
+                continue  # off the plane, or the same coset as the original step
             t = add(s, w)
             if _min_dist_to_layer(t, u1, u2) >= d2:
                 return True, {"normal": n, "step": s, "alternate": t}
     return False, None
-
-
-def _coset_reps_2d(rows: tuple[tuple[int, int], tuple[int, int]]) -> list[tuple[int, int]]:
-    """Coset representatives of Z^2 modulo the lattice spanned by the rows.
-
-    Row-reduces to a lower-triangular form (d0, 0), (m, d1); the box
-    [0,d0) x [0,d1) is then a transversal.
-    """
-    (a, b), (c, d) = rows
-    while b:
-        if d == 0:
-            a, b, c, d = c, d, a, b
-            break
-        k = b // d
-        a, b = a - k * c, b - k * d
-        if b:
-            a, b, c, d = c, d, a, b
-    a = abs(a)
-    d = abs(d)
-    assert a > 0 and d > 0
-    return [(i, j) for i in range(a) for j in range(d)]

@@ -3,16 +3,23 @@
 An excitation inserts particles and removes exactly the particles they
 conflict with; its order is the net particle loss.  Insertion conflicts are
 counted against the periodic extension (actual lattice points, images
-included), which is what makes the order meaningful on small tori as well.
-Sliding probes rigid shifts of line or plane sub-meshes that keep both the
-particle count and admissibility.
+included), which is what makes the order meaningful on small tori as well;
+they are the points x + v, v a conflict offset, whose coset is occupied.
+The excitation scan spends the solver's node budget.  Sliding probes rigid
+shifts of line or plane sub-meshes that keep both the particle count and
+admissibility (and, in a window, every site inside it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .admissibility import Configuration
+from .admissibility import (
+    Configuration,
+    SitesOutsideWindowError,
+    _conflict_offsets,
+    conflict_masks,
+)
 from .catalog import (
     LineSelector,
     PlaneSelector,
@@ -21,6 +28,7 @@ from .catalog import (
     mesh_shift,
 )
 from .lattice import IDENTITY_OP, Quotient, Site, add, lattice_points, sq_norm, sub
+from .solver import BudgetExhaustedError, _Counter
 
 __all__ = [
     "Excitation",
@@ -49,17 +57,11 @@ _DIRECTIONS: tuple[Site, ...] = (
 def insertion_conflicts(c: Configuration, x: Site) -> list[Site]:
     """Particles of the (periodic) configuration at squared distance < d2
     from the unoccupied site x, as actual lattice points near x."""
-    if c.domain.reduce(x) in c.occupied:
+    reduce = c.domain.reduce
+    if reduce(x) in c.occupied:
         raise ValueError(f"site {x} is occupied")
-    if isinstance(c.domain, Quotient):
-        out = []
-        for o in sorted(c.occupied):
-            for p in c.domain.images_near(o, x, c.d2 - 1):
-                out.append(p)
-        return sorted(out)
-    return sorted(
-        o for o in c.occupied if sq_norm(sub(o, x)) < c.d2
-    )
+    near = (add(x, v) for v in _conflict_offsets(c.d2))
+    return sorted(p for p in near if reduce(p) in c.occupied)
 
 
 def min_insertion_order(
@@ -141,27 +143,19 @@ def enumerate_excitations(
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     dom = c.domain
-    d2 = c.d2
     candidates = []
     for x in lattice_points(IDENTITY_OP, (0, 0, 0), radius * radius):
         if dom.reduce(x) not in c.occupied:
             candidates.append(x)
     candidates.sort(key=lambda x: (sq_norm(x), x))
-    n = len(candidates)
-    compatible = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sq_norm(sub(candidates[i], candidates[j])) >= d2:
-                compatible[i] |= 1 << j
-                compatible[j] |= 1 << i
-
+    conflict = conflict_masks(candidates, c.d2)
     conflict_points = {
         x: frozenset(insertion_conflicts(c, x)) for x in candidates
     }
 
     stab_q = _stabilizer_lattice(c)
     found: dict[tuple, None] = {}
-    state = {"nodes": 0, "complete": True, "hit_cap": False}
+    counter = _Counter(budget)
 
     def canon(added: frozenset, removed: frozenset):
         shifts = {sub(stab_q.reduce(a), a) for a in added}
@@ -173,45 +167,47 @@ def enumerate_excitations(
             for t in shifts
         )
 
-    def dfs(start: int, added_mask: int, added: frozenset, removed: frozenset, cap: int):
-        if state["nodes"] >= budget:
-            state["complete"] = False
-            return
-        state["nodes"] += 1
+    def dfs(
+        start: int, added_mask: int, added: frozenset, removed: frozenset, cap: int
+    ) -> bool:
+        """Record the excitations below this node; True when some added set
+        reached the size cap."""
+        counter.spend()
         if added and len(removed) - len(added) <= max_order:
             found.setdefault(canon(added, removed))
         if len(added) == cap:
-            state["hit_cap"] = True
-            return
-        for i in range(start, n):
-            if added_mask & ~compatible[i]:
+            return True
+        hit_cap = False
+        for i in range(start, len(candidates)):
+            if added_mask & conflict[i]:
                 continue  # conflicts with an already added point
             x = candidates[i]
-            dfs(
+            hit_cap |= dfs(
                 i + 1,
                 added_mask | 1 << i,
                 added | {x},
                 removed | conflict_points[x],
                 cap,
             )
+        return hit_cap
 
     # Iterative deepening on the added-set size keeps small excitations
     # ahead of the combinatorial tail, so a budget-truncated scan still
     # reports every excitation up to the last completed size.
+    complete = True
     cap = 1
-    while state["complete"]:
-        state["hit_cap"] = False
-        dfs(0, 0, frozenset(), frozenset(), cap)
-        if not state["hit_cap"]:
-            break
-        cap += 1
+    try:
+        while dfs(0, 0, frozenset(), frozenset(), cap):
+            cap += 1
+    except BudgetExhaustedError:
+        complete = False
 
     excitations = [
         Excitation(added=a, removed=r, order=len(r) - len(a))
         for a, r in sorted(found)
     ]
     excitations.sort(key=lambda e: (e.order, e.added, e.removed))
-    return ExcitationScan(tuple(excitations), state["complete"], state["nodes"])
+    return ExcitationScan(tuple(excitations), complete, counter.nodes)
 
 
 def revalidate_excitation(c: Configuration, exc: Excitation) -> bool:
@@ -280,8 +276,9 @@ def find_sliding(
     """Density-preserving admissible shifts of sub-meshes of c.
 
     Every returned move passes mesh_shift + admissibility with the particle
-    count unchanged and actually moves something.  An empty list means no
-    sliding was found in the probed family.
+    count unchanged, keeps every site in a window domain and actually moves
+    something.  An empty list means no sliding was found in the probed
+    family.
     """
     if selectors is None:
         selectors = standard_selectors(c)
@@ -292,7 +289,7 @@ def find_sliding(
         for t in shifts:
             try:
                 shifted = mesh_shift(c, sel, t)
-            except SelectorEmptyError:
+            except (SelectorEmptyError, SitesOutsideWindowError):
                 continue
             if len(shifted.occupied) != len(c.occupied):
                 continue

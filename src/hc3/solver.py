@@ -60,7 +60,10 @@ class PackingResult:
 
 
 class _Counter:
-    """Node counter with a hard budget."""
+    """The node budget of a search (the packing solver, the excitation scan
+    and the minimal-cell search): spend() counts one node, or raises once the
+    count would pass the budget, so a search stopped by a budget b >= 0 has
+    counted exactly b nodes."""
 
     __slots__ = ("nodes", "budget")
 
@@ -69,9 +72,9 @@ class _Counter:
         self.budget = budget
 
     def spend(self) -> None:
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
+        if self.budget is not None and self.nodes >= self.budget:
             raise BudgetExhaustedError(f"node budget {self.budget} exhausted")
+        self.nodes += 1
 
 
 def _lowest_bit(mask: int) -> int:

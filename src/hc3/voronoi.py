@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .admissibility import Configuration
+from .admissibility import Configuration, conflict_masks
 from .lattice import (
     IDENTITY_OP,
     Quotient,
@@ -37,6 +37,7 @@ from .lattice import (
     sq_norm,
     sub,
 )
+from .solver import BudgetExhaustedError, _Counter, _isolated
 
 __all__ = [
     "RationalPolytope",
@@ -361,55 +362,45 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
         ),
         key=lambda v: (sq_norm(v), v),
     )
-    n = len(cands)
-    conflict = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sq_norm(sub(cands[i], cands[j])) < d2:
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
-
-    def cell_for(mask: int) -> _Poly:
-        pts = [cands[i] for i in range(n) if mask >> i & 1]
-        return _cut_cell((0, 0, 0), radius, pts)
-
-    best: list = [None, None]  # volume, chosen mask
-    state = {"nodes": 0, "complete": True, "uncertified": False}
+    conflict = conflict_masks(cands, d2)
+    counter = _Counter(node_budget)
+    best_volume: Fraction | None = None
+    best_mask = 0
+    uncertified = False
 
     def dfs(chosen: int, cand: int) -> None:
-        if state["nodes"] >= node_budget:
-            state["complete"] = False
-            return
-        state["nodes"] += 1
-        m = cand
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            if not (conflict[v] & cand):
-                chosen |= 1 << v
-                cand &= ~(1 << v)
-        poly = cell_for(chosen | cand)
+        nonlocal best_volume, best_mask, uncertified
+        counter.spend()
+        isolated = _isolated(cand, conflict)
+        chosen |= isolated
+        cand ^= isolated
+        poly = _cut_cell((0, 0, 0), radius, _members(cands, chosen | cand))
         vol = poly.volume()
-        if best[0] is not None and vol >= best[0]:
+        if best_volume is not None and vol >= best_volume:
             return
         if not cand:
             if poly.inside((0, 0, 0), radius):
-                best[0], best[1] = vol, chosen
+                best_volume, best_mask = vol, chosen
             else:
-                state["uncertified"] = True
+                uncertified = True
             return
         v = (cand & -cand).bit_length() - 1
         dfs(chosen | 1 << v, cand & ~conflict[v] & ~(1 << v))
         dfs(chosen, cand & ~(1 << v))
 
-    dfs(0, (1 << n) - 1)
-    neighborhood = tuple(
-        cands[i] for i in range(n) if best[1] is not None and best[1] >> i & 1
-    )
+    completed = True
+    try:
+        dfs(0, (1 << len(cands)) - 1)
+    except BudgetExhaustedError:
+        completed = False
     return MinCellResult(
-        volume=best[0],
-        neighborhood=neighborhood,
-        completed=state["complete"],
-        certified=best[0] is not None and not state["uncertified"],
-        nodes=state["nodes"],
+        volume=best_volume,
+        neighborhood=tuple(_members(cands, best_mask)),
+        completed=completed,
+        certified=best_volume is not None and not uncertified,
+        nodes=counter.nodes,
     )
+
+
+def _members(points: list[Site], mask: int) -> list[Site]:
+    return [p for i, p in enumerate(points) if mask >> i & 1]

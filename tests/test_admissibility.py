@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from hc3.admissibility import (
     Configuration,
     PeriodTooShortError,
+    SitesOutsideWindowError,
     build_exclusion_graph,
+    conflict_masks,
 )
 from hc3.catalog import known_sublattice, scaled_basis
-from hc3.lattice import Window, quotient
+from hc3.lattice import Window, quotient, sq_norm, sub
 
 DIAG2 = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
 DIAG4 = ((4, 0, 0), (0, 4, 0), (0, 0, 4))
@@ -134,6 +136,23 @@ def test_exclusion_graph_degrees_match_bruteforce():
     )
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(*[st.integers(-4, 4)] * 3), max_size=40, unique=True),
+    st.integers(1, 14),
+)
+def test_conflict_masks_match_pairwise(points, d2):
+    brute = [
+        sum(
+            1 << j
+            for j, b in enumerate(points)
+            if j != i and sq_norm(sub(a, b)) < d2
+        )
+        for i, a in enumerate(points)
+    ]
+    assert conflict_masks(points, d2) == brute
+
+
 def test_exclusion_graph_degree_values():
     # on the 2-torus: d2=2 excludes squared distance 1 (3 neighbors),
     # d2=3 also excludes squared distance 2 (6 neighbors),
@@ -166,5 +185,6 @@ def test_window_admissibility_is_free_boundary():
 
 def test_window_rejects_outside_sites():
     w = Window((0, 0, 0), (2, 2, 2))
-    with pytest.raises(ValueError):
-        Configuration(w, 2, frozenset({(5, 0, 0)}))
+    with pytest.raises(SitesOutsideWindowError) as err:
+        Configuration(w, 2, frozenset({(5, 0, 0), (1, 1, 1), (0, 0, -1)}))
+    assert err.value.sites == [(0, 0, -1), (5, 0, 0)]

@@ -321,8 +321,10 @@ def test_mesh_shift_empty_selector():
 
 
 def test_plane_selector_rejects_zero_normal():
-    with pytest.raises(ValueError):
-        PlaneSelector((0, 0, 0), (0, 0, 0))
+    # a zero plane normal or line direction would select every site
+    for selector in (PlaneSelector, LineSelector):
+        with pytest.raises(ValueError):
+            selector((0, 0, 0), (0, 0, 0))
     q4 = quotient(((4, 0, 0), (0, 4, 0), (0, 0, 4)))
     c = Configuration(q4, 4, frozenset({(0, 0, 0), (0, 0, 2), (2, 0, 0)}))
     assert PlaneSelector((0, 0, 0), (0, 0, 1)).select(c) == {(0, 0, 0), (2, 0, 0)}
@@ -333,5 +335,6 @@ def test_layer_family_alphabets():
     assert layer_family(6, "I").alphabet == "STU"
     assert layer_family(6, "II").alphabet == "ST"
     assert layer_family(9).alphabet == "S"
-    with pytest.raises(UnknownCatalogEntryError):
+    with pytest.raises(UnknownCatalogEntryError) as err:
         layer_family(8)
+    assert str(err.value) == "no layered family for d2=8"

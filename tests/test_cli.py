@@ -119,21 +119,57 @@ def test_unwritable_output_exits_2(tmp_path, argv):
     assert r.stdout == ""
 
 
+WINDOW_DOC = {
+    "d2": 2,
+    "window": {"lo": [0, 0, 0], "hi": [3, 3, 3]},
+    "sites": [[0, 0, 0], [1, 1, 0], [2, 0, 0], [0, 2, 0]],
+    "metadata": {},
+}
+
+
 def test_slide_zero_plane_normal_exits_2(tmp_path):
-    # a zero normal would select every site and pass a global translation
-    # off as a slide
+    # a zero plane normal or line direction would select every site (of a
+    # window, for a line) and pass a global translation off as a slide
     doc = tmp_path / "layered.json"
     run_cli(
         "layered", "--d2", "6", "--family", "I", "--word", "STUSTTUSSU",
         "--out", str(doc), check=True,
     )
-    r = run_cli("slide", str(doc), "--mesh", "plane:0,0,0:0,0,0", "--shift", "1,0,0")
-    assert r.returncode == 2
-    assert len(r.stderr.splitlines()) == 1
-    assert r.stderr.startswith("error: ")
-    assert r.stdout == ""
-    r = run_cli("slide", str(doc), "--mesh", "line:0,0,0:0,0,0", "--shift", "1,0,0")
+    window = tmp_path / "window.json"
+    window.write_text(json.dumps(WINDOW_DOC))
+    for path in (doc, window):
+        for mesh in ("plane:0,0,0:0,0,0", "line:0,0,0:0,0,0"):
+            r = run_cli("slide", str(path), "--mesh", mesh, "--shift", "1,0,0")
+            assert r.returncode == 2
+            assert len(r.stderr.splitlines()) == 1
+            assert r.stderr.startswith("error: ")
+            assert r.stdout == ""
+
+
+def test_slide_out_of_window_is_an_invalid_slide(tmp_path):
+    window = tmp_path / "window.json"
+    window.write_text(json.dumps(WINDOW_DOC))
+    scan = run_cli("slide", str(window), "--scan", check=True)
+    assert scan.stdout.startswith("moves ")
+    assert scan.stderr == ""
+    argv = ("slide", str(window), "--mesh", "line:0,0,0:1,0,0", "--shift", "5,0,0")
+    r = run_cli(*argv)
     assert r.returncode == 1
+    assert r.stdout == "valid no\noutside-window (5,0,0) (7,0,0)\n"
+    assert r.stderr == ""
+    r = run_cli(*argv, "--json")
+    assert r.returncode == 1
+    assert json.loads(r.stdout) == {
+        "valid": False,
+        "outside_window": [[5, 0, 0], [7, 0, 0]],
+    }
+
+
+def test_catalog_errors_print_the_bare_message():
+    r = run_cli("pc", "--d2", "6", "--variant", "X")
+    assert (r.returncode, r.stderr) == (2, "error: unknown variant 'X' for d2=6\n")
+    r = run_cli("layered", "--d2", "7", "--word", "S")
+    assert (r.returncode, r.stderr) == (2, "error: no layered family for d2=7\n")
 
 
 def test_verify_reports_and_exit_codes(tmp_path):

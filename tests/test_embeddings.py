@@ -1,5 +1,8 @@
 """FCC embeddings: enumeration, symmetry classes, layered criterion."""
 
+from fractions import Fraction
+from math import isqrt
+
 import pytest
 
 from hc3.embeddings import (
@@ -12,11 +15,13 @@ from hc3.embeddings import (
 )
 from hc3.lattice import (
     apply_symmetry,
+    cross,
     dot,
     hnf,
     lattice_index,
     shortest_vectors,
     sq_norm,
+    sub,
     symmetry_group,
 )
 
@@ -127,12 +132,46 @@ def test_layered_criterion_matches_divisibility_by_3():
             verdicts.add(ok)
             if ok:
                 assert witness is not None
-                t = witness["alternate"]
+                n, step, t = witness["normal"], witness["step"], witness["alternate"]
                 assert all(isinstance(x, int) for x in t)
-                assert dot(witness["normal"], t) == dot(
-                    witness["normal"], witness["step"]
-                )
+                assert dot(n, t) == dot(n, step)
+                u1, u2 = layer_generators(basis, n)
+                assert not in_layer_lattice(sub(t, step), u1, u2)
+                assert brute_sq_distance_to_layer(t, u1, u2) >= 2 * ell * ell
         assert verdicts == {expected}
+
+
+def layer_generators(basis, n):
+    """Two independent shortest vectors of the embedding in the plane n.w = 0."""
+    _, mins = shortest_vectors(basis)
+    sextet = [w for w in mins if dot(n, w) == 0]
+    u1 = sextet[0]
+    u2 = next(w for w in sextet if cross(u1, w) != (0, 0, 0))
+    return u1, u2
+
+
+def in_layer_lattice(w, u1, u2):
+    """Whether w = i*u1 + j*u2 for integers i, j (Cramer's rule on the Gram
+    matrix, exact)."""
+    g11, g12, g22 = dot(u1, u1), dot(u1, u2), dot(u2, u2)
+    a, b = dot(w, u1), dot(w, u2)
+    det = g11 * g22 - g12 * g12
+    i, j = Fraction(a * g22 - b * g12, det), Fraction(b * g11 - a * g12, det)
+    in_plane = tuple(i * x + j * y for x, y in zip(u1, u2)) == w
+    return in_plane and i.denominator == j.denominator == 1
+
+
+def brute_sq_distance_to_layer(t, u1, u2):
+    """min |t + i*u1 + j*u2|^2 over a coefficient box that holds every
+    point no farther than t: |u1| = |u2| at 60 degrees gives
+    |i*u1 + j*u2|^2 >= |u1|^2 * max(|i|, |j|)^2 / 2, and a closer point
+    needs that <= 4 |t|^2."""
+    k = isqrt(8 * sq_norm(t) // sq_norm(u1)) + 1
+    return min(
+        sq_norm(tuple(t[c] + i * u1[c] + j * u2[c] for c in range(3)))
+        for i in range(-k, k + 1)
+        for j in range(-k, k + 1)
+    )
 
 
 def test_admits_layered_rejects_non_embeddings():

@@ -1,6 +1,8 @@
 """Excitations (insertions with forced removals) and sliding detection."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hc3.admissibility import Configuration
 from hc3.catalog import (
@@ -10,7 +12,16 @@ from hc3.catalog import (
     layered_quotient,
     scaled_basis,
 )
-from hc3.lattice import lattice_contains, quotient, sq_norm, sub
+from hc3.lattice import (
+    Quotient,
+    Window,
+    add,
+    hnf,
+    lattice_contains,
+    quotient,
+    sq_norm,
+    sub,
+)
 from hc3.perturbations import (
     enumerate_excitations,
     find_sliding,
@@ -62,6 +73,56 @@ def test_insertion_conflicts_requires_unoccupied():
     )
     with pytest.raises(ValueError):
         insertion_conflicts(a3, (2, 0, 0))  # coset of the origin
+
+
+def reference_insertion_conflicts(c, x):
+    """Every periodic image of every particle strictly closer than the
+    exclusion distance to x, found particle by particle; plain distances in
+    a window."""
+    if isinstance(c.domain, Quotient):
+        out = []
+        for o in sorted(c.occupied):
+            out.extend(c.domain.images_near(o, x, c.d2 - 1))
+        return sorted(out)
+    return sorted(o for o in c.occupied if sq_norm(sub(o, x)) < c.d2)
+
+
+small = st.integers(-6, 6)
+
+
+@st.composite
+def configurations_and_sites(draw):
+    """A random occupied set (not necessarily admissible) on a skewed HNF
+    torus of index <= 64 or in a small window, and an unoccupied site, on a
+    torus anywhere in its coset."""
+    d2 = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        a = draw(st.integers(1, 8))
+        c = draw(st.integers(1, 64 // a))
+        f = draw(st.integers(1, 64 // (a * c)))
+        b, d = draw(st.integers(0, a - 1)), draw(st.integers(0, a - 1))
+        e = draw(st.integers(0, c - 1))
+        q = quotient(hnf(((a, 0, 0), (b, c, 0), (d, e, f))))
+        assume(q.min_period_sq_norm() >= d2)
+        occupied = draw(st.sets(st.sampled_from(q.reps)))
+        x = draw(st.sampled_from(q.reps))
+        assume(x not in occupied)
+        x = add(x, add(q.period[0], q.period[draw(st.integers(0, 2))]))
+        return Configuration(q, d2, frozenset(occupied)), x
+    lo = draw(st.tuples(small, small, small))
+    hi = tuple(v + draw(st.integers(0, 4)) for v in lo)
+    w = Window(lo, hi)
+    occupied = draw(st.sets(st.sampled_from(w.sites())))
+    x = draw(st.tuples(small, small, small))
+    assume(x not in occupied)
+    return Configuration(w, d2, frozenset(occupied)), x
+
+
+@settings(max_examples=150, deadline=None)
+@given(configurations_and_sites())
+def test_insertion_conflicts_match_image_loop(case):
+    c, x = case
+    assert insertion_conflicts(c, x) == reference_insertion_conflicts(c, x)
 
 
 def test_dhcp_face_center_has_exactly_three_conflicts():
@@ -123,6 +184,7 @@ def test_excitations_budget_partial():
     dhcp = dhcp_doubled()
     scan = enumerate_excitations(dhcp, 2, 3, budget=2_000)
     assert not scan.complete
+    assert scan.nodes == 2_000
 
 
 def test_sliding_witness_2z3():
@@ -152,6 +214,17 @@ def test_no_sliding_on_rigid_catalog_structures():
     for d2 in (2, 3, 5, 8, 9, 10, 12):
         c = sublattice_on_scaled_torus(d2)
         assert find_sliding(c) == [], f"unexpected sliding at d2={d2}"
+
+
+def test_sliding_in_a_window_skips_shifts_leaving_it():
+    w = Window((0, 0, 0), (3, 3, 3))
+    c = Configuration(w, 2, frozenset({(0, 0, 0), (1, 1, 0), (2, 0, 0), (0, 2, 0)}))
+    line = LineSelector((0, 0, 0), (1, 0, 0))
+    assert find_sliding(c, selectors=[line], shifts=[(5, 0, 0), (-1, 0, 0)]) == []
+    moves = find_sliding(c)
+    assert moves
+    for m in moves:
+        assert all(w.contains(add(x, m.shift)) for x in m.selector.select(c))
 
 
 def test_standard_shifts():

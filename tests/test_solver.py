@@ -199,6 +199,11 @@ def test_budget_exhaustion_is_hard_error():
     q = quotient(scaled_basis(known_sublattice(5), 2))
     with pytest.raises(BudgetExhaustedError):
         max_packing(q, 5, node_budget=3)
+    # a search that needs exactly the budget passes; one node less raises
+    nodes = max_packing(q, 5).nodes
+    assert max_packing(q, 5, node_budget=nodes).nodes == nodes
+    with pytest.raises(BudgetExhaustedError):
+        max_packing(q, 5, node_budget=nodes - 1)
 
 
 def test_clique_cover_bound():

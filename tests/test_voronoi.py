@@ -170,6 +170,7 @@ def test_min_cell_search_rediscovers_bcc():
 def test_min_cell_search_partial_flag():
     result = min_cell_search(5, 3, node_budget=40)
     assert not result.completed
+    assert result.nodes == 40
     assert result.volume is None or result.volume >= 9
 
 

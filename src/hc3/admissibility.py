@@ -148,9 +148,6 @@ class Configuration:
     def insert(self, x: Site) -> "Configuration":
         return self.with_sites(self.occupied | {self.domain.reduce(x)})
 
-    def remove(self, xs) -> "Configuration":
-        return self.with_sites(self.occupied - frozenset(xs))
-
 
 @dataclass(frozen=True)
 class ExclusionGraph:

@@ -30,6 +30,7 @@ from .lattice import (
     lattice_contains,
     plane_coefficients,
     scale,
+    sq_norm,
     sub,
 )
 
@@ -449,10 +450,13 @@ class LineSelector:
                 for x in c.occupied
                 if lattice_contains(lat, sub(x, c.domain.reduce(self.anchor)))
             )
+        d = self.direction
+        n = sq_norm(d)
         out = []
         for x in c.occupied:
             w = sub(x, self.anchor)
-            if cross(w, self.direction) == (0, 0, 0):
+            # w = (w.d / |d|^2) d, an integer multiple only when |d|^2 | w.d
+            if cross(w, d) == (0, 0, 0) and dot(w, d) % n == 0:
                 out.append(x)
         return frozenset(out)
 

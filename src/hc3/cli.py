@@ -94,6 +94,8 @@ def _load(path: str, validate: bool = True) -> Configuration:
         return documents.load(path, validate=validate)
     except FileNotFoundError:
         raise CliError(f"no such file: {path}", EXIT_BAD_INPUT)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}", EXIT_BAD_INPUT)
     except documents.InadmissibleDocumentError as exc:
         raise CliError(
             f"inadmissible configuration: {_fmt_site(exc.pair[0])} ~ "
@@ -102,6 +104,19 @@ def _load(path: str, validate: bool = True) -> Configuration:
         )
     except documents.DocumentError as exc:
         raise CliError(f"bad document: {exc}", EXIT_BAD_INPUT)
+
+
+def _add_violation(c: Configuration, pair, lines: list[str], payload: dict) -> None:
+    d = c.pair_sq_distance(*pair)
+    lines.append(f"violation {_fmt_site(pair[0])} ~ {_fmt_site(pair[1])} sq-distance {d}")
+    payload["violation"] = {"pair": [list(pair[0]), list(pair[1])], "sq_distance": d}
+
+
+def _min_pair(c: Configuration) -> int | None:
+    """None when c has no pair (a torus site pairs with its own images)."""
+    if len(c.occupied) < (1 if isinstance(c.domain, Quotient) else 2):
+        return None
+    return c.min_pair_sq_distance()
 
 
 def _save(c: Configuration, path: str, metadata: dict[str, str]) -> None:
@@ -173,20 +188,13 @@ def _cmd_verify(args) -> int:
     payload: dict = {"sites": len(c.occupied), "admissible": ok}
     if not ok:
         assert pair is not None
-        d = c.pair_sq_distance(*pair)
-        lines.append(
-            f"violation {_fmt_site(pair[0])} ~ {_fmt_site(pair[1])} sq-distance {d}"
-        )
-        payload["violation"] = {
-            "pair": [list(pair[0]), list(pair[1])],
-            "sq_distance": d,
-        }
+        _add_violation(c, pair, lines, payload)
         _emit(args, lines, payload)
         return EXIT_DOMAIN
     lines.append(f"density {_fmt_fraction(c.density())}")
     payload["density"] = _fmt_fraction(c.density())
-    if len(c.occupied) >= 2 or isinstance(c.domain, Quotient):
-        m = c.min_pair_sq_distance()
+    m = _min_pair(c)
+    if m is not None:
         lines.append(f"min-pair-sq-distance {m}")
         payload["min_pair_sq_distance"] = m
     if isinstance(c.domain, Quotient):
@@ -439,6 +447,7 @@ def _cmd_slide(args) -> int:
         raise CliError("slide needs --scan or both --mesh and --shift", EXIT_BAD_INPUT)
     sel = _parse_selector(args.mesh)
     t = _parse_site(args.shift, "--shift")
+    # mesh_shift only feeds the diagnostics; find_sliding gives the verdict
     try:
         shifted = catalog.mesh_shift(c, sel, t)
     except catalog.SelectorEmptyError as exc:
@@ -448,23 +457,15 @@ def _cmd_slide(args) -> int:
         payload = {"valid": False, "outside_window": [list(s) for s in exc.sites]}
         _emit(args, lines, payload)
         return EXIT_DOMAIN
+    valid = bool(perturbations.find_sliding(c, [sel], [t]))
     ok, pair = shifted.is_admissible()
     count_preserved = len(shifted.occupied) == len(c.occupied)
-    valid = ok and count_preserved and shifted.occupied != c.occupied
     lines = [f"valid {'yes' if valid else 'no'}"]
     payload: dict = {"valid": valid, "count_preserved": count_preserved}
     if not ok:
         assert pair is not None
-        d = shifted.pair_sq_distance(*pair)
-        lines.append(
-            f"violation {_fmt_site(pair[0])} ~ {_fmt_site(pair[1])} sq-distance {d}"
-        )
-        payload["violation"] = {
-            "pair": [list(pair[0]), list(pair[1])],
-            "sq_distance": d,
-        }
-    else:
-        m = shifted.min_pair_sq_distance()
+        _add_violation(shifted, pair, lines, payload)
+    elif (m := _min_pair(shifted)) is not None:
         lines.append(f"min-pair-sq-distance {m}")
         payload["min_pair_sq_distance"] = m
     _emit(args, lines, payload)

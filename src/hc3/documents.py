@@ -85,7 +85,10 @@ def from_document(doc: dict, validate: bool = True) -> Configuration:
         w = doc["window"]
         if not isinstance(w, dict) or set(w) != {"lo", "hi"}:
             raise DocumentError("window must carry 'lo' and 'hi'")
-        domain = Window(_site(w["lo"], "window lo"), _site(w["hi"], "window hi"))
+        try:
+            domain = Window(_site(w["lo"], "window lo"), _site(w["hi"], "window hi"))
+        except ValueError as exc:
+            raise DocumentError(str(exc)) from exc
     sites = doc.get("sites")
     if not isinstance(sites, list):
         raise DocumentError("sites must be a list of integer triples")
@@ -122,6 +125,6 @@ def save(c: Configuration, path: str | Path, metadata: dict[str, str] | None = N
 def load(path: str | Path, validate: bool = True) -> Configuration:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
     return from_document(doc, validate=validate)

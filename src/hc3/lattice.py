@@ -37,10 +37,6 @@ def sub(a: Site, b: Site) -> Site:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
-def neg(a: Site) -> Site:
-    return (-a[0], -a[1], -a[2])
-
-
 def scale(k: int, a: Site) -> Site:
     return (k * a[0], k * a[1], k * a[2])
 

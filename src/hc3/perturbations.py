@@ -5,9 +5,9 @@ conflict with; its order is the net particle loss.  Insertion conflicts are
 counted against the periodic extension (actual lattice points, images
 included), which is what makes the order meaningful on small tori as well;
 they are the points x + v, v a conflict offset, whose coset is occupied.
-The excitation scan spends the solver's node budget.  Sliding probes rigid
-shifts of line or plane sub-meshes that keep both the particle count and
-admissibility (and, in a window, every site inside it).
+The excitation scan spends the solver's node budget.  ``find_sliding`` alone
+decides which shifts of line or plane sub-meshes are slides; shifting every
+occupied site is a global translation, not a slide.
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ from .admissibility import (
     _conflict_offsets,
     conflict_masks,
 )
-from .catalog import (
-    LineSelector,
-    PlaneSelector,
-    Selector,
-    SelectorEmptyError,
-    mesh_shift,
-)
+from .catalog import LineSelector, PlaneSelector, Selector
 from .lattice import IDENTITY_OP, Quotient, Site, add, lattice_points, sq_norm, sub
 from .solver import BudgetExhaustedError, _Counter
 
@@ -241,30 +235,24 @@ def standard_shifts(max_sq_norm: int = 2) -> list[Site]:
 
 def standard_selectors(c: Configuration) -> list[Selector]:
     """Line and plane selectors through the occupied sites in the coordinate
-    and main-diagonal directions, deduplicated by the set they select.
-
-    Selectors matching nothing or the whole configuration are dropped: a
-    whole-configuration shift is a global translation, not a slide.
+    and main-diagonal directions, one per selected set (the selections of
+    one kind and direction partition the occupied sites, so covered anchors
+    are skipped).  Whole-configuration selections are dropped: shifting one
+    is a global translation, not a slide.
     """
     selectors: list[Selector] = []
-    seen: set = set()
     occupied = sorted(c.occupied)
     for d in _DIRECTIONS:
-        for kind in ("line", "plane"):
+        for kind in (LineSelector, PlaneSelector):
+            covered: set[Site] = set()
             for anchor in occupied:
-                sel: Selector
-                if kind == "line":
-                    sel = LineSelector(anchor, d)
-                else:
-                    sel = PlaneSelector(anchor, d)
+                if anchor in covered:
+                    continue
+                sel = kind(anchor, d)
                 selected = sel.select(c)
-                if not selected or selected == c.occupied:
-                    continue
-                key = (kind, d, selected)
-                if key in seen:
-                    continue
-                seen.add(key)
-                selectors.append(sel)
+                covered |= selected
+                if selected != c.occupied:
+                    selectors.append(sel)
     return selectors
 
 
@@ -275,31 +263,32 @@ def find_sliding(
 ) -> list[SlidingMove]:
     """Density-preserving admissible shifts of sub-meshes of c.
 
-    Every returned move passes mesh_shift + admissibility with the particle
-    count unchanged, keeps every site in a window domain and actually moves
-    something.  An empty list means no sliding was found in the probed
-    family.
+    A slide shifts a selection that is neither empty nor the whole
+    configuration (a global translation) so that something moves, nothing
+    lands on an unmoved site, every site stays in a window domain and the
+    result is admissible.  An empty list means none was found.
     """
     if selectors is None:
         selectors = standard_selectors(c)
     if shifts is None:
         shifts = standard_shifts(2)
+    reduce = c.domain.reduce
     moves = []
     for sel in selectors:
+        selected = sel.select(c)
+        if not selected or selected == c.occupied:
+            continue
+        rest = c.occupied - selected
         for t in shifts:
+            moved = {reduce(add(x, t)) for x in selected}
+            if moved == selected or not moved.isdisjoint(rest):
+                continue
             try:
-                shifted = mesh_shift(c, sel, t)
-            except (SelectorEmptyError, SitesOutsideWindowError):
+                shifted = c.with_sites(rest | moved)
+            except SitesOutsideWindowError:
                 continue
-            if len(shifted.occupied) != len(c.occupied):
-                continue
-            if shifted.occupied == c.occupied:
-                continue
-            ok, _ = shifted.is_admissible()
-            if not ok:
-                continue
-            moves.append(
-                SlidingMove(sel, t, shifted.min_pair_sq_distance())
-            )
+            # is_admissible stops at its first violation: the cheap filter
+            if shifted.is_admissible()[0]:
+                moves.append(SlidingMove(sel, t, shifted.min_pair_sq_distance()))
     moves.sort(key=lambda m: (m.selector.describe(), m.shift))
     return moves

@@ -328,6 +328,12 @@ def test_plane_selector_rejects_zero_normal():
     q4 = quotient(((4, 0, 0), (0, 4, 0), (0, 0, 4)))
     c = Configuration(q4, 4, frozenset({(0, 0, 0), (0, 0, 2), (2, 0, 0)}))
     assert PlaneSelector((0, 0, 0), (0, 0, 1)).select(c) == {(0, 0, 0), (2, 0, 0)}
+    # a line selects anchor + Z*direction: integer multiples only, in a
+    # window as on a torus
+    line = LineSelector((0, 0, 0), (2, 0, 0))
+    sites = frozenset({(0, 0, 0), (1, 0, 0), (2, 0, 0)})
+    for domain in (Window((0, 0, 0), (3, 0, 0)), quotient(((4, 0, 0), (0, 1, 0), (0, 0, 1)))):
+        assert line.select(Configuration(domain, 1, sites)) == {(0, 0, 0), (2, 0, 0)}
 
 
 def test_layer_family_alphabets():

@@ -165,6 +165,72 @@ def test_slide_out_of_window_is_an_invalid_slide(tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "content, argv, code, stdout, error",
+    [
+        (
+            '{"d2":2,"window":{"lo":[3,0,0],"hi":[0,0,0]},"sites":[]}',
+            ["verify"], 2, "", "error: bad document: empty window",
+        ),
+        (None, ["verify"], 2, "", "error: cannot read "),
+        (None, ["slide", "--scan"], 2, "", "error: cannot read "),
+        (b"\xff\xfe{}", ["verify"], 2, "", "error: bad document: invalid JSON"),
+        (
+            '{"d2":2,"period":[[4,0,0],[0,4,0],[0,0,4]],"sites":[]}',
+            ["verify"], 0,
+            "sites 0\nadmissible yes\ndensity 0\nperiod-min-sq-norm 16\nsaturated no\n",
+            None,
+        ),
+        (
+            '{"d2":2,"window":{"lo":[0,0,0],"hi":[3,0,0]},"sites":[[0,0,0]]}',
+            ["slide", "--mesh", "line:0,0,0:1,0,0", "--shift", "1,0,0"],
+            1, "valid no\n", None,
+        ),
+    ],
+    ids=["empty-window", "directory", "slide-directory", "not-utf8", "empty-torus",
+         "one-site-window-slide"],
+)
+def test_edge_documents_exit_without_traceback(tmp_path, content, argv, code, stdout, error):
+    # content None puts a directory where the document should be
+    path = tmp_path / "doc.json"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    r = run_cli(argv[0], str(path), *argv[1:])
+    assert (r.returncode, r.stdout) == (code, stdout)
+    if error is None:
+        assert r.stderr == ""
+    else:
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stderr.startswith(error)
+
+
+@pytest.mark.parametrize(
+    "build, mesh, shift",
+    [
+        (["pc", "--d2", "5"], "line:0,0,0:1,1,1", "1,1,1"),
+        (
+            ["layered", "--d2", "6", "--family", "I", "--word", "STUSTTUSSU"],
+            "plane:0,0,0:0,1,0", "1,0,0",
+        ),
+    ],
+    ids=["pc-d2-5", "layered-d2-6"],
+)
+def test_whole_configuration_shift_is_not_a_slide(tmp_path, build, mesh, shift):
+    # the selection holds every occupied site: a global translation
+    doc = tmp_path / "doc.json"
+    run_cli(*build, "--out", str(doc), check=True)
+    r = run_cli("slide", str(doc), "--mesh", mesh, "--shift", shift)
+    assert r.returncode == 1
+    assert r.stdout.splitlines()[0] == "valid no"
+    r = run_cli("slide", str(doc), "--mesh", mesh, "--shift", shift, "--json")
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["valid"] is False
+
+
 def test_catalog_errors_print_the_bare_message():
     r = run_cli("pc", "--d2", "6", "--variant", "X")
     assert (r.returncode, r.stderr) == (2, "error: unknown variant 'X' for d2=6\n")

@@ -1,15 +1,18 @@
 """Excitations (insertions with forced removals) and sliding detection."""
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hc3.admissibility import Configuration
+from hc3.admissibility import Configuration, SitesOutsideWindowError
 from hc3.catalog import (
     LineSelector,
+    PlaneSelector,
+    SelectorEmptyError,
     build_layered,
     known_sublattice,
     layered_quotient,
+    mesh_shift,
     scaled_basis,
 )
 from hc3.lattice import (
@@ -23,11 +26,14 @@ from hc3.lattice import (
     sub,
 )
 from hc3.perturbations import (
+    _DIRECTIONS,
+    SlidingMove,
     enumerate_excitations,
     find_sliding,
     insertion_conflicts,
     min_insertion_order,
     revalidate_excitation,
+    standard_selectors,
     standard_shifts,
 )
 
@@ -232,3 +238,101 @@ def test_standard_shifts():
     assert len(shifts) == 18
     assert all(0 < sq_norm(t) <= 2 for t in shifts)
     assert (0, 0, 0) not in shifts
+
+
+def reference_sliding(c, selectors, shifts):
+    """Sliding by one mesh_shift per shift, then the count, movement and
+    admissibility checks, plus the rule that a whole-configuration selection
+    is a global translation."""
+    moves = []
+    for sel in selectors:
+        if sel.select(c) == c.occupied:
+            continue
+        for t in shifts:
+            try:
+                shifted = mesh_shift(c, sel, t)
+            except (SelectorEmptyError, SitesOutsideWindowError):
+                continue
+            if len(shifted.occupied) != len(c.occupied):
+                continue
+            if shifted.occupied == c.occupied or not shifted.is_admissible()[0]:
+                continue
+            moves.append(SlidingMove(sel, t, shifted.min_pair_sq_distance()))
+    moves.sort(key=lambda m: (m.selector.describe(), m.shift))
+    return moves
+
+
+def reference_selectors(c):
+    """Standard selectors deduplicated by a set of (kind, direction,
+    selection) keys, one select per anchor."""
+    selectors, seen = [], set()
+    for d in _DIRECTIONS:
+        for kind in (LineSelector, PlaneSelector):
+            for anchor in sorted(c.occupied):
+                sel = kind(anchor, d)
+                selected = sel.select(c)
+                key = (kind, d, selected)
+                if not selected or selected == c.occupied or key in seen:
+                    continue
+                seen.add(key)
+                selectors.append(sel)
+    return selectors
+
+
+nonzero = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
+
+
+@st.composite
+def sliding_cases(draw):
+    """A small admissible set on a skewed HNF torus of index <= 64 or in a
+    window (often one or a few collinear sites, so whole-configuration
+    selections occur), line and plane selectors through random sites, and
+    random shifts (zero included)."""
+    d2 = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        a = draw(st.integers(1, 8))
+        c = draw(st.integers(1, 64 // a))
+        f = draw(st.integers(1, 64 // (a * c)))
+        b, d = draw(st.integers(0, a - 1)), draw(st.integers(0, a - 1))
+        e = draw(st.integers(0, c - 1))
+        domain = quotient(hnf(((a, 0, 0), (b, c, 0), (d, e, f))))
+        assume(domain.min_period_sq_norm() >= d2)
+        sites = list(domain.reps)
+    else:
+        lo = draw(st.tuples(small, small, small))
+        domain = Window(lo, tuple(v + draw(st.integers(0, 3)) for v in lo))
+        sites = list(domain.sites())
+    occupied: list = []
+    for x in draw(st.permutations(sites)):
+        if all(domain.pair_sq_distance(x, y) >= d2 for y in occupied):
+            occupied.append(x)
+    occupied = occupied[: draw(st.integers(1, 6))]
+    anchors = st.sampled_from(occupied + sites[:4])
+    selectors = draw(
+        st.lists(
+            st.builds(LineSelector, anchors, nonzero)
+            | st.builds(PlaneSelector, anchors, nonzero),
+            max_size=4,
+        )
+    )
+    shifts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), max_size=6))
+    return Configuration(domain, d2, frozenset(occupied)), selectors, shifts
+
+
+@settings(max_examples=100, deadline=None)
+@given(sliding_cases())
+@example(  # every site on one line: shifting the line is a global translation
+    (
+        Configuration(Window((0, 0, 0), (3, 0, 0)), 2, frozenset({(0, 0, 0), (2, 0, 0)})),
+        [LineSelector((0, 0, 0), (1, 0, 0))],
+        [(1, 0, 0)],
+    )
+)
+def test_find_sliding_matches_per_shift_reference(case):
+    c, selectors, shifts = case
+    assert standard_selectors(c) == reference_selectors(c)
+    assert find_sliding(c, selectors, shifts) == reference_sliding(c, selectors, shifts)
+    assert find_sliding(c) == reference_sliding(
+        c, reference_selectors(c), standard_shifts(2)
+    )
+

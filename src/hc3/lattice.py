@@ -380,6 +380,8 @@ class Quotient:
         """Canonical representative of the coset of v."""
         x, y, z = v
         r0, r1, r2 = self.period
+        if 0 <= x < r0[0] and 0 <= y < r1[1] and 0 <= z < r2[2]:
+            return (x, y, z)  # already in the HNF box
         q = z // r2[2]
         x -= q * r2[0]
         y -= q * r2[1]

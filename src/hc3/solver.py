@@ -16,11 +16,21 @@ translation orbit of an optimal set S meets the sets through vertex 0 in the
 k translates S - s (s in S), the least of which is the orbit's canonical
 form.
 
+The optimum phase also uses the point group of the torus: the signed
+permutations that map the period lattice onto itself fix vertex 0 and are
+automorphisms of the exclusion graph.  It branches on orbits (orbital
+branching, Ostrowski, Linderoth, Rossi & Smriglio 2011): each node carries
+the subgroup that maps its candidates onto themselves; the include child
+takes v with the stabiliser of v, the exclude child drops the whole orbit of
+v and keeps the group.  Any optimum that meets the orbit has an image through
+v, so the optimum is the same as without symmetry, in far fewer nodes.  The
+witness/count phase and the orbit count do not use the point group.
+
 Determinism contract: the search is one sequential depth-first pass, so
-optimum, witness, count and node count depend only on the input.  The
-``threads`` argument is accepted for compatibility and has no effect.  The
-search never returns an unproven optimum: exceeding the node budget raises
-instead.
+optimum, witness, count and the node count of each phase depend only on the
+input.  The ``threads`` argument is accepted for compatibility and has no
+effect.  The search never returns an unproven optimum: exceeding the node
+budget raises instead.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import isqrt
+from typing import Callable
 
 from .admissibility import (
     Configuration,
@@ -35,7 +46,7 @@ from .admissibility import (
     PeriodTooShortError,
     build_exclusion_graph,
 )
-from .lattice import Quotient, sub
+from .lattice import Quotient, SymmetryOp, apply_symmetry, sub, symmetry_group
 
 __all__ = [
     "PackingResult",
@@ -121,11 +132,59 @@ def _isolated(cand: int, adj: tuple[int, ...]) -> int:
     return isolated
 
 
+_SIGNED_PERMUTATIONS = symmetry_group()
+
+
+def _point_group(q: Quotient) -> list[SymmetryOp]:
+    """The signed permutations op with op . L == L for the period lattice L
+    (hnf(op . period) == period).  op . L has the index of L, so it is L
+    exactly when op maps each period generator into L.  Each such op fixes
+    vertex 0, permutes the cosets and keeps minimum-image distances: it is an
+    automorphism of every exclusion graph of q."""
+    reduce = q.reduce
+    return [
+        op
+        for op in _SIGNED_PERMUTATIONS
+        if all(reduce(apply_symmetry(op, g)) == (0, 0, 0) for g in q.period)
+    ]
+
+
+def _coset_images(
+    q: Quotient, ops: list[SymmetryOp]
+) -> Callable[[int], tuple[int, ...]]:
+    """v -> the coset indices of op(v) over `ops`: column v of each coset
+    permutation.  A column is built on first use, so a search pays only for
+    the vertices it branches on."""
+    reduce, index, reps = q.reduce, q.rep_index, q.reps
+    columns: dict[int, tuple[int, ...]] = {}
+
+    def images(v: int) -> tuple[int, ...]:
+        col = columns.get(v)
+        if col is None:
+            col = columns[v] = tuple(
+                index[reduce(apply_symmetry(op, reps[v]))] for op in ops
+            )
+        return col
+
+    return images
+
+
 def _search_optimum(
-    adj: tuple[int, ...], cand: int, size: int, best: int, counter: _Counter
+    adj: tuple[int, ...],
+    cand: int,
+    size: int,
+    best: int,
+    group: list[int],
+    images: Callable[[int], tuple[int, ...]],
+    counter: _Counter,
 ) -> int:
     """The larger of `best` and the largest independent set that adds
-    candidates to `size` chosen vertices."""
+    candidates to `size` chosen vertices.
+
+    `group` holds the positions, in the columns of `images`, of a group of
+    coset permutations that fix the chosen set and map the candidates onto
+    themselves.  With the identity alone this is a plain branch-and-bound.
+    """
     counter.spend()
     isolated = _isolated(cand, adj)
     cand ^= isolated
@@ -144,8 +203,27 @@ def _search_optimum(
         d = (adj[u] & cand).bit_count()
         if d > v_deg:
             v, v_deg = u, d
-    best = _search_optimum(adj, cand & ~adj[v] & ~(1 << v), size + 1, best, counter)
-    return _search_optimum(adj, cand & ~(1 << v), size, best, counter)
+    # include v under its stabiliser, or exclude the whole orbit of v
+    col = images(v)
+    orbit = 0
+    for p in group:
+        orbit |= 1 << col[p]
+    stabiliser = [p for p in group if col[p] == v]
+    best = _search_optimum(
+        adj, cand & ~adj[v] & ~(1 << v), size + 1, best, stabiliser, images, counter
+    )
+    return _search_optimum(adj, cand & ~orbit, size, best, group, images, counter)
+
+
+def _prove_optimum(
+    graph: ExclusionGraph, ops: list[SymmetryOp], counter: _Counter
+) -> int:
+    """Phase 1: the optimum over the sets through vertex 0, branching on the
+    orbits of `ops`, a group of automorphisms of the graph that fix vertex 0."""
+    adj = graph.adjacency
+    root_cand = ((1 << graph.n) - 1) & ~adj[0] & ~1
+    images = _coset_images(graph.quotient, ops)
+    return _search_optimum(adj, root_cand, 1, 0, list(range(len(ops))), images, counter)
 
 
 @dataclass
@@ -215,8 +293,8 @@ def _solve(
     # Both phases start from the root that holds vertex 0 (module docstring).
     root_cand = ((1 << n) - 1) & ~adj[0] & ~1
 
-    # Phase 1: the optimum value.
-    optimum = _search_optimum(adj, root_cand, 1, 0, counter)
+    # Phase 1: the optimum value, by orbits of the point group.
+    optimum = _prove_optimum(graph, _point_group(graph.quotient), counter)
 
     # Phase 2: lexicographically least witness, plus exact count on request.
     state = _EnumState(

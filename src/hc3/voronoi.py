@@ -21,6 +21,7 @@ denominator.
 from __future__ import annotations
 
 import functools
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -261,15 +262,19 @@ def _order_cycle(pts: list[Site], members: list[int], normal: Site) -> tuple[int
 
 def _cut_cell(center: Site, r: int, neighbors: list[Site]) -> _Poly:
     poly = _Poly.cube(center, r)
-    ordered = sorted(neighbors, key=lambda y: (sq_norm(sub(y, center)), y))
+    # popped in (|y-x|^2, y) order: a heap, because cutting stops at twice
+    # the cell radius, well inside the ball
+    cx, cy, cz = center
+    heap = [((y[0] - cx) ** 2 + (y[1] - cy) ** 2 + (y[2] - cz) ** 2, y) for y in neighbors]
+    heapq.heapify(heap)
     c_sq = sq_norm(center)
     num, den = poly.sq_radius(center)
-    for y in ordered:
-        d = sub(y, center)
-        d_sq = sq_norm(d)
+    while heap:
+        d_sq, y = heapq.heappop(heap)
         # |y-x|^2 > 4R^2: this bisector and every later one miss the cell
         if d_sq * den > 4 * num:
             break
+        d = sub(y, center)
         if poly.cut((2 * d[0], 2 * d[1], 2 * d[2]), sq_norm(y) - c_sq):
             num, den = poly.sq_radius(center)
     return poly

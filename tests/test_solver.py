@@ -1,15 +1,19 @@
 """Exact packing solver: oracle equivalence, counts, determinism, bounds."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hc3.admissibility import build_exclusion_graph
 from hc3.catalog import known_sublattice, known_sublattice_keys, scaled_basis
-from hc3.lattice import add, quotient
+from hc3.lattice import IDENTITY_OP, add, apply_symmetry, hnf, quotient, symmetry_group
 from hc3.solver import (
     BudgetExhaustedError,
+    _coset_images,
+    _Counter,
     _greedy_clique_cover,
+    _point_group,
+    _prove_optimum,
     clique_cover_bound,
     count_optima,
     max_packing,
@@ -99,6 +103,59 @@ def test_orbit_count_matches_bruteforce(period, d2s):
         _, optima = brute_force_optima(q, d2)
         want = brute_force_orbit_count(q, optima)
         assert count_optima(q, d2, mod_translations=True) == want
+
+
+@st.composite
+def periods_and_d2(draw):
+    """An HNF period of index <= 64, skewed or a box, and a d2 up to its
+    shortest squared norm."""
+    d0 = draw(st.integers(1, 8))
+    d1 = draw(st.integers(1, 64 // d0))
+    d2 = draw(st.integers(1, 64 // (d0 * d1)))
+    if draw(st.booleans()):
+        period = ((d0, 0, 0), (0, d1, 0), (0, 0, d2))
+    else:
+        m10, m20 = draw(st.integers(0, d0 - 1)), draw(st.integers(0, d0 - 1))
+        m21 = draw(st.integers(0, d1 - 1))
+        period = ((d0, 0, 0), (m10, d1, 0), (m20, m21, d2))
+    return period, draw(st.integers(1, quotient(period).min_period_sq_norm()))
+
+
+def _phase1(graph, ops):
+    counter = _Counter(None)
+    return _prove_optimum(graph, ops, counter), counter.nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(periods_and_d2())
+@example((((4, 0, 0), (0, 4, 0), (0, 0, 5)), 5))
+@example((((2, 0, 0), (0, 3, 0), (0, 0, 3)), 2))
+def test_orbital_branching_matches_plain_search(case):
+    period, d2 = case
+    q = quotient(period)
+    graph = build_exclusion_graph(q, d2)
+    adj = graph.adjacency
+    ops = _point_group(q)
+    # the group is the signed permutations with hnf(op . period) == period
+    assert ops == [
+        op for op in symmetry_group()
+        if hnf(tuple(apply_symmetry(op, g) for g in q.period)) == q.period
+    ]
+    images = _coset_images(q, ops)
+    for p in zip(*(images(v) for v in range(graph.n))):
+        assert p[0] == 0
+        assert sorted(p) == list(range(graph.n))
+        for v in range(graph.n):
+            assert sum(1 << p[u] for u in graph.neighbors(v)) == adj[p[v]]
+    assert _phase1(graph, ops)[0] == _phase1(graph, [IDENTITY_OP])[0]
+
+
+def test_orbital_branching_cuts_nodes():
+    # a point group that silently shrank to the identity would pass every
+    # correctness oracle; the node count would not
+    q = quotient(((5, 0, 0), (0, 5, 0), (0, 0, 5)))
+    _, plain_nodes = _phase1(build_exclusion_graph(q, 5), [IDENTITY_OP])
+    assert 4 * max_packing(q, 5).nodes <= plain_nodes
 
 
 def list_scan_clique_cover(cand, adj):

@@ -10,6 +10,11 @@ alternating word the HCP-like one.
 The d2=5 sublattice is stored with stacking generator (2,1,0): together with
 the two in-plane generators it has index 9 and shortest squared norm exactly
 5, which the admissibility validator confirms mechanically.
+
+Builds, classification and selectors treat tori and windows alike: a
+layer, line or mesh is a coset of the lattice spanned by its generators
+and the domain's ``period`` (empty on a window), built once with
+``lattice_from_generators`` and tested with ``in_lattice``.
 """
 
 from __future__ import annotations
@@ -26,11 +31,9 @@ from .lattice import (
     add,
     cross,
     dot,
+    in_lattice,
     lattice_from_generators,
-    lattice_contains,
-    plane_coefficients,
     scale,
-    sq_norm,
     sub,
 )
 
@@ -85,13 +88,6 @@ class MeshSpec:
             raise ValueError("mesh generators are collinear")
         if dot(g1, self.normal) or dot(g2, self.normal):
             raise ValueError("mesh generators must be orthogonal to the normal")
-
-    def in_plane_coefficients(self, w: Site) -> tuple[int, int] | None:
-        """Integer (a, b) with a*g1 + b*g2 = w, or None."""
-        return plane_coefficients(*self.generators, w)
-
-    def contains(self, w: Site) -> bool:
-        return self.in_plane_coefficients(w) is not None
 
 
 # --- sublattice table -------------------------------------------------------
@@ -254,8 +250,7 @@ def layered_quotient(d2: int, word: str, family: str | None = None) -> Quotient:
     the lattice spanned by the layer mesh and the total word offset."""
     fam = layer_family(d2, family)
     offsets = _word_offsets(fam, word)
-    g1, g2 = fam.mesh.generators
-    return Quotient(lattice_from_generators([g1, g2, offsets[-1]]))
+    return Quotient(lattice_from_generators([*fam.mesh.generators, offsets[-1]]))
 
 
 def build_layered(
@@ -273,43 +268,29 @@ def build_layered(
     """
     fam = layer_family(d2, family)
     offsets = _word_offsets(fam, word)
-    total = offsets[-1]
-    g1, g2 = fam.mesh.generators
     n = fam.normal
     h = fam.plane_step
     length = len(word)
 
+    # the layer mesh plus the total word offset: layer k of the periodic
+    # stack is offsets[k mod len(word)] + closure, cut by its plane
+    closure = lattice_from_generators([*fam.mesh.generators, offsets[-1]])
     if on is None:
-        on = layered_quotient(d2, word, family)
-    if isinstance(on, Quotient):
-        closure = lattice_from_generators([g1, g2, total])
-        for p in on.period:
-            if not lattice_contains(closure, p):
-                raise WordClosureError(
-                    f"word {word!r} does not close on period {on.period}"
-                )
+        on = Quotient(closure)
+    for p in on.period:
+        if not in_lattice(closure, p):
+            raise WordClosureError(
+                f"word {word!r} does not close on period {on.period}"
+            )
 
-        def member(x: Site) -> bool:
-            p = dot(n, x)
-            if p % h:
-                return False
-            m, k = divmod(p // h, length)
-            base = add(offsets[k], scale(m, total))
-            return fam.mesh.contains(sub(x, base))
+    def member(x: Site) -> bool:
+        p = dot(n, x)
+        return p % h == 0 and in_lattice(closure, sub(x, offsets[p // h % length]))
 
-        occupied = frozenset(x for x in on.reps if member(x))
-    else:
-
-        def member(x: Site) -> bool:
-            p = dot(n, x)
-            if p % h:
-                return False
-            k = p // h
-            if not 0 <= k <= length:
-                return False
-            return fam.mesh.contains(sub(x, offsets[k]))
-
-        occupied = frozenset(x for x in on.sites() if member(x))
+    sites = on.sites()
+    if not on.period:  # a window holds the layers 0..len(word) only
+        sites = [x for x in sites if 0 <= dot(n, x) <= h * length]
+    occupied = frozenset(filter(member, sites))
 
     config = Configuration(on, d2, occupied)
     ok, pair = config.is_admissible()
@@ -344,39 +325,23 @@ def _classify_with(c: Configuration, fam: LayerFamily) -> str:
     if not c.occupied:
         raise NotLayeredError("empty configuration")
     domain = c.domain
-    if isinstance(domain, Quotient):
-        g_per = 0
-        for p in domain.period:
-            g_per = gcd(g_per, abs(dot(n, p)))
-        if g_per == 0 or g_per % h:
-            raise NotLayeredError(f"period incompatible with plane step {h}")
-        length = g_per // h
-        mesh_mod_period = lattice_from_generators([g1, g2, *domain.period])
+    # planes n.x = v are identified modulo g on a torus; g = 0 on a window
+    g = gcd(*(dot(n, p) for p in domain.period))
+    if g % h:
+        raise NotLayeredError(f"period incompatible with plane step {h}")
 
-        def in_mesh(w: Site) -> bool:
-            return lattice_contains(mesh_mod_period, w)
+    def plane(x: Site) -> int:
+        return dot(n, x) % g if g else dot(n, x)
 
-        values = sorted({dot(n, x) % g_per for x in c.occupied})
-        if len(values) != length:
-            raise NotLayeredError(
-                f"{len(values)} layers present, period demands {length}"
-            )
-        layers = [
-            frozenset(x for x in c.occupied if dot(n, x) % g_per == v)
-            for v in values
-        ]
-    else:
-        values = sorted({dot(n, x) for x in c.occupied})
-        length = len(values) - 1
-        if length < 1:
-            raise NotLayeredError("fewer than two layers in window")
-
-        def in_mesh(w: Site) -> bool:
-            return fam.mesh.contains(w)
-
-        layers = [
-            frozenset(x for x in c.occupied if dot(n, x) == v) for v in values
-        ]
+    values = sorted({plane(x) for x in c.occupied})
+    length = g // h if g else len(values) - 1
+    if g and len(values) != length:
+        raise NotLayeredError(
+            f"{len(values)} layers present, period demands {length}"
+        )
+    if length < 1:  # only on a window: g // h >= 1
+        raise NotLayeredError("fewer than two layers in window")
+    mesh = lattice_from_generators([g1, g2, *domain.period])
 
     v0 = values[0]
     if values != [v0 + k * h for k in range(len(values))]:
@@ -385,20 +350,14 @@ def _classify_with(c: Configuration, fam: LayerFamily) -> str:
     # each layer must be a full mesh translate (clipped by the window, when
     # there is one), with the anchor any of its members
     anchors = []
-    for layer, v in zip(layers, values):
+    for v in values:
+        layer = {x for x in c.occupied if plane(x) == v}
         anchor = min(layer)
-        if isinstance(domain, Quotient):
-            footprint = frozenset(
-                x
-                for x in domain.reps
-                if dot(n, x) % g_per == v and in_mesh(sub(x, anchor))
-            )
-        else:
-            footprint = frozenset(
-                x
-                for x in domain.sites()
-                if dot(n, x) == v and in_mesh(sub(x, anchor))
-            )
+        footprint = {
+            x
+            for x in domain.sites()
+            if plane(x) == v and in_lattice(mesh, sub(x, anchor))
+        }
         if layer != footprint:
             raise NotLayeredError(
                 f"layer at plane value {v} is not a full mesh translate"
@@ -413,7 +372,7 @@ def _classify_with(c: Configuration, fam: LayerFamily) -> str:
         letters = [
             letter
             for letter, vec in sorted(fam.steps.items())
-            if in_mesh(sub(step, vec))
+            if in_lattice(mesh, sub(step, vec))
         ]
         if len(letters) != 1:
             raise NotLayeredError(
@@ -443,22 +402,8 @@ class LineSelector:
         return f"line:{_fmt(self.anchor)}:{_fmt(self.direction)}"
 
     def select(self, c: Configuration) -> frozenset[Site]:
-        if isinstance(c.domain, Quotient):
-            lat = lattice_from_generators([self.direction, *c.domain.period])
-            return frozenset(
-                x
-                for x in c.occupied
-                if lattice_contains(lat, sub(x, c.domain.reduce(self.anchor)))
-            )
-        d = self.direction
-        n = sq_norm(d)
-        out = []
-        for x in c.occupied:
-            w = sub(x, self.anchor)
-            # w = (w.d / |d|^2) d, an integer multiple only when |d|^2 | w.d
-            if cross(w, d) == (0, 0, 0) and dot(w, d) % n == 0:
-                out.append(x)
-        return frozenset(out)
+        lat = lattice_from_generators([self.direction, *c.domain.period])
+        return frozenset(x for x in c.occupied if in_lattice(lat, sub(x, self.anchor)))
 
 
 @dataclass(frozen=True)
@@ -480,13 +425,12 @@ class PlaneSelector:
     def select(self, c: Configuration) -> frozenset[Site]:
         n = self.normal
         base = dot(n, self.anchor)
-        if isinstance(c.domain, Quotient):
-            g = 0
-            for p in c.domain.period:
-                g = gcd(g, abs(dot(n, p)))
-            # g > 0: a nonzero normal is orthogonal to at most two periods
-            return frozenset(x for x in c.occupied if (dot(n, x) - base) % g == 0)
-        return frozenset(x for x in c.occupied if dot(n, x) == base)
+        # g > 0 on a torus (a nonzero normal is orthogonal to at most two
+        # periods); g = 0 on a window, which has one plane
+        g = gcd(*(dot(n, p) for p in c.domain.period))
+        if g == 0:
+            return frozenset(x for x in c.occupied if dot(n, x) == base)
+        return frozenset(x for x in c.occupied if (dot(n, x) - base) % g == 0)
 
 
 @dataclass(frozen=True)
@@ -501,14 +445,8 @@ class MeshSelector:
 
     def select(self, c: Configuration) -> frozenset[Site]:
         anchor = self.mesh.anchor
-        if isinstance(c.domain, Quotient):
-            lat = lattice_from_generators([*self.mesh.generators, *c.domain.period])
-            return frozenset(
-                x for x in c.occupied if lattice_contains(lat, sub(x, anchor))
-            )
-        return frozenset(
-            x for x in c.occupied if self.mesh.contains(sub(x, anchor))
-        )
+        lat = lattice_from_generators([*self.mesh.generators, *c.domain.period])
+        return frozenset(x for x in c.occupied if in_lattice(lat, sub(x, anchor)))
 
 
 Selector = LineSelector | PlaneSelector | MeshSelector

@@ -25,9 +25,10 @@ from .lattice import (
     cross,
     dot,
     hnf,
+    in_lattice,
+    lattice_from_generators,
     lattice_index,
     lattice_points,
-    plane_coefficients,
     primitive,
     shortest_vectors,
     sq_norm,
@@ -202,8 +203,9 @@ def admits_layered(basis: Basis) -> tuple[bool, dict | None]:
         s = min(w for w in off_plane if abs(dot(n, w)) == step_height)
         if dot(n, s) < 0:
             s = tuple(-x for x in s)
+        layer = lattice_from_generators([u1, u2])
         for w in ball:
-            if dot(n, w) or plane_coefficients(u1, u2, w) is not None:
+            if dot(n, w) or in_lattice(layer, w):
                 continue  # off the plane, or the same coset as the original step
             t = add(s, w)
             if _min_dist_to_layer(t, u1, u2) >= d2:

@@ -1,24 +1,30 @@
 """Exact integer lattice geometry on Z^3.
 
 Everything in this module is arbitrary-precision integer (or exact rational)
-arithmetic: squared norms, the 48 signed coordinate permutations, Hermite
-normal forms of rank-3 sublattices, finite quotients (tori) and certified
-minimum-image distances.  No floating point is used anywhere; all distance
-comparisons are made on squared values.
+arithmetic: squared norms, the 48 signed coordinate permutations, echelon
+bases and membership for sublattices of any rank, finite quotients (tori)
+and certified minimum-image distances.  No floating point is used anywhere;
+all distance comparisons are made on squared values.
 
 Conventions
 -----------
 * A site is a plain ``(x, y, z)`` tuple of Python ints.
 * A basis is a tuple of three generator sites.  Generators are the *rows*
   of the corresponding 3x3 matrix, so the lattice is ``{a*g1 + b*g2 + c*g3}``.
-* The Hermite normal form used throughout is lower triangular with positive
-  diagonal ``d0, d1, d2`` and below-diagonal entries reduced into
-  ``[0, d_j)`` for column ``j``.  Equal HNF <=> equal lattice set.
+* ``lattice_from_generators`` is the one row reduction: any generators, of
+  any rank, give the canonical echelon basis of their span, against which
+  ``in_lattice`` tests membership.  For rank 3 it is the Hermite normal form
+  used throughout: lower triangular with positive diagonal ``d0, d1, d2``
+  and below-diagonal entries reduced into ``[0, d_j)`` for column ``j``.
+  Equal HNF <=> equal lattice set.
+* ``period`` of a domain generates the translations it identifies: three
+  vectors for a ``Quotient``, none for a ``Window``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from math import gcd, isqrt
 
 Site = tuple[int, int, int]
@@ -117,6 +123,55 @@ class SingularBasisError(ValueError):
 # Hermite normal form and lattice membership
 
 
+def lattice_from_generators(gens: Iterable[Site]) -> tuple[Site, ...]:
+    """Canonical echelon basis of the lattice spanned by any number of
+    generators, of any rank (zero and dependent generators are allowed).
+
+    Each row's last nonzero entry is its pivot.  The rows have distinct pivot
+    columns, in ascending order, and positive pivots; every entry of a row in
+    an earlier row's pivot column lies in ``[0, pivot)``.  Equal bases <=>
+    equal lattices.  For rank 3 this is the Hermite normal form.
+    """
+    rows = [tuple(g) for g in gens if any(g)]
+    basis: list[Site] = []
+    for col in (2, 1, 0):
+        # Euclid on this column; rows whose entry reaches 0 stay for later
+        live = [r for r in rows if r[col]]
+        rows = [r for r in rows if not r[col]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            p, *rest = live
+            rest = [sub(r, scale(r[col] // p[col], p)) for r in rest]
+            rows += [r for r in rest if not r[col]]
+            live = [p, *(r for r in rest if r[col])]
+        if live:
+            p = live[0] if live[0][col] > 0 else scale(-1, live[0])
+            # the rows found so far have higher pivots: reduce their entries
+            # in this column (highest pivot column first, so a later
+            # reduction, which touches lower columns only, keeps them)
+            basis = [p, *(sub(r, scale(r[col] // p[col], p)) for r in basis)]
+        rows = [r for r in rows if any(r)]
+    return tuple(basis)
+
+
+def in_lattice(basis: tuple[Site, ...], v: Site) -> bool:
+    """True iff v lies in the lattice of an echelon ``basis`` (as returned by
+    ``lattice_from_generators``): v reduces to 0 against the rows, highest
+    pivot first."""
+    x, y, z = v
+    for row in reversed(basis):
+        col = 2 if row[2] else 1 if row[1] else 0
+        q = (x, y, z)[col] // row[col]
+        x, y, z = x - q * row[0], y - q * row[1], z - q * row[2]
+    return x == y == z == 0
+
+
+def lattice_contains(gens: Iterable[Site], v: Site) -> bool:
+    """True iff v is an integer combination of the generators (a one-off
+    test; build the basis once with ``lattice_from_generators`` for many)."""
+    return in_lattice(lattice_from_generators(gens), v)
+
+
 def hnf(basis: Basis) -> Basis:
     """Canonical lower-triangular Hermite normal form of a rank-3 basis.
 
@@ -124,34 +179,9 @@ def hnf(basis: Basis) -> Basis:
     ``d_i > 0`` and ``0 <= m_ij < d_j``.  Two bases generate the same lattice
     iff their HNFs are equal.
     """
-    m = [list(g) for g in basis]
     if det(basis) == 0:
         raise SingularBasisError(f"generators are linearly dependent: {basis}")
-    # Clear column 2 above row 2, then column 1 above row 1, by unimodular
-    # row operations (Euclid on the column entries).
-    for col in (2, 1):
-        while True:
-            rows = [i for i in range(col + 1) if m[i][col] != 0]
-            if len(rows) <= 1:
-                break
-            i0 = min(rows, key=lambda i: (abs(m[i][col]), i))
-            for i in rows:
-                if i == i0:
-                    continue
-                q = m[i][col] // m[i0][col]
-                m[i] = [m[i][k] - q * m[i0][k] for k in range(3)]
-        keep = next(i for i in range(col + 1) if m[i][col] != 0)
-        m[col], m[keep] = m[keep], m[col]
-    for i in range(3):
-        if m[i][i] < 0:
-            m[i] = [-x for x in m[i]]
-    # Reduce below-diagonal entries into [0, d_j).
-    q = m[2][1] // m[1][1]
-    m[2] = [m[2][k] - q * m[1][k] for k in range(3)]
-    for i in (1, 2):
-        q = m[i][0] // m[0][0]
-        m[i][0] -= q * m[0][0]
-    return tuple(tuple(row) for row in m)  # type: ignore[return-value]
+    return lattice_from_generators(basis)  # type: ignore[return-value]
 
 
 def lattice_index(basis: Basis) -> int:
@@ -160,69 +190,6 @@ def lattice_index(basis: Basis) -> int:
     if d == 0:
         raise SingularBasisError(f"generators are linearly dependent: {basis}")
     return abs(d)
-
-
-def solve_coefficients(basis: Basis, v: Site) -> tuple[int, int, int] | None:
-    """Integer coefficients (a, b, c) with a*g1 + b*g2 + c*g3 = v, or None.
-
-    Cramer's rule on the exact integer system; no rounding anywhere.
-    """
-    d = det(basis)
-    if d == 0:
-        raise SingularBasisError(f"generators are linearly dependent: {basis}")
-    g1, g2, g3 = basis
-    nums = (
-        dot(v, cross(g2, g3)),
-        dot(g1, cross(v, g3)),
-        dot(g1, cross(g2, v)),
-    )
-    if any(n % d for n in nums):
-        return None
-    return tuple(n // d for n in nums)  # type: ignore[return-value]
-
-
-def lattice_contains(basis: Basis, v: Site) -> bool:
-    """True iff v is an integer combination of the generators."""
-    return solve_coefficients(basis, v) is not None
-
-
-def lattice_from_generators(gens: list[Site]) -> Basis:
-    """HNF basis of the lattice spanned by any number of generators.
-
-    Raises SingularBasisError unless the generators span rank 3 (used to
-    combine e.g. a mesh with a period lattice).
-    """
-    rows = [list(g) for g in gens if g != (0, 0, 0)]
-    # Integer row reduction to at most 3 independent rows, column by column.
-    for col in (2, 1, 0):
-        while True:
-            live = [r for r in rows if r[col] != 0 and all(r[c] == 0 for c in range(col + 1, 3))]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda r: abs(r[col]))
-            base = live[0]
-            for r in live[1:]:
-                q = r[col] // base[col]
-                for k in range(3):
-                    r[k] -= q * base[k]
-        rows = [r for r in rows if any(r)]
-    rows.sort(key=lambda r: next(i for i in range(3) if r[i] != 0) if any(r) else 3)
-    if len(rows) != 3:
-        raise SingularBasisError(f"generators span rank {len(rows)} < 3")
-    return hnf(tuple(tuple(r) for r in rows))  # type: ignore[arg-type]
-
-
-def plane_coefficients(g1: Site, g2: Site, w: Site) -> tuple[int, int] | None:
-    """Integer (a, b) with a*g1 + b*g2 = w, or None (g1, g2 independent)."""
-    c = cross(g1, g2)
-    if dot(c, w):
-        return None
-    cc = sq_norm(c)
-    na = dot(cross(w, g2), c)
-    nb = dot(cross(g1, w), c)
-    if na % cc or nb % cc:
-        return None
-    return na // cc, nb // cc
 
 
 def ceil_sqrt(n: int) -> int:
@@ -407,11 +374,12 @@ class Quotient:
 
     def images_near(self, base: Site, center: Site, r_sq: int) -> list[Site]:
         """All points base + p (p in the period lattice) with
-        |point - center|^2 <= r_sq, in deterministic order."""
-        return sorted(
+        |point - center|^2 <= r_sq, in the deterministic order of
+        ``lattice_points``."""
+        return [
             add(v, center)
             for v in lattice_points(self.reduced, sub(base, center), r_sq)
-        )
+        ]
 
 
 def quotient(period: Basis) -> Quotient:
@@ -428,8 +396,11 @@ class Window:
     """A finite box of Z^3 with free boundary, lo..hi inclusive per axis.
 
     Used for layered builds whose stacking words do not close periodically;
-    distances are plain squared Euclidean distances, with no images.
+    distances are plain squared Euclidean distances, with no images.  Its
+    ``period`` is empty: a window identifies no translates.
     """
+
+    period: tuple[Site, ...] = ()
 
     def __init__(self, lo: Site, hi: Site):
         if any(lo[i] > hi[i] for i in range(3)):

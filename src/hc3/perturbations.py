@@ -21,7 +21,16 @@ from .admissibility import (
     conflict_masks,
 )
 from .catalog import LineSelector, PlaneSelector, Selector
-from .lattice import IDENTITY_OP, Quotient, Site, add, lattice_points, sq_norm, sub
+from .lattice import (
+    IDENTITY_OP,
+    Quotient,
+    Site,
+    add,
+    lattice_from_generators,
+    lattice_points,
+    sq_norm,
+    sub,
+)
 from .solver import BudgetExhaustedError, _Counter
 
 __all__ = [
@@ -115,8 +124,6 @@ def _stabilizer_lattice(c: Configuration) -> Quotient:
         for t in dom.reps
         if {dom.reduce(add(x, t)) for x in c.occupied} == c.occupied
     ]
-    from .lattice import lattice_from_generators
-
     return Quotient(lattice_from_generators([*dom.period, *stab]))
 
 

@@ -1,5 +1,6 @@
 """Catalog structures: sublattices, meshes, layered stackings, mesh shifts."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hc3.admissibility import Configuration
 from hc3.catalog import (
     LineSelector,
     MeshSelector,
+    MeshSpec,
     NotLayeredError,
     PlaneSelector,
     SelectorEmptyError,
@@ -25,11 +27,14 @@ from hc3.catalog import (
 )
 from hc3.lattice import (
     Window,
+    add,
+    cross,
     dot,
     hnf,
     lattice_contains,
     lattice_index,
     quotient,
+    scale,
     shortest_vectors,
 )
 
@@ -344,3 +349,81 @@ def test_layer_family_alphabets():
     with pytest.raises(UnknownCatalogEntryError) as err:
         layer_family(8)
     assert str(err.value) == "no layered family for d2=8"
+
+
+@st.composite
+def selector_cases(draw):
+    """A skewed HNF torus of index <= 64 or a small window, a random occupied
+    set, an anchor and a line direction or a pair of mesh generators."""
+    small = st.tuples(*[st.integers(-2, 2)] * 3)
+    if draw(st.booleans()):
+        d = [draw(st.integers(1, 4)) for _ in range(3)]
+        a, b, c = (draw(st.integers(0, x - 1)) for x in (d[0], d[0], d[1]))
+        domain = quotient(((d[0], 0, 0), (a, d[1], 0), (b, c, d[2])))
+    else:
+        lo, hi = draw(small), draw(small)
+        domain = Window(tuple(map(min, lo, hi)), tuple(map(max, lo, hi)))
+    sites = domain.sites()
+    occupied = frozenset(
+        draw(st.lists(st.sampled_from(sites), max_size=len(sites)))
+    )
+    gens = draw(
+        st.one_of(
+            small.filter(any).map(lambda g: (g,)),
+            st.tuples(small, small).filter(lambda gs: any(cross(*gs))),
+        )
+    )
+    return Configuration(domain, 1, occupied), draw(small), gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(selector_cases())
+def test_line_and_mesh_selectors_match_enumeration(case):
+    c, anchor, gens = case
+    if isinstance(c.domain, Window):
+        # every window site lies within 7 of the anchor, and a combination
+        # of these generators is at least max|k|/4 long (|g1 x g2| >= 1,
+        # |g| <= sqrt 12)
+        coeffs = range(-28, 29)
+    else:
+        coeffs = range(c.domain.index)
+
+    def point(ks):
+        v = anchor
+        for k, g in zip(ks, gens):
+            v = add(v, scale(k, g))
+        return c.domain.reduce(v)
+
+    expected = {point(ks) for ks in itertools.product(coeffs, repeat=len(gens))}
+    expected &= c.occupied
+    if len(gens) == 1:
+        selector = LineSelector(anchor, gens[0])
+    else:
+        selector = MeshSelector(MeshSpec(gens, anchor, cross(*gens)))
+    assert selector.select(c) == expected
+
+
+_LAYERED_FAMILIES = [
+    (2, "main"), (3, "main"), (5, "main"), (6, "I"), (6, "II"), (9, "1"), (9, "2")
+]
+
+
+@st.composite
+def family_words(draw):
+    d2, family = draw(st.sampled_from(_LAYERED_FAMILIES))
+    alphabet = layer_family(d2, family).alphabet
+    word = draw(st.text(alphabet=alphabet, min_size=1, max_size=6))
+    return d2, family, word
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_words())
+def test_build_classify_round_trip_every_family(case):
+    d2, family, word = case
+    fam = layer_family(d2, family)
+    n = fam.normal
+    # the smallest cube that holds every layer 0..len(word)
+    r = -(-fam.plane_step * len(word) // sum(map(abs, n))) + 1
+    for on in (None, Window((-r, -r, -r), (r, r, r))):
+        c = build_layered(d2, word, on=on, family=family)
+        assert classify_stacking(c, n) == word

@@ -1,6 +1,7 @@
 """Lattice-core: norms, symmetry group, HNF, quotients, minimum images."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -10,18 +11,22 @@ from hc3.lattice import (
     IDENTITY_OP,
     Quotient,
     SingularBasisError,
+    add,
     apply_symmetry,
     canonical_class_rep,
     compose,
     det,
     cross,
+    dot,
     hnf,
+    in_lattice,
     lattice_contains,
+    lattice_from_generators,
     lattice_index,
     lattice_points,
     min_image_sq_distance,
-    plane_coefficients,
     quotient,
+    scale,
     shortest_vectors,
     sq_norm,
     symmetry_group,
@@ -273,7 +278,7 @@ def test_images_near_finds_all_in_ball():
         for z in range(-2, 3)
         if x % 2 == 0 and y % 2 == 0 and z % 2 == 0 and x * x + y * y + z * z <= 4
     )
-    assert pts == expected
+    assert sorted(pts) == expected
 
 
 small_coords = st.integers(-2, 2)
@@ -310,10 +315,120 @@ def test_lattice_points_matches_coordinate_box(inputs):
     brute = []
     for p in itertools.product(range(-r, r + 1), repeat=3):
         w = tuple(p[i] - t[i] for i in range(3))
-        if len(basis) == 2:
-            member = plane_coefficients(*basis, w) is not None
-        else:
-            member = lattice_contains(basis, w)
-        if member and sq_norm(p) <= r_sq:
+        if lattice_contains(basis, w) and sq_norm(p) <= r_sq:
             brute.append(p)
     assert sorted(lattice_points(basis, t, r_sq)) == brute
+
+
+# --- the echelon kernel against the membership rules it replaced -----------
+
+
+def cramer_member(basis, v):
+    """Cramer's rule: v = a*g1 + b*g2 + c*g3 with integer a, b, c
+    (three independent generators)."""
+    d = det(basis)
+    g1, g2, g3 = basis
+    nums = (dot(v, cross(g2, g3)), dot(g1, cross(v, g3)), dot(g1, cross(g2, v)))
+    return all(n % d == 0 for n in nums)
+
+
+def plane_member(g1, g2, w):
+    """w = a*g1 + b*g2 with integer a, b (two independent generators)."""
+    c = cross(g1, g2)
+    cc = sq_norm(c)
+    return (
+        dot(c, w) == 0
+        and dot(cross(w, g2), c) % cc == 0
+        and dot(cross(g1, w), c) % cc == 0
+    )
+
+
+def line_member(d, w):
+    """w = k*d with integer k: w is parallel to d and |d|^2 divides w.d."""
+    return cross(w, d) == (0, 0, 0) and dot(w, d) % sq_norm(d) == 0
+
+
+def reference_member(core, w):
+    if len(core) == 1:
+        return line_member(core[0], w)
+    if len(core) == 2:
+        return plane_member(*core, w)
+    return cramer_member(core, w)
+
+
+def rank(gens):
+    gens = [g for g in gens if any(g)]
+    if any(det(t) for t in itertools.combinations(gens, 3)):
+        return 3
+    if any(any(cross(a, b)) for a, b in itertools.combinations(gens, 2)):
+        return 2
+    return 1 if gens else 0
+
+
+@st.composite
+def generator_lists(draw):
+    """1-5 small generators of rank 1-3 with a reference for their span.
+
+    Either an independent core plus integer combinations of it (zero and
+    dependent vectors among them), or integer multiples of one vector, whose
+    span is the gcd multiple."""
+    small = st.tuples(*[st.integers(-4, 4)] * 3)
+    if draw(st.booleans()):
+        d = draw(small.filter(any))
+        ks = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=5))
+        g = 0
+        for k in ks:
+            g = math.gcd(g, k)
+        gens = [scale(k, d) for k in ks]
+        return gens, [scale(g, d)] if g else []
+    r = draw(st.integers(1, 3))
+    core = draw(
+        st.lists(small, min_size=r, max_size=r).filter(lambda c: rank(c) == r)
+    )
+    coeffs = st.lists(st.integers(-2, 2), min_size=r, max_size=r)
+    extra = draw(st.lists(coeffs, max_size=5 - r))
+    gens = core + [
+        tuple(sum(c * g[i] for c, g in zip(cs, core)) for i in range(3))
+        for cs in extra
+    ]
+    return draw(st.permutations(gens)), core
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    generator_lists(),
+    st.lists(st.tuples(*[st.integers(-12, 12)] * 3), min_size=1, max_size=8),
+    st.randoms(use_true_random=False),
+)
+def test_echelon_basis_membership_and_canonical_form(case, probes, rnd):
+    gens, core = case
+    basis = lattice_from_generators(gens)
+    assert len(basis) == rank(gens) == len(core)
+    for v in probes + [scale(2, g) for g in core] + gens:
+        want = reference_member(core, v) if core else not any(v)
+        assert in_lattice(basis, v) == lattice_contains(gens, v) == want
+    # canonical: pivots ascend and are positive, earlier pivot columns of
+    # later rows are reduced
+    pivots = [max(i for i in range(3) if row[i]) for row in basis]
+    assert pivots == sorted(set(pivots))
+    for i, (row, c) in enumerate(zip(basis, pivots)):
+        assert row[c] > 0
+        assert all(0 <= later[c] < row[c] for later in basis[i + 1 :])
+    if len(basis) == 3:  # the Hermite normal form
+        assert pivots == [0, 1, 2] and hnf(basis) == basis == hnf(core)
+    # the same basis after shuffling or a unimodular change of generators
+    shuffled = list(gens)
+    rnd.shuffle(shuffled)
+    assert lattice_from_generators(shuffled) == basis
+    i, j = rnd.randrange(len(gens)), rnd.randrange(len(gens))
+    if i != j:
+        k = rnd.randint(-3, 3)
+        moved = list(gens)
+        moved[j] = add(moved[j], scale(k, moved[i]))
+        assert lattice_from_generators(moved) == basis
+
+
+def test_hnf_reduces_from_the_highest_pivot_column_down():
+    # reducing column 0 before column 1 leaves m20 outside [0, d0) here
+    h = hnf(((-5, 9, -7), (-1, -6, 6), (5, 6, 3)))
+    assert h == ((133, 0, 0), (24, 3, 0), (30, 0, 1))

@@ -6,17 +6,12 @@ inputs (solver statistics go to standard error); ``--json`` switches each
 command to a single machine-readable JSON object.  Rationals are always
 rendered as "p/q" strings.  Exit codes: 0 success, 1 domain violation,
 2 bad input, 3 budget exhausted.
-
-The THREADS environment variable (positive integer, default 1) is accepted
-and validated for compatibility; it has no effect, because the solver runs
-one sequential search.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -35,17 +30,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
-
-
-def _threads() -> int:
-    raw = os.environ.get("THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CliError(f"THREADS must be a positive integer, got {raw!r}", EXIT_BAD_INPUT)
-    if n < 1:
-        raise CliError(f"THREADS must be a positive integer, got {raw!r}", EXIT_BAD_INPUT)
-    return n
 
 
 def _budget(budget: int | None) -> int | None:
@@ -148,9 +132,8 @@ def _cmd_pack(args) -> int:
         result = solver.max_packing(
             q,
             args.d2,
-            count=args.count or args.mod_translations,
+            count=args.count,
             mod_translations=args.mod_translations,
-            threads=_threads(),
             node_budget=_budget(args.budget),
         )
     except PeriodTooShortError as exc:

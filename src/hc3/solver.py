@@ -10,11 +10,14 @@ set under the fixed coset order.
 
 Torus translations act transitively on the cosets, so both phases search
 only the sets that contain vertex 0.  The lexicographically least optimum
-contains vertex 0, and double counting gives the number of optima as
-n * c0 / k, where c0 of them contain vertex 0 and k is the optimum.  The
-translation orbit of an optimal set S meets the sets through vertex 0 in the
-k translates S - s (s in S), the least of which is the orbit's canonical
-form.
+contains vertex 0.  Phase 2 is one stream of the optima through vertex 0 in
+lexicographic order: the witness is its first set, and a count is the
+weighted sum  sum_S w(S) / k  over the stream, where k is the optimum and
+the sum must divide exactly.  With w = n it is the number of optima (each
+vertex lies in as many optima as vertex 0, so n * c0 = count * k).  With
+w(S) = |Stab(S)|, the number of translations that map S onto itself, it is
+the number of translation orbits: an orbit whose stabiliser is T has n/|T|
+sets, meets vertex 0 in k/|T| of them, and so adds exactly k to the sum.
 
 The optimum phase also uses the point group of the torus: the signed
 permutations that map the period lattice onto itself fix vertex 0 and are
@@ -23,13 +26,12 @@ branching, Ostrowski, Linderoth, Rossi & Smriglio 2011): each node carries
 the subgroup that maps its candidates onto themselves; the include child
 takes v with the stabiliser of v, the exclude child drops the whole orbit of
 v and keeps the group.  Any optimum that meets the orbit has an image through
-v, so the optimum is the same as without symmetry, in far fewer nodes.  The
-witness/count phase and the orbit count do not use the point group.
+v, so the optimum is the same as without symmetry, in far fewer nodes.
+Phase 2 does not use the point group.
 
 Determinism contract: the search is one sequential depth-first pass, so
 optimum, witness, count and the node count of each phase depend only on the
-input.  The ``threads`` argument is accepted for compatibility and has no
-effect.  The search never returns an unproven optimum: exceeding the node
+input.  The search never returns an unproven optimum: exceeding the node
 budget raises instead.
 """
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable
+from typing import Callable, Iterator
 
 from .admissibility import (
     Configuration,
@@ -226,30 +228,21 @@ def _prove_optimum(
     return _search_optimum(adj, root_cand, 1, 0, list(range(len(ops))), images, counter)
 
 
-@dataclass
-class _EnumState:
-    count: int = 0
-    witness: int | None = None  # chosen mask of the first solution found
-    solutions: list[int] | None = None  # chosen masks, when orbits are needed
-    stop_at_first: bool = False
-
-
-def _search_enumerate(
+def _optima(
     adj: tuple[int, ...],
     cand: int,
     chosen: int,
     size: int,
     optimum: int,
-    state: _EnumState,
     counter: _Counter,
-) -> None:
-    """Visit every independent set of size == optimum extending `chosen`.
+) -> Iterator[int]:
+    """The chosen masks of every independent set of size `optimum` that
+    extends `chosen` by candidates, in lexicographic order.
 
-    Branches on the lowest candidate, include-first, so the first solution
-    found is the lexicographically least one in this subtree.
+    Branches on the lowest candidate, include-first, so the first set
+    yielded is the lexicographically least one.  Nodes are spent only while
+    the generator runs: one that is never resumed searches no further.
     """
-    if state.stop_at_first and state.witness is not None:
-        return
     counter.spend()
     isolated = _isolated(cand, adj)
     cand ^= isolated
@@ -257,19 +250,15 @@ def _search_enumerate(
     chosen |= isolated
     if not cand:
         if size == optimum:
-            state.count += 1
-            if state.witness is None:
-                state.witness = chosen
-            if state.solutions is not None:
-                state.solutions.append(chosen)
+            yield chosen
         return
     if size + _greedy_clique_cover(cand, adj, optimum - size) < optimum:
         return
     v = _lowest_bit(cand)
-    _search_enumerate(
-        adj, cand & ~adj[v] & ~(1 << v), chosen | 1 << v, size + 1, optimum, state, counter
+    yield from _optima(
+        adj, cand & ~adj[v] & ~(1 << v), chosen | 1 << v, size + 1, optimum, counter
     )
-    _search_enumerate(adj, cand & ~(1 << v), chosen, size, optimum, state, counter)
+    yield from _optima(adj, cand & ~(1 << v), chosen, size, optimum, counter)
 
 
 def _mask_to_tuple(mask: int) -> tuple[int, ...]:
@@ -280,63 +269,19 @@ def _mask_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _solve(
-    graph: ExclusionGraph,
-    *,
-    count: bool,
-    mod_translations: bool,
-    node_budget: int | None,
-) -> tuple[int, tuple[int, ...], int | None, int]:
-    adj = graph.adjacency
-    n = graph.n
-    counter = _Counter(node_budget)
-    # Both phases start from the root that holds vertex 0 (module docstring).
-    root_cand = ((1 << n) - 1) & ~adj[0] & ~1
+def _stabiliser_size(q: Quotient) -> Callable[[int], int]:
+    """S -> the number of torus translations that map the set S, a mask
+    through vertex 0, onto itself.  Each of them maps vertex 0 into S, so
+    they are the x -> x - s (s in S) that keep every x in S inside S."""
+    reduce, index, reps = q.reduce, q.rep_index, q.reps
 
-    # Phase 1: the optimum value, by orbits of the point group.
-    optimum = _prove_optimum(graph, _point_group(graph.quotient), counter)
+    def size(mask: int) -> int:
+        sites = [reps[v] for v in _mask_to_tuple(mask)]
+        return sum(
+            all(mask >> index[reduce(sub(x, s))] & 1 for x in sites) for s in sites
+        )
 
-    # Phase 2: lexicographically least witness, plus exact count on request.
-    state = _EnumState(
-        solutions=[] if count and mod_translations else None,
-        stop_at_first=not count,
-    )
-    _search_enumerate(adj, root_cand, 1, 1, optimum, state, counter)
-    if state.witness is None:
-        raise AssertionError("optimum proven but no witness enumerated")
-
-    reported: int | None = None
-    if count:
-        if mod_translations:
-            assert state.solutions is not None
-            reported = _count_orbits(graph.quotient, state.solutions)
-        else:
-            # every vertex lies in state.count optima: n * c0 = count * k
-            if n * state.count % optimum:
-                raise AssertionError("n * c0 is not a multiple of the optimum")
-            reported = n * state.count // optimum
-    return optimum, _mask_to_tuple(state.witness), reported, counter.nodes
-
-
-def _count_orbits(q: Quotient, solutions: list[int]) -> int:
-    """Number of translation orbits of optimal sets, given every optimal set
-    that contains vertex 0: the orbit of S is named by the least of its
-    translates S - s, s in S, the sets of the orbit through vertex 0."""
-    reps = q.reps
-    index_of = q.rep_index
-    occurring = 0
-    for mask in solutions:
-        occurring |= mask
-    # s -> the permutation v -> v - s, for the vertices s that occur
-    shift_by = {
-        s: tuple(index_of[q.reduce(sub(r, reps[s]))] for r in reps)
-        for s in _mask_to_tuple(occurring)
-    }
-    canon: set[tuple[int, ...]] = set()
-    for mask in solutions:
-        verts = _mask_to_tuple(mask)
-        canon.add(min(tuple(sorted(shift_by[s][v] for v in verts)) for s in verts))
-    return len(canon)
+    return size
 
 
 def max_packing(
@@ -345,33 +290,40 @@ def max_packing(
     *,
     count: bool = False,
     mod_translations: bool = False,
-    threads: int = 1,
     node_budget: int | None = None,
 ) -> PackingResult:
     """Exact maximum packing of the torus at squared exclusion distance d2.
 
     The witness is the lexicographically least optimal set of coset
     representatives; with count=True the exact number of optimal
-    configurations is reported (orbits under torus translations when
-    mod_translations is set).  `threads` must be positive and has no effect:
-    the search is sequential (module docstring).
+    configurations is reported, and with mod_translations=True (which
+    implies a count) the number of their orbits under torus translations.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     t0 = time.perf_counter()
     graph = build_exclusion_graph(q, d2)
-    optimum, witness_idx, counted, nodes = _solve(
-        graph,
-        count=count,
-        mod_translations=mod_translations,
-        node_budget=node_budget,
-    )
-    witness = Configuration(q, d2, frozenset(q.reps[i] for i in witness_idx))
+    adj, n = graph.adjacency, graph.n
+    counter = _Counter(node_budget)
+    # Phase 1: the optimum value, by orbits of the point group.
+    optimum = _prove_optimum(graph, _point_group(q), counter)
+    # Phase 2: the optima through vertex 0 (module docstring), least first.
+    root_cand = ((1 << n) - 1) & ~adj[0] & ~1
+    optima = _optima(adj, root_cand, 1, 1, optimum, counter)
+    first = next(optima, None)
+    if first is None:
+        raise AssertionError("optimum proven but no witness enumerated")
+    counted: int | None = None
+    if count or mod_translations:
+        weight = _stabiliser_size(q) if mod_translations else lambda mask: n
+        total = weight(first) + sum(map(weight, optima))
+        if total % optimum:
+            raise AssertionError("the weighted sum of optima is not a multiple of k")
+        counted = total // optimum
+    witness = Configuration(q, d2, frozenset(q.reps[i] for i in _mask_to_tuple(first)))
     return PackingResult(
         optimum=optimum,
         witness=witness,
         count=counted,
-        nodes=nodes,
+        nodes=counter.nodes,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -381,7 +333,6 @@ def count_optima(
     d2: int,
     mod_translations: bool = False,
     *,
-    threads: int = 1,
     node_budget: int | None = None,
 ) -> int:
     """Exact number of maximum packings of the torus (or of their
@@ -391,7 +342,6 @@ def count_optima(
         d2,
         count=True,
         mod_translations=mod_translations,
-        threads=threads,
         node_budget=node_budget,
     )
     assert result.count is not None

@@ -73,12 +73,6 @@ def test_cli_output_is_deterministic_across_threads():
     assert repeat.stdout == outputs[0]
 
 
-def test_bad_threads_value():
-    env = {**BASE_ENV, "THREADS": "zero"}
-    r = run_cli("pack", "--d2", "2", "--diag", "2", env=env)
-    assert r.returncode == 2
-
-
 def test_out_of_range_numbers_exit_2(tmp_path):
     r = run_cli("pack", "--diag", "2", "--d2", "0")
     assert r.returncode == 2

@@ -106,12 +106,12 @@ def test_orbit_count_matches_bruteforce(period, d2s):
 
 
 @st.composite
-def periods_and_d2(draw):
-    """An HNF period of index <= 64, skewed or a box, and a d2 up to its
-    shortest squared norm."""
+def periods_and_d2(draw, max_index=64):
+    """An HNF period of index <= max_index, skewed or a box, and a d2 up to
+    its shortest squared norm."""
     d0 = draw(st.integers(1, 8))
-    d1 = draw(st.integers(1, 64 // d0))
-    d2 = draw(st.integers(1, 64 // (d0 * d1)))
+    d1 = draw(st.integers(1, max_index // d0))
+    d2 = draw(st.integers(1, max_index // (d0 * d1)))
     if draw(st.booleans()):
         period = ((d0, 0, 0), (0, d1, 0), (0, 0, d2))
     else:
@@ -119,6 +119,23 @@ def periods_and_d2(draw):
         m21 = draw(st.integers(0, d1 - 1))
         period = ((d0, 0, 0), (m10, d1, 0), (m20, m21, d2))
     return period, draw(st.integers(1, quotient(period).min_period_sq_norm()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(periods_and_d2(max_index=16))
+def test_random_periods_match_bruteforce(case):
+    period, d2 = case
+    q = quotient(period)
+    want_opt, optima = brute_force_optima(q, d2)
+    got = max_packing(q, d2, count=True)
+    assert (got.optimum, got.count) == (want_opt, len(optima))
+    # the witness is the least optimum in lexicographic order of indices
+    assert tuple(sorted(q.rep_index[s] for s in got.witness.occupied)) == min(
+        tuple(v for v in range(q.index) if m >> v & 1) for m in optima
+    )
+    assert count_optima(q, d2, mod_translations=True) == brute_force_orbit_count(
+        q, optima
+    )
 
 
 def _phase1(graph, ops):
@@ -208,9 +225,7 @@ def test_witness_is_lexicographically_least():
 
 def test_determinism_across_thread_counts():
     q = quotient(DIAG4)
-    results = [
-        max_packing(q, 4, count=True, threads=t) for t in (1, 2, 8)
-    ]
+    results = [max_packing(q, 4, count=True) for _ in range(3)]
     base = results[0]
     for r in results[1:]:
         assert r.optimum == base.optimum
@@ -218,16 +233,13 @@ def test_determinism_across_thread_counts():
         assert r.witness.occupied == base.witness.occupied
 
 
-def test_threads_must_be_positive():
-    with pytest.raises(ValueError):
-        max_packing(quotient(DIAG2), 2, threads=0)
-
-
 def test_count_modulo_translations():
     q2 = quotient(DIAG2)
     # the 4 BCC optima on the 2-torus form a single translation orbit
     assert count_optima(q2, 3) == 4
     assert count_optima(q2, 3, mod_translations=True) == 1
+    # mod_translations implies a count without count=True
+    assert max_packing(q2, 3, mod_translations=True).count == 1
     # the two FCC optima are also one orbit (they are shifts of each other)
     assert count_optima(q2, 2, mod_translations=True) == 1
 

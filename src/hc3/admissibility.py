@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .lattice import IDENTITY_OP, Quotient, Site, Window, add, lattice_points
 
@@ -40,10 +41,12 @@ class SitesOutsideWindowError(ValueError):
         self.sites = sites
 
 
-def _conflict_offsets(d2: int) -> list[Site]:
+@cache
+def _conflict_offsets(d2: int) -> tuple[Site, ...]:
     """All offsets v with 0 < |v|^2 < d2.  Two distinct sites conflict
-    exactly when their difference is congruent to one of these offsets."""
-    return [v for v in lattice_points(IDENTITY_OP, (0, 0, 0), d2 - 1) if any(v)]
+    exactly when their difference is congruent to one of these offsets.
+    Built once per d2 and shared by every caller."""
+    return tuple(v for v in lattice_points(IDENTITY_OP, (0, 0, 0), d2 - 1) if any(v))
 
 
 def conflict_masks(points: list[Site], d2: int) -> list[int]:

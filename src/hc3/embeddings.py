@@ -3,17 +3,20 @@
 A scaled copy of the face-centered cubic lattice with nearest squared
 distance 2*ell^2 embeds into Z^3 exactly when three integer vectors of
 squared norm 2*ell^2 have pairwise inner products ell^2 (the FCC Gram
-matrix).  This module enumerates all such sublattices, groups them into
+matrix).  One search finds these triples, each unordered triple once.
+From it this module enumerates all such sublattices, groups them into
 orbits of the 48 signed coordinate permutations, and decides geometrically
 whether an embedding admits the alternate (reflected) layer stacking - the
-ingredient needed for layered close-packings; it probes the layer shifts
-in one `lattice_points` ball of the layer's covering radius.  The
-arithmetic criterion (ell divisible by 3) is deliberately NOT consulted: it
-serves as the independent oracle in the tests.
+ingredient needed for layered close-packings.  The layer systems are the
+face planes of one triple's tetrahedron; the layer shifts are probed in
+one `lattice_points` ball of the layer's covering radius.  The arithmetic
+criterion (ell divisible by 3) is deliberately NOT consulted: it serves as
+the independent oracle in the tests.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import isqrt
 
@@ -30,8 +33,10 @@ from .lattice import (
     lattice_index,
     lattice_points,
     primitive,
+    scale,
     shortest_vectors,
     sq_norm,
+    sub,
     symmetry_group,
     apply_symmetry,
 )
@@ -73,6 +78,19 @@ def vectors_of_norm(n: int) -> list[Site]:
     return out
 
 
+def _fcc_triples(vecs: list[Site], ell: int) -> Iterator[Basis]:
+    """Every generating triple v1 < v2 < v3 of the sorted `vecs` with the
+    scaled FCC Gram matrix (pairwise inner products ell^2), each unordered
+    triple once: with 0 they are the corners of a regular tetrahedron."""
+    target = ell * ell
+    for i, v1 in enumerate(vecs):
+        partners = [w for w in vecs[i + 1 :] if dot(v1, w) == target]
+        for j, v2 in enumerate(partners):
+            for v3 in partners[j + 1 :]:
+                if dot(v2, v3) == target:
+                    yield v1, v2, v3
+
+
 def enumerate_fcc_embeddings(ell: int) -> list[Basis]:
     """All sublattices generated by triples with the scaled FCC Gram matrix
     (diagonal 2*ell^2, off-diagonal ell^2), deduplicated by lattice set.
@@ -83,20 +101,7 @@ def enumerate_fcc_embeddings(ell: int) -> list[Basis]:
     if ell < 1:
         raise ValueError("ell must be a positive integer")
     norm = 2 * ell * ell
-    target = ell * ell
-    vecs = vectors_of_norm(norm)
-    partners: dict[Site, list[Site]] = {
-        v: [w for w in vecs if dot(v, w) == target] for v in vecs
-    }
-    found: dict[Basis, Basis] = {}
-    for v1 in vecs:
-        for v2 in partners[v1]:
-            common = [w for w in partners[v2] if dot(v1, w) == target]
-            for v3 in common:
-                basis = (v1, v2, v3)
-                key = hnf(basis)
-                found.setdefault(key, key)
-    out = sorted(found)
+    out = sorted({hnf(t) for t in _fcc_triples(vectors_of_norm(norm), ell)})
     for basis in out:
         assert lattice_index(basis) == 2 * ell**3
         assert shortest_vectors(basis)[0] == norm
@@ -118,20 +123,22 @@ def embedding_classes(ell: int) -> list[EmbeddingClass]:
     embeddings = enumerate_fcc_embeddings(ell)
     all_set = set(embeddings)
     ops = symmetry_group()
-    classes: dict[Basis, set[Basis]] = {}
+    classes = []
+    classified: set[Basis] = set()
+    # in sorted order, the first basis of each orbit is its least member
     for basis in embeddings:
+        if basis in classified:
+            continue
         orbit = {hnf(tuple(apply_symmetry(op, g) for g in basis)) for op in ops}
         assert orbit <= all_set, "orbit left the enumerated set"
-        rep = min(orbit)
-        classes.setdefault(rep, set()).update(orbit)
-    return [
-        EmbeddingClass(rep, len(members), tuple(sorted(members)))
-        for rep, members in sorted(classes.items())
-    ]
+        classified |= orbit
+        classes.append(EmbeddingClass(basis, len(orbit), tuple(sorted(orbit))))
+    return classes
 
 
-def fcc_scale_of(basis: Basis) -> int:
-    """The scale ell of an FCC embedding; raises if the lattice is not one."""
+def _fcc_shell(basis: Basis) -> tuple[int, list[Site], Basis]:
+    """The scale ell, the 12 shortest vectors and the least generating
+    triple of an FCC embedding; raises if the lattice is not one."""
     m, mins = shortest_vectors(basis)
     if m % 2:
         raise NotAnFccEmbeddingError(f"shortest norm {m} is odd")
@@ -144,15 +151,15 @@ def fcc_scale_of(basis: Basis) -> int:
         raise NotAnFccEmbeddingError(
             f"index {lattice_index(basis)} != 2*ell^3 for ell={ell}"
         )
-    target = ell * ell
-    for v1 in mins:
-        for v2 in mins:
-            if dot(v1, v2) != target:
-                continue
-            for v3 in mins:
-                if dot(v1, v3) == target and dot(v2, v3) == target:
-                    return ell
-    raise NotAnFccEmbeddingError("no generating triple with the FCC Gram matrix")
+    triple = next(_fcc_triples(mins, ell), None)
+    if triple is None:
+        raise NotAnFccEmbeddingError("no generating triple with the FCC Gram matrix")
+    return ell, mins, triple
+
+
+def fcc_scale_of(basis: Basis) -> int:
+    """The scale ell of an FCC embedding; raises if the lattice is not one."""
+    return _fcc_shell(basis)[0]
 
 
 def _min_dist_to_layer(t: Site, u1: Site, u2: Site) -> int:
@@ -169,25 +176,15 @@ def admits_layered(basis: Basis) -> tuple[bool, dict | None]:
     second shift coset that keeps the stack admissible at the embedding's
     exclusion distance.  Returns the witness shift when found.
     """
-    ell = fcc_scale_of(basis)
+    ell, mins, (v1, v2, v3) = _fcc_shell(basis)
     d2 = 2 * ell * ell
-    _, mins = shortest_vectors(basis)
-
-    normals: list[Site] = []
-    for i, u in enumerate(mins):
-        for v in mins[i + 1 :]:
-            c = cross(u, v)
-            if c == (0, 0, 0):
-                continue
-            nrm = primitive(c)
-            if nrm < (0, 0, 0):
-                nrm = tuple(-x for x in nrm)
-            if nrm in normals:
-                continue
-            if sum(1 for w in mins if dot(nrm, w) == 0) == 6:
-                normals.append(nrm)
+    # the four close-packed layer systems are the face planes of the
+    # nearest-neighbour tetrahedron 0, v1, v2, v3 (Conway & Sloane, SPLAG)
+    normals = []
+    for a, b in ((v1, v2), (v1, v3), (v2, v3), (sub(v2, v1), sub(v3, v1))):
+        nrm = primitive(cross(a, b))
+        normals.append(nrm if nrm > (0, 0, 0) else scale(-1, nrm))
     normals.sort()
-    assert len(normals) == 4, f"expected 4 layer systems, got {len(normals)}"
 
     # Every coset of a triangular layer lattice of minimum norm d2 in its
     # plane has a point within the covering radius sqrt(d2/3) (Conway &

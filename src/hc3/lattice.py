@@ -372,6 +372,17 @@ class Quotient:
     def sites(self) -> tuple[Site, ...]:
         return self.reps
 
+    def stabiliser(self, sites: frozenset[Site]) -> list[Site]:
+        """The torus translations t (as coset representatives) with S + t = S
+        for a set S of coset representatives.  Each maps min S into S, so
+        they are among the y - min S, y in S; every t fixes the empty set."""
+        if not sites:
+            return list(self.reps)
+        reduce = self.reduce
+        low = min(sites)
+        shifts = (reduce(sub(y, low)) for y in sites)
+        return [t for t in shifts if all(reduce(add(x, t)) in sites for x in sites)]
+
     def images_near(self, base: Site, center: Site, r_sq: int) -> list[Site]:
         """All points base + p (p in the period lattice) with
         |point - center|^2 <= r_sq, in the deterministic order of

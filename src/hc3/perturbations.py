@@ -5,9 +5,10 @@ conflict with; its order is the net particle loss.  Insertion conflicts are
 counted against the periodic extension (actual lattice points, images
 included), which is what makes the order meaningful on small tori as well;
 they are the points x + v, v a conflict offset, whose coset is occupied.
-The excitation scan spends the solver's node budget.  ``find_sliding`` alone
-decides which shifts of line or plane sub-meshes are slides; shifting every
-occupied site is a global translation, not a slide.
+The excitation scan spends the solver's node budget and deduplicates by the
+translations that fix the configuration (``Quotient.stabiliser``).
+``find_sliding`` alone decides which shifts of line or plane sub-meshes are
+slides; shifting every occupied site is a global translation, not a slide.
 """
 
 from __future__ import annotations
@@ -67,17 +68,12 @@ def insertion_conflicts(c: Configuration, x: Site) -> list[Site]:
     return sorted(p for p in near if reduce(p) in c.occupied)
 
 
-def min_insertion_order(
-    c: Configuration, region=None
-) -> tuple[int, list[Site]]:
-    """Minimum over unoccupied sites of (number of conflicts - 1), with all
-    attaining sites.  The region defaults to one fundamental domain."""
-    if region is None:
-        region = c.domain.sites()
+def min_insertion_order(c: Configuration) -> tuple[int, list[Site]]:
+    """Minimum over the unoccupied sites of the domain of (number of
+    conflicts - 1), with all attaining sites in sorted order."""
     best: int | None = None
     argmin: list[Site] = []
-    for x in region:
-        x = c.domain.reduce(x)
+    for x in c.domain.sites():
         if x in c.occupied:
             continue
         order = len(insertion_conflicts(c, x)) - 1
@@ -87,8 +83,8 @@ def min_insertion_order(
         elif order == best:
             argmin.append(x)
     if best is None:
-        raise ValueError("region contains no unoccupied site")
-    return best, sorted(set(argmin))
+        raise ValueError("the domain has no unoccupied site")
+    return best, argmin
 
 
 @dataclass(frozen=True)
@@ -118,13 +114,8 @@ def _stabilizer_lattice(c: Configuration) -> Quotient:
     torus period extended by every torus translation fixing the occupied
     set)."""
     assert isinstance(c.domain, Quotient)
-    dom = c.domain
-    stab = [
-        t
-        for t in dom.reps
-        if {dom.reduce(add(x, t)) for x in c.occupied} == c.occupied
-    ]
-    return Quotient(lattice_from_generators([*dom.period, *stab]))
+    stab = c.domain.stabiliser(c.occupied)
+    return Quotient(lattice_from_generators([*c.domain.period, *stab]))
 
 
 def enumerate_excitations(

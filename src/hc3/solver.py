@@ -15,9 +15,10 @@ lexicographic order: the witness is its first set, and a count is the
 weighted sum  sum_S w(S) / k  over the stream, where k is the optimum and
 the sum must divide exactly.  With w = n it is the number of optima (each
 vertex lies in as many optima as vertex 0, so n * c0 = count * k).  With
-w(S) = |Stab(S)|, the number of translations that map S onto itself, it is
-the number of translation orbits: an orbit whose stabiliser is T has n/|T|
-sets, meets vertex 0 in k/|T| of them, and so adds exactly k to the sum.
+w(S) = |Stab(S)|, the number of translations that map S onto itself
+(``Quotient.stabiliser``), it is the number of translation orbits: an orbit
+whose stabiliser is T has n/|T| sets, meets vertex 0 in k/|T| of them, and
+so adds exactly k to the sum.
 
 The optimum phase also uses the point group of the torus: the signed
 permutations that map the period lattice onto itself fix vertex 0 and are
@@ -48,7 +49,7 @@ from .admissibility import (
     PeriodTooShortError,
     build_exclusion_graph,
 )
-from .lattice import Quotient, SymmetryOp, apply_symmetry, sub, symmetry_group
+from .lattice import Quotient, Site, SymmetryOp, apply_symmetry, symmetry_group
 
 __all__ = [
     "PackingResult",
@@ -261,27 +262,13 @@ def _optima(
     yield from _optima(adj, cand & ~(1 << v), chosen, size, optimum, counter)
 
 
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
+def _mask_sites(q: Quotient, mask: int) -> frozenset[Site]:
+    """The coset representatives of the vertices in the mask."""
+    sites = []
     while mask:
-        out.append(_lowest_bit(mask))
+        sites.append(q.reps[_lowest_bit(mask)])
         mask &= mask - 1
-    return tuple(out)
-
-
-def _stabiliser_size(q: Quotient) -> Callable[[int], int]:
-    """S -> the number of torus translations that map the set S, a mask
-    through vertex 0, onto itself.  Each of them maps vertex 0 into S, so
-    they are the x -> x - s (s in S) that keep every x in S inside S."""
-    reduce, index, reps = q.reduce, q.rep_index, q.reps
-
-    def size(mask: int) -> int:
-        sites = [reps[v] for v in _mask_to_tuple(mask)]
-        return sum(
-            all(mask >> index[reduce(sub(x, s))] & 1 for x in sites) for s in sites
-        )
-
-    return size
+    return frozenset(sites)
 
 
 def max_packing(
@@ -313,12 +300,15 @@ def max_packing(
         raise AssertionError("optimum proven but no witness enumerated")
     counted: int | None = None
     if count or mod_translations:
-        weight = _stabiliser_size(q) if mod_translations else lambda mask: n
+
+        def weight(mask: int) -> int:
+            return len(q.stabiliser(_mask_sites(q, mask))) if mod_translations else n
+
         total = weight(first) + sum(map(weight, optima))
         if total % optimum:
             raise AssertionError("the weighted sum of optima is not a multiple of k")
         counted = total // optimum
-    witness = Configuration(q, d2, frozenset(q.reps[i] for i in _mask_to_tuple(first)))
+    witness = Configuration(q, d2, _mask_sites(q, first))
     return PackingResult(
         optimum=optimum,
         witness=witness,

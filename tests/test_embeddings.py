@@ -1,5 +1,6 @@
 """FCC embeddings: enumeration, symmetry classes, layered criterion."""
 
+import itertools
 from fractions import Fraction
 from math import isqrt
 
@@ -19,6 +20,7 @@ from hc3.lattice import (
     dot,
     hnf,
     lattice_index,
+    primitive,
     shortest_vectors,
     sq_norm,
     sub,
@@ -90,6 +92,27 @@ def test_gram_triples_exist():
                             assert sq_norm(v1) == sq_norm(v2) == sq_norm(v3) == norm
                             found = True
             assert found
+
+
+def ordered_fcc_triples(ell):
+    """Every ordered triple of vectors of squared norm 2*ell^2 with pairwise
+    inner products ell^2 (the enumeration searches each unordered one once)."""
+    target = ell * ell
+    vecs = vectors_of_norm(2 * target)
+    return [
+        (a, b, c)
+        for a in vecs
+        for b in vecs
+        if dot(a, b) == target
+        for c in vecs
+        if dot(a, c) == target and dot(b, c) == target
+    ]
+
+
+@pytest.mark.parametrize("ell", range(1, 6))
+def test_enumeration_matches_every_ordered_triple(ell):
+    want = sorted({hnf(t) for t in ordered_fcc_triples(ell)})
+    assert enumerate_fcc_embeddings(ell) == want
 
 
 def test_class_counts():
@@ -172,6 +195,52 @@ def brute_sq_distance_to_layer(t, u1, u2):
         for i in range(-k, k + 1)
         for j in range(-k, k + 1)
     )
+
+
+def six_vector_plane_normals(basis):
+    """Primitive normals, sign fixed, of the planes through 0 that hold six
+    shortest vectors: crosses every pair of shortest vectors."""
+    _, mins = shortest_vectors(basis)
+    normals = set()
+    for u, v in itertools.combinations(mins, 2):
+        c = cross(u, v)
+        if c == (0, 0, 0):
+            continue
+        n = primitive(c)
+        if n < (0, 0, 0):
+            n = tuple(-x for x in n)
+        if sum(dot(n, w) == 0 for w in mins) == 6:
+            normals.add(n)
+    return normals
+
+
+def test_witness_normals_are_close_packed_planes():
+    for ell in range(1, 7):
+        for basis in enumerate_fcc_embeddings(ell):
+            normals = six_vector_plane_normals(basis)
+            assert len(normals) == 4
+            ok, witness = admits_layered(basis)
+            assert not ok or witness["normal"] in normals
+
+
+@pytest.mark.parametrize(
+    "ell,representative,witness",
+    [
+        (3, ((6, 0, 0), (3, 3, 0), (3, 0, 3)),
+         {"normal": (1, -1, -1), "step": (3, 0, -3), "alternate": (1, -1, -4)}),
+        (3, ((18, 0, 0), (3, 3, 0), (7, 2, 1)),
+         {"normal": (1, -1, 1), "step": (4, -1, 1), "alternate": (3, -3, 0)}),
+        (6, ((12, 0, 0), (6, 6, 0), (6, 0, 6)),
+         {"normal": (1, -1, -1), "step": (6, 0, -6), "alternate": (2, -2, -8)}),
+        (6, ((36, 0, 0), (6, 6, 0), (14, 4, 2)),
+         {"normal": (1, -1, 1), "step": (8, -2, 2), "alternate": (6, -6, 0)}),
+    ],
+)
+def test_admits_layered_witness_of_class_representatives(ell, representative, witness):
+    """The least normal, the least step at minimal height and the first
+    alternate shift of the ball: pinned, so the search order stays fixed."""
+    assert representative in {c.representative for c in embedding_classes(ell)}
+    assert admits_layered(representative) == (True, witness)
 
 
 def test_admits_layered_rejects_non_embeddings():

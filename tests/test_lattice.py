@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hc3.lattice import (
@@ -432,3 +432,31 @@ def test_hnf_reduces_from_the_highest_pivot_column_down():
     # reducing column 0 before column 1 leaves m20 outside [0, d0) here
     h = hnf(((-5, 9, -7), (-1, -6, 6), (5, 6, 3)))
     assert h == ((133, 0, 0), (24, 3, 0), (30, 0, 1))
+
+
+@st.composite
+def periods_and_site_sets(draw):
+    """A torus of HNF period with index <= 64 and a set of its coset
+    representatives: a random one (the empty set included), or the union of
+    the cyclic orbits of a random translation, which it fixes."""
+    a = draw(st.integers(1, 8))
+    c = draw(st.integers(1, 64 // a))
+    f = draw(st.integers(1, 64 // (a * c)))
+    b, d = draw(st.integers(0, a - 1)), draw(st.integers(0, a - 1))
+    e = draw(st.integers(0, c - 1))
+    q = quotient(((a, 0, 0), (b, c, 0), (d, e, f)))
+    sites = draw(st.sets(st.sampled_from(q.reps), max_size=8))
+    if draw(st.booleans()):
+        t = draw(st.sampled_from(q.reps))
+        sites = {q.reduce(add(x, scale(k, t))) for x in sites for k in range(q.index)}
+    return q, frozenset(sites)
+
+
+@settings(max_examples=150, deadline=None)
+@given(periods_and_site_sets())
+@example((quotient(BCC4), frozenset()))
+def test_stabiliser_matches_every_translation(case):
+    q, sites = case
+    want = {t for t in q.reps if {q.reduce(add(x, t)) for x in sites} == sites}
+    got = q.stabiliser(sites)
+    assert len(got) == len(want) and set(got) == want

@@ -1,5 +1,7 @@
 """Excitations (insertions with forced removals) and sliding detection."""
 
+import itertools
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -16,11 +18,13 @@ from hc3.catalog import (
     scaled_basis,
 )
 from hc3.lattice import (
+    IDENTITY_OP,
     Quotient,
     Window,
     add,
     hnf,
     lattice_contains,
+    lattice_points,
     quotient,
     sq_norm,
     sub,
@@ -184,6 +188,27 @@ def test_excitations_max_order_zero_empty():
         scan = enumerate_excitations(c, 0, 2, budget=200_000)
         assert scan.complete
         assert scan.excitations == ()
+
+
+def test_excitations_of_the_empty_torus():
+    """Every translation fixes the empty configuration, so its excitations
+    are the nonempty admissible added sets up to every translation, with
+    nothing removed.  The node counts are pinned."""
+    c = Configuration(quotient(((3, 0, 0), (0, 3, 0), (0, 0, 3))), 2)
+    ball = lattice_points(IDENTITY_OP, (0, 0, 0), 1)
+    classes = {
+        min(tuple(sorted(sub(x, a) for x in added)) for a in added)
+        for k in range(1, len(ball) + 1)
+        for added in itertools.combinations(ball, k)
+        if all(sq_norm(sub(x, y)) >= 2 for x, y in itertools.combinations(added, 2))
+    }
+    scan = enumerate_excitations(c, 1, 1)
+    assert (scan.complete, scan.nodes) == (True, 326)
+    assert sorted(e.added for e in scan.excitations) == sorted(classes)
+    assert all(e.removed == () and e.order == -len(e.added) for e in scan.excitations)
+    partial = enumerate_excitations(c, 5, 3, budget=300)
+    assert (partial.complete, partial.nodes) == (False, 300)
+    assert len(partial.excitations) == 63
 
 
 def test_excitations_budget_partial():

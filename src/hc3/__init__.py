@@ -45,7 +45,6 @@ from .lattice import (
     lattice_contains,
     lattice_index,
     lattice_points,
-    min_image_sq_distance,
     quotient,
     shortest_vectors,
     sq_norm,

@@ -16,6 +16,12 @@ graph and `conflict_masks` (the conflict bitmasks of a list of points) all
 use them.  Only `is_admissible` stays pairwise over the cached minimum-image
 distances, which is faster on the many small configurations of a sliding
 scan.
+
+The exclusion graph looks up the offsets for one block of n/h0 rows only,
+where h0 is the first HNF diagonal entry.  Translations are automorphisms
+of the graph, so each later block is the first one with its row bitmasks
+rotated (`build_exclusion_graph`).  The period vector (h0, 0, 0) is no
+shorter than the exclusion distance, so h0 >= sqrt(d2).
 """
 
 from __future__ import annotations
@@ -173,18 +179,20 @@ class ExclusionGraph:
         mask = self.adjacency[i]
         return [j for j in range(self.n) if mask >> j & 1]
 
-    def is_independent(self, vertices) -> bool:
-        mask = 0
-        for v in vertices:
-            mask |= 1 << v
-        return all(not (self.adjacency[v] & mask) for v in range(self.n) if mask >> v & 1)
-
 
 def build_exclusion_graph(q: Quotient, d2: int) -> ExclusionGraph:
     """Exclusion graph of the torus at squared distance d2.
 
     The neighbors of a are the cosets of a + v over the conflict offsets v.
     None of them is a itself, because no period vector is shorter than d2.
+
+    Only the first step = h1*h2 rows (HNF diagonal (h0, h1, h2)) are built
+    from the offsets.  The translation by (1, 0, 0) maps vertex i to
+    i + step mod n, because the representatives are the HNF box in
+    lexicographic order and (h0, 0, 0) is a period vector.  It is an
+    automorphism of the graph, so row i + k*step is row i rotated left by
+    k*step bits.  That vector is no shorter than the exclusion distance, so
+    h0 >= sqrt(d2) and the offset lookups drop by at least that factor.
     """
     if q.min_period_sq_norm() < d2:
         raise PeriodTooShortError(
@@ -193,8 +201,14 @@ def build_exclusion_graph(q: Quotient, d2: int) -> ExclusionGraph:
     offsets = _conflict_offsets(d2)
     index = q.rep_index
     reduce = q.reduce
-    adj = []
-    for a in q.reps:
+    n = q.index
+    step = n // q.period[0][0]
+    block = []
+    for a in q.reps[:step]:
         neighbors = {index[reduce(add(a, v))] for v in offsets}
-        adj.append(sum(1 << j for j in neighbors))
-    return ExclusionGraph(q, d2, tuple(adj))
+        block.append(sum(1 << j for j in neighbors))
+    full = (1 << n) - 1
+    adj = tuple(
+        ((m << s) | (m >> (n - s))) & full for s in range(0, n, step) for m in block
+    )
+    return ExclusionGraph(q, d2, adj)

@@ -398,11 +398,6 @@ def quotient(period: Basis) -> Quotient:
     return Quotient(period)
 
 
-def min_image_sq_distance(q: Quotient, a: Site, b: Site) -> int:
-    """Exact minimum-image squared distance between the cosets of a and b."""
-    return q.pair_sq_distance(a, b)
-
-
 class Window:
     """A finite box of Z^3 with free boundary, lo..hi inclusive per axis.
 

@@ -6,7 +6,9 @@ bitmasks (arbitrary width), the upper bound is a greedy clique cover of the
 candidate subgraph, and branching follows the highest-degree rule for the
 optimum phase and lexicographic include-first order for the witness/count
 phase, which makes the reported witness the lexicographically least optimal
-set under the fixed coset order.
+set under the fixed coset order.  Both phases move the candidates with no
+remaining conflict into the chosen set; the optimum phase finds them and its
+branching vertex in one scan of the candidates per node.
 
 Torus translations act transitively on the cosets, so both phases search
 only the sets that contain vertex 0.  The lexicographically least optimum
@@ -189,23 +191,27 @@ def _search_optimum(
     themselves.  With the identity alone this is a plain branch-and-bound.
     """
     counter.spend()
-    isolated = _isolated(cand, adj)
-    cand ^= isolated
-    size += isolated.bit_count()
-    if not cand:
-        return max(best, size)
-    if size + _greedy_clique_cover(cand, adj, best - size) <= best:
-        return best
-    # branch on the highest-degree candidate (ties to the lowest index)
-    v, v_deg = -1, -1
+    # one scan: isolated candidates join the set (as in `_isolated`), the
+    # others compete for the highest degree (ties to the lowest index); an
+    # isolated vertex has no edge into cand, so it changes no degree
+    isolated = 0
+    v, v_deg = -1, 0
     m = cand
     while m:
         low = m & -m
         m ^= low
         u = low.bit_length() - 1
         d = (adj[u] & cand).bit_count()
-        if d > v_deg:
+        if not d:
+            isolated |= low
+        elif d > v_deg:
             v, v_deg = u, d
+    cand ^= isolated
+    size += isolated.bit_count()
+    if not cand:
+        return max(best, size)
+    if size + _greedy_clique_cover(cand, adj, best - size) <= best:
+        return best
     # include v under its stabiliser, or exclude the whole orbit of v
     col = images(v)
     orbit = 0

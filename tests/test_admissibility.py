@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hc3.admissibility import (
@@ -15,6 +15,7 @@ from hc3.admissibility import (
 )
 from hc3.catalog import known_sublattice, scaled_basis
 from hc3.lattice import Window, quotient, sq_norm, sub
+from test_solver import periods_and_d2
 
 DIAG2 = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
 DIAG4 = ((4, 0, 0), (0, 4, 0), (0, 0, 4))
@@ -163,14 +164,41 @@ def test_exclusion_graph_degree_values():
     assert degs == {1: 0, 2: 3, 3: 6, 4: 7}
 
 
+@settings(max_examples=200, deadline=None)
+@given(periods_and_d2())
+@example((((12, 0, 0), (7, 2, 0), (9, 1, 1)), 5))
+def test_exclusion_graph_matches_pairwise_and_rotates(case):
+    period, d2 = case
+    q = quotient(period)
+    reps = q.reps
+    adj = build_exclusion_graph(q, d2).adjacency
+    assert adj == tuple(
+        sum(
+            1 << j
+            for j, b in enumerate(reps)
+            if j != i and 0 < q.pair_sq_distance(a, b) < d2
+        )
+        for i, a in enumerate(reps)
+    )
+    # the translation by (1, 0, 0) shifts every index by one block
+    n = q.index
+    step = n // q.period[0][0]
+    full = (1 << n) - 1
+    for i, row in enumerate(adj):
+        s = i // step * step
+        base = adj[i % step]
+        assert row == ((base << s) | (base >> (n - s))) & full
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sets(st.sampled_from(sorted(quotient(DIAG2).reps)), max_size=8), st.sampled_from([2, 3, 4]))
 def test_admissible_iff_independent(occupied, d2):
     q = quotient(DIAG2)
     g = build_exclusion_graph(q, d2)
     c = Configuration(q, d2, frozenset(occupied))
-    verts = [q.rep_index[x] for x in occupied]
-    assert c.is_admissible()[0] == g.is_independent(verts)
+    mask = sum(1 << q.rep_index[x] for x in occupied)
+    independent = all(not g.adjacency[q.rep_index[x]] & mask for x in occupied)
+    assert c.is_admissible()[0] == independent
 
 
 def test_window_admissibility_is_free_boundary():

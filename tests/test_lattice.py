@@ -24,7 +24,6 @@ from hc3.lattice import (
     lattice_from_generators,
     lattice_index,
     lattice_points,
-    min_image_sq_distance,
     quotient,
     scale,
     shortest_vectors,
@@ -197,10 +196,10 @@ def test_quotient_reduce_is_canonical():
 
 def test_min_image_examples():
     q4 = quotient(((4, 0, 0), (0, 4, 0), (0, 0, 4)))
-    assert min_image_sq_distance(q4, (0, 0, 0), (0, 0, 3)) == 1
+    assert q4.pair_sq_distance((0, 0, 0), (0, 0, 3)) == 1
     q2 = quotient(((2, 0, 0), (0, 2, 0), (0, 0, 2)))
-    assert min_image_sq_distance(q2, (0, 0, 0), (1, 1, 1)) == 3
-    assert min_image_sq_distance(q2, (1, 1, 1), (3, 3, 3)) == 0
+    assert q2.pair_sq_distance((0, 0, 0), (1, 1, 1)) == 3
+    assert q2.pair_sq_distance((1, 1, 1), (3, 3, 3)) == 0
 
 
 def brute_min_image(q: Quotient, a, b, box=10):

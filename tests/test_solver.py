@@ -167,6 +167,22 @@ def test_orbital_branching_matches_plain_search(case):
     assert _phase1(graph, ops)[0] == _phase1(graph, [IDENTITY_OP])[0]
 
 
+@pytest.mark.parametrize(
+    "period,d2,count,nodes",
+    [
+        (((5, 0, 0), (0, 5, 0), (0, 0, 5)), 3, None, 4213),
+        (((6, 0, 0), (0, 6, 0), (0, 0, 6)), 8, None, 3691),
+        (((5, 0, 0), (0, 5, 0), (0, 0, 5)), 5, None, 673),
+        (((4, 0, 0), (1, 4, 0), (2, 1, 5)), 5, 160, 780),
+    ],
+)
+def test_node_counts_are_pinned(period, d2, count, nodes):
+    # node counts are part of the determinism contract: a change to the
+    # branching rule or the scan order shows here even when answers agree
+    got = max_packing(quotient(period), d2, count=count is not None)
+    assert (got.count, got.nodes) == (count, nodes)
+
+
 def test_orbital_branching_cuts_nodes():
     # a point group that silently shrank to the identity would pass every
     # correctness oracle; the node count would not

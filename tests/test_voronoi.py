@@ -16,7 +16,6 @@ from hc3.lattice import (
     hnf,
     lattice_contains,
     lattice_index,
-    min_image_sq_distance,
     quotient,
     sq_norm,
     sub,
@@ -323,7 +322,7 @@ def skewed_configurations(draw):
     d2 = draw(st.integers(1, min(q.min_period_sq_norm(), 12)))
     occupied = []
     for x in draw(st.permutations(sorted(q.reps))):
-        if all(min_image_sq_distance(q, x, y) >= d2 for y in occupied):
+        if all(q.pair_sq_distance(x, y) >= d2 for y in occupied):
             occupied.append(x)
     return Configuration(q, d2, frozenset(occupied))
 

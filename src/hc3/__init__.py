@@ -40,7 +40,6 @@ from .lattice import (
     SymmetryOp,
     Window,
     apply_symmetry,
-    canonical_class_rep,
     hnf,
     lattice_contains,
     lattice_index,
@@ -62,8 +61,6 @@ from .perturbations import (
 from .solver import (
     BudgetExhaustedError,
     PackingResult,
-    clique_cover_bound,
-    count_optima,
     max_packing,
 )
 from .voronoi import (

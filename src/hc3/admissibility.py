@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import chain, combinations
 
 from .lattice import IDENTITY_OP, Quotient, Site, Window, add, lattice_points
 
@@ -117,25 +118,17 @@ class Configuration:
         """Occupied fraction of the domain, exact."""
         return Fraction(len(self.occupied), self.domain.size)
 
-    def min_pair_sq_distance(self) -> int:
+    def min_pair_sq_distance(self) -> int | None:
         """Exact minimum over occupied pairs, including periodic self-images
-        on a torus (the self-image term is the period's shortest vector)."""
-        if len(self.occupied) < 2 and not isinstance(self.domain, Quotient):
-            raise ValueError("need at least 2 occupied sites")
-        sites = self.sorted_sites()
+        on a torus (the self-image term is the period's shortest vector).
+        None when there is no pair: an empty torus, or a window with fewer
+        than two sites."""
         dist = self.domain.pair_sq_distance
-        best = None
-        for i, a in enumerate(sites):
-            for b in sites[i + 1 :]:
-                d = dist(a, b)
-                if best is None or d < best:
-                    best = d
-        if isinstance(self.domain, Quotient) and self.occupied:
-            p = self.domain.min_period_sq_norm()
-            best = p if best is None else min(best, p)
-        if best is None:
-            raise ValueError("need at least 2 occupied sites")
-        return best
+        # sorted, as in is_admissible, so a torus reuses its cached differences
+        pairs = (dist(a, b) for a, b in combinations(self.sorted_sites(), 2))
+        if self.occupied and isinstance(self.domain, Quotient):
+            pairs = chain(pairs, [self.domain.min_period_sq_norm()])
+        return min(pairs, default=None)
 
     # -- local moves --------------------------------------------------------
 
@@ -154,9 +147,6 @@ class Configuration:
     def with_sites(self, occupied) -> "Configuration":
         return Configuration(self.domain, self.d2, frozenset(occupied))
 
-    def insert(self, x: Site) -> "Configuration":
-        return self.with_sites(self.occupied | {self.domain.reduce(x)})
-
 
 @dataclass(frozen=True)
 class ExclusionGraph:
@@ -171,13 +161,6 @@ class ExclusionGraph:
     @property
     def n(self) -> int:
         return len(self.adjacency)
-
-    def degree(self, i: int) -> int:
-        return self.adjacency[i].bit_count()
-
-    def neighbors(self, i: int) -> list[int]:
-        mask = self.adjacency[i]
-        return [j for j in range(self.n) if mask >> j & 1]
 
 
 def build_exclusion_graph(q: Quotient, d2: int) -> ExclusionGraph:

@@ -96,13 +96,6 @@ def _add_violation(c: Configuration, pair, lines: list[str], payload: dict) -> N
     payload["violation"] = {"pair": [list(pair[0]), list(pair[1])], "sq_distance": d}
 
 
-def _min_pair(c: Configuration) -> int | None:
-    """None when c has no pair (a torus site pairs with its own images)."""
-    if len(c.occupied) < (1 if isinstance(c.domain, Quotient) else 2):
-        return None
-    return c.min_pair_sq_distance()
-
-
 def _save(c: Configuration, path: str, metadata: dict[str, str]) -> None:
     try:
         documents.save(c, path, metadata)
@@ -176,7 +169,7 @@ def _cmd_verify(args) -> int:
         return EXIT_DOMAIN
     lines.append(f"density {_fmt_fraction(c.density())}")
     payload["density"] = _fmt_fraction(c.density())
-    m = _min_pair(c)
+    m = c.min_pair_sq_distance()
     if m is not None:
         lines.append(f"min-pair-sq-distance {m}")
         payload["min_pair_sq_distance"] = m
@@ -255,8 +248,10 @@ def _cmd_voronoi(args) -> int:
     site = _parse_site(args.site, "--site")
     try:
         cell = voronoi.voronoi_cell(c, site)
-    except ValueError as exc:
+    except voronoi.SiteNotOccupiedError as exc:
         raise CliError(str(exc), EXIT_DOMAIN)
+    except ValueError as exc:  # a window: Voronoi cells need a torus
+        raise CliError(str(exc), EXIT_BAD_INPUT)
     vol = voronoi.cell_volume(cell)
     lines = [
         f"site {_fmt_site(site)}",
@@ -448,7 +443,7 @@ def _cmd_slide(args) -> int:
     if not ok:
         assert pair is not None
         _add_violation(shifted, pair, lines, payload)
-    elif (m := _min_pair(shifted)) is not None:
+    elif (m := shifted.min_pair_sq_distance()) is not None:
         lines.append(f"min-pair-sq-distance {m}")
         payload["min_pair_sq_distance"] = m
     _emit(args, lines, payload)

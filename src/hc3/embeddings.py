@@ -48,7 +48,6 @@ __all__ = [
     "enumerate_fcc_embeddings",
     "embedding_classes",
     "admits_layered",
-    "fcc_scale_of",
 ]
 
 
@@ -155,11 +154,6 @@ def _fcc_shell(basis: Basis) -> tuple[int, list[Site], Basis]:
     if triple is None:
         raise NotAnFccEmbeddingError("no generating triple with the FCC Gram matrix")
     return ell, mins, triple
-
-
-def fcc_scale_of(basis: Basis) -> int:
-    """The scale ell of an FCC embedding; raises if the lattice is not one."""
-    return _fcc_shell(basis)[0]
 
 
 def _min_dist_to_layer(t: Site, u1: Site, u2: Site) -> int:

@@ -89,14 +89,6 @@ def apply_symmetry(op: SymmetryOp, v: Site) -> Site:
     return (dot(op[0], v), dot(op[1], v), dot(op[2], v))
 
 
-def compose(op1: SymmetryOp, op2: SymmetryOp) -> SymmetryOp:
-    """The op acting as op1 after op2 (matrix product op1 * op2)."""
-    cols = tuple(zip(*op2))
-    return tuple(
-        tuple(dot(row, col) for col in cols) for row in op1
-    )  # type: ignore[return-value]
-
-
 def symmetry_group() -> list[SymmetryOp]:
     """All 48 signed permutation matrices, in a fixed deterministic order."""
     ops = []
@@ -279,20 +271,6 @@ def shortest_vectors(basis: Basis) -> tuple[int, list[Site]]:
     ]
     best = min(sq_norm(v) for v in vecs)
     return best, sorted(v for v in vecs if sq_norm(v) == best)
-
-
-def canonical_class_rep(basis: Basis) -> Basis:
-    """Lexicographically least HNF of op . basis over the 48 symmetry ops.
-
-    Two sublattices lie in the same Z^3-symmetry class iff their reps match.
-    """
-    best: Basis | None = None
-    for op in symmetry_group():
-        cand = hnf(tuple(apply_symmetry(op, g) for g in basis))  # type: ignore[arg-type]
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
 
 
 # ---------------------------------------------------------------------------

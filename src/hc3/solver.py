@@ -42,24 +42,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import isqrt
 from typing import Callable, Iterator
 
-from .admissibility import (
-    Configuration,
-    ExclusionGraph,
-    PeriodTooShortError,
-    build_exclusion_graph,
-)
+from .admissibility import Configuration, ExclusionGraph, build_exclusion_graph
 from .lattice import Quotient, Site, SymmetryOp, apply_symmetry, symmetry_group
 
-__all__ = [
-    "PackingResult",
-    "BudgetExhaustedError",
-    "max_packing",
-    "count_optima",
-    "clique_cover_bound",
-]
+__all__ = ["PackingResult", "BudgetExhaustedError", "max_packing"]
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -322,43 +310,3 @@ def max_packing(
         nodes=counter.nodes,
         wall_time=time.perf_counter() - t0,
     )
-
-
-def count_optima(
-    q: Quotient,
-    d2: int,
-    mod_translations: bool = False,
-    *,
-    node_budget: int | None = None,
-) -> int:
-    """Exact number of maximum packings of the torus (or of their
-    translation orbits)."""
-    result = max_packing(
-        q,
-        d2,
-        count=True,
-        mod_translations=mod_translations,
-        node_budget=node_budget,
-    )
-    assert result.count is not None
-    return result.count
-
-
-def clique_cover_bound(q: Quotient, d2: int) -> int:
-    """Upper bound on the optimum from a geometric clique cover.
-
-    The fundamental box is tiled with axis-aligned boxes of side s chosen so
-    that 3*(s-1)^2 < d2: any two cosets inside one box are strictly closer
-    than the exclusion distance, hence pairwise conflicting, and an
-    admissible configuration holds at most one site per box.
-    """
-    if q.min_period_sq_norm() < d2:
-        raise PeriodTooShortError(
-            f"period min squared norm {q.min_period_sq_norm()} < d2 = {d2}"
-        )
-    side = isqrt((d2 - 1) // 3) + 1
-    bound = 1
-    for i in range(3):
-        d = q.period[i][i]
-        bound *= -(-d // side)
-    return bound

@@ -48,6 +48,7 @@ __all__ = [
     "tessellation_check",
     "min_cell_search",
     "MinCellResult",
+    "SiteNotOccupiedError",
 ]
 
 FVec = tuple[Fraction, Fraction, Fraction]
@@ -290,6 +291,10 @@ def _periodic_neighbors(c: Configuration, x: Site, r: int) -> list[Site]:
     return out
 
 
+class SiteNotOccupiedError(ValueError):
+    """The Voronoi cell was asked for at a site the configuration leaves empty."""
+
+
 def voronoi_cell(c: Configuration, x: Site) -> RationalPolytope:
     """Exact Voronoi cell of the occupied site x in the periodic configuration.
 
@@ -301,7 +306,7 @@ def voronoi_cell(c: Configuration, x: Site) -> RationalPolytope:
         raise ValueError("Voronoi cells require a periodic configuration")
     x = c.domain.reduce(x)
     if x not in c.occupied:
-        raise ValueError(f"site {x} is not occupied")
+        raise SiteNotOccupiedError(f"site {x} is not occupied")
     # The doubling ends by the first r > sqrt(sum |b_i|^2) over the reduced
     # basis b: that is at least twice the covering radius of the period
     # lattice, so every Voronoi-relevant image x + p is cut and every vertex

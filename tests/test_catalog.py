@@ -112,17 +112,18 @@ def _lattice_vectors_in_box(basis, box):
 
 
 def test_congruent_sublattice_orbit_sizes():
-    # the d2=9 structure comes in 6 congruent sublattices, the d2=10 one in 8
+    # the d2=6 structure comes in 12 congruent sublattices, the d2=9 one in 6
+    # and the d2=10 one in 8; each second variant is one of them
     from hc3.lattice import apply_symmetry, symmetry_group
 
-    for d2, want in ((9, 6), (10, 8)):
+    for d2, variant, want in ((6, "II", 12), (9, "2", 6), (10, "2", 8)):
         basis = known_sublattice(d2)
         orbit = {
             hnf(tuple(apply_symmetry(op, g) for g in basis))
             for op in symmetry_group()
         }
         assert len(orbit) == want
-        assert hnf(known_sublattice(d2, "2")) in orbit
+        assert hnf(known_sublattice(d2, variant)) in orbit
 
 
 def test_sublattice_variants():

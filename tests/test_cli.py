@@ -1,21 +1,25 @@
 """CLI surface: subcommands, exit codes, determinism, JSON round trips."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 BASE_ENV = {**os.environ, "PYTHONHASHSEED": "0"}
 
 
-def run_cli(*args, env=None, check=False):
+def run_cli(*args, check=False):
     result = subprocess.run(
         [sys.executable, "-m", "hc3.cli", *args],
         capture_output=True,
         text=True,
-        env=env or BASE_ENV,
+        env=BASE_ENV,
     )
     if check and result.returncode != 0:
         raise AssertionError(
@@ -62,15 +66,10 @@ def test_pack_budget_exhaustion_exit_code():
     assert r.returncode == 3
 
 
-def test_cli_output_is_deterministic_across_threads():
-    outputs = []
-    for threads in ("1", "2", "8"):
-        env = {**BASE_ENV, "THREADS": threads}
-        r = run_cli("pack", "--d2", "4", "--diag", "4", "--count", env=env, check=True)
-        outputs.append(r.stdout)
+def test_cli_output_is_deterministic_across_runs():
+    argv = ("pack", "--d2", "4", "--diag", "4", "--count")
+    outputs = [run_cli(*argv, check=True).stdout for _ in range(3)]
     assert outputs[0] == outputs[1] == outputs[2]
-    repeat = run_cli("pack", "--d2", "4", "--diag", "4", "--count", check=True)
-    assert repeat.stdout == outputs[0]
 
 
 def test_out_of_range_numbers_exit_2(tmp_path):
@@ -180,9 +179,25 @@ def test_slide_out_of_window_is_an_invalid_slide(tmp_path):
             ["slide", "--mesh", "line:0,0,0:1,0,0", "--shift", "1,0,0"],
             1, "valid no\n", None,
         ),
+        (
+            '{"d2":2,"window":{"lo":[0,0,0],"hi":[3,0,0]},"sites":[[0,0,0]]}',
+            ["voronoi", "--site", "0,0,0"],
+            2, "", "error: Voronoi cells require a periodic configuration",
+        ),
+        (
+            '{"d2":2,"window":{"lo":[0,0,0],"hi":[3,0,0]},"sites":[[0,0,0]]}',
+            ["excite", "--max-order", "1", "--radius", "1"],
+            2, "", "error: excitation enumeration requires a periodic configuration",
+        ),
+        (
+            '{"d2":2,"period":[[4,0,0],[0,4,0],[0,0,4]],"sites":[[0,0,0]]}',
+            ["voronoi", "--site", "1,0,0"],
+            1, "", "error: site (1, 0, 0) is not occupied",
+        ),
     ],
     ids=["empty-window", "directory", "slide-directory", "not-utf8", "empty-torus",
-         "one-site-window-slide"],
+         "one-site-window-slide", "window-voronoi", "window-excite",
+         "unoccupied-voronoi"],
 )
 def test_edge_documents_exit_without_traceback(tmp_path, content, argv, code, stdout, error):
     # content None puts a directory where the document should be
@@ -374,3 +389,107 @@ def test_slide_scan_finds_moves(tmp_path):
     first = r.stdout.splitlines()[0]
     assert first.startswith("moves ")
     assert int(first.split()[1]) > 0
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A pc document, an empty torus and a one-site window, plus room for
+    the files that --out and --dump-geometry write."""
+    d = tmp_path_factory.mktemp("fuzz")
+    run_cli("pc", "--d2", "5", "--out", str(d / "pc5.json"), check=True)
+    (d / "empty-torus.json").write_text(
+        '{"d2":2,"period":[[4,0,0],[0,4,0],[0,0,4]],"sites":[]}'
+    )
+    (d / "one-site-window.json").write_text(
+        '{"d2":2,"window":{"lo":[0,0,0],"hi":[3,0,0]},"sites":[[0,0,0]]}'
+    )
+    return d
+
+
+def _opt(flag, values):
+    """Either nothing or the flag followed by one drawn value."""
+    return st.one_of(st.just([]), _req(flag, values))
+
+
+def _req(flag, values):
+    return values.map(lambda v: [flag, str(v)])
+
+
+def _flag(flag):
+    return st.sampled_from([[], [flag]])
+
+
+@st.composite
+def cli_argvs(draw, d):
+    """Bounded argv for every subcommand: small tori, windows and budgets,
+    with some malformed or out-of-range values mixed in."""
+    names = ("pc5.json", "empty-torus.json", "one-site-window.json", "missing.json")
+    doc = st.sampled_from([[str(d / n)] for n in names])
+    d2 = st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 6, 8, 9, 12, 13, "x"])
+    site = st.sampled_from(["0,0,0", "1,0,0", "1,1,0", "x", "0,0"])
+    out = _opt("--out", st.just(d / "out.json"))
+    budget = st.integers(-1, 2000)
+    options = {
+        "pack": [
+            _req("--d2", d2),
+            st.one_of(
+                st.just([]),
+                _req("--diag", st.integers(-1, 4)),
+                _req("--period", st.sampled_from(
+                    ["4,0,0;1,4,0;2,1,5", "2,-4,2;-2,-2,4;4,2,0", "1,0,0;0,1,0;0,0,0",
+                     "1,2;3"])),
+            ),
+            _flag("--count"), _flag("--mod-translations"), _opt("--budget", budget), out,
+        ],
+        "verify": [doc],
+        "pc": [
+            _req("--d2", d2), _opt("--variant", st.sampled_from(["I", "II", "2", "X"])),
+            out,
+        ],
+        "layered": [
+            _req("--d2", d2), _opt("--family", st.sampled_from(["I", "II", "X"])),
+            _req("--word", st.text("STUX", max_size=4)), out,
+        ],
+        "voronoi": [
+            doc, _req("--site", site), _flag("--no-validate"),
+            _opt("--dump-geometry", st.just(d / "cell.obj")),
+        ],
+        "embed": [_req("--ell", st.integers(-1, 3)), _flag("--classes")],
+        # always a budget: on an unsaturated document the scan would run the
+        # default 100,000 nodes
+        "excite": [
+            doc, _req("--max-order", st.integers(-1, 2)),
+            _req("--radius", st.integers(-1, 2)), _req("--budget", budget),
+            _flag("--no-validate"),
+        ],
+        "slide": [
+            doc,
+            _opt("--mesh", st.sampled_from(
+                ["line:0,0,0:1,0,0", "plane:0,0,0:0,0,1", "line:0,0,0:1,1,1",
+                 "plane:0,0,0:0,0,0", "mesh:0,0,0:1,0,0:0,1,0", "bogus"])),
+            _opt("--shift", st.sampled_from(["1,0,0", "1,1,1", "0,0,0", "5,0,0", "x"])),
+            _flag("--scan"), _opt("--max-shift-norm", st.integers(-1, 2)),
+            _flag("--no-validate"),
+        ],
+    }
+    command = draw(st.sampled_from(sorted(options)))
+    argv = [command]
+    for part in options[command] + [_flag("--json")]:
+        argv += draw(part)
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cli_exit_codes_are_bounded(fuzz_dir, data):
+    from hc3 import cli
+
+    argv = data.draw(cli_argvs(fuzz_dir))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv

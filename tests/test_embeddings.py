@@ -11,7 +11,6 @@ from hc3.embeddings import (
     admits_layered,
     embedding_classes,
     enumerate_fcc_embeddings,
-    fcc_scale_of,
     vectors_of_norm,
 )
 from hc3.lattice import (
@@ -73,7 +72,6 @@ def test_embedding_invariants_up_to_ell_5():
             m, mins = shortest_vectors(basis)
             assert m == 2 * ell * ell
             assert len(mins) == 12
-            assert fcc_scale_of(basis) == ell
 
 
 def test_gram_triples_exist():
@@ -133,17 +131,16 @@ def test_orbit_sizes_divide_48():
 
 
 def test_class_structure_invariant_under_conjugation():
-    from hc3.lattice import canonical_class_rep
-
     fixed = symmetry_group()[7]
     for ell in (2, 3):
-        reps = {c.representative for c in embedding_classes(ell)}
+        classes = embedding_classes(ell)
+        class_of = {m: cls.representative for cls in classes for m in cls.members}
         conjugated = set()
         for basis in enumerate_fcc_embeddings(ell):
-            rotated = tuple(apply_symmetry(fixed, g) for g in basis)
-            assert canonical_class_rep(rotated) == canonical_class_rep(basis)
-            conjugated.add(canonical_class_rep(rotated))
-        assert conjugated == {canonical_class_rep(r) for r in reps}
+            rotated = hnf(tuple(apply_symmetry(fixed, g) for g in basis))
+            assert class_of[rotated] == class_of[basis]
+            conjugated.add(class_of[rotated])
+        assert conjugated == {c.representative for c in classes}
 
 
 def test_layered_criterion_matches_divisibility_by_3():

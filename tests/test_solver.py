@@ -14,8 +14,6 @@ from hc3.solver import (
     _greedy_clique_cover,
     _point_group,
     _prove_optimum,
-    clique_cover_bound,
-    count_optima,
     max_packing,
 )
 
@@ -102,7 +100,7 @@ def test_orbit_count_matches_bruteforce(period, d2s):
     for d2 in d2s:
         _, optima = brute_force_optima(q, d2)
         want = brute_force_orbit_count(q, optima)
-        assert count_optima(q, d2, mod_translations=True) == want
+        assert max_packing(q, d2, mod_translations=True).count == want
 
 
 @st.composite
@@ -133,7 +131,7 @@ def test_random_periods_match_bruteforce(case):
     assert tuple(sorted(q.rep_index[s] for s in got.witness.occupied)) == min(
         tuple(v for v in range(q.index) if m >> v & 1) for m in optima
     )
-    assert count_optima(q, d2, mod_translations=True) == brute_force_orbit_count(
+    assert max_packing(q, d2, mod_translations=True).count == brute_force_orbit_count(
         q, optima
     )
 
@@ -163,7 +161,8 @@ def test_orbital_branching_matches_plain_search(case):
         assert p[0] == 0
         assert sorted(p) == list(range(graph.n))
         for v in range(graph.n):
-            assert sum(1 << p[u] for u in graph.neighbors(v)) == adj[p[v]]
+            neighbors = (u for u in range(graph.n) if adj[v] >> u & 1)
+            assert sum(1 << p[u] for u in neighbors) == adj[p[v]]
     assert _phase1(graph, ops)[0] == _phase1(graph, [IDENTITY_OP])[0]
 
 
@@ -239,7 +238,7 @@ def test_witness_is_lexicographically_least():
     assert r3.witness.sorted_sites() == [(0, 0, 0), (1, 1, 1)]
 
 
-def test_determinism_across_thread_counts():
+def test_determinism_across_runs():
     q = quotient(DIAG4)
     results = [max_packing(q, 4, count=True) for _ in range(3)]
     base = results[0]
@@ -252,12 +251,12 @@ def test_determinism_across_thread_counts():
 def test_count_modulo_translations():
     q2 = quotient(DIAG2)
     # the 4 BCC optima on the 2-torus form a single translation orbit
-    assert count_optima(q2, 3) == 4
-    assert count_optima(q2, 3, mod_translations=True) == 1
+    assert max_packing(q2, 3, count=True).count == 4
     # mod_translations implies a count without count=True
     assert max_packing(q2, 3, mod_translations=True).count == 1
+    assert max_packing(q2, 3, count=True, mod_translations=True).count == 1
     # the two FCC optima are also one orbit (they are shifts of each other)
-    assert count_optima(q2, 2, mod_translations=True) == 1
+    assert max_packing(q2, 2, mod_translations=True).count == 1
 
 
 def test_one_particle_per_cell_on_catalog():
@@ -289,18 +288,6 @@ def test_budget_exhaustion_is_hard_error():
     assert max_packing(q, 5, node_budget=nodes).nodes == nodes
     with pytest.raises(BudgetExhaustedError):
         max_packing(q, 5, node_budget=nodes - 1)
-
-
-def test_clique_cover_bound():
-    q2 = quotient(DIAG2)
-    b = clique_cover_bound(q2, 2)
-    assert 4 <= b <= 8
-    q4 = quotient(DIAG4)
-    assert clique_cover_bound(q4, 4) >= max_packing(q4, 4).optimum
-    assert clique_cover_bound(q4, 1) == 64
-    # bound dominates the optimum everywhere it is defined
-    for d2 in (2, 3, 4, 8, 12):
-        assert clique_cover_bound(q4, d2) >= max_packing(q4, d2).optimum
 
 
 def test_stats_populated():

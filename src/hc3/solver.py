@@ -2,13 +2,21 @@
 
 The optimum packing is the maximum independent set (MIS) of the exclusion
 graph.  The search is a bitmask branch-and-bound: candidates are Python-int
-bitmasks (arbitrary width), the upper bound is a greedy clique cover of the
-candidate subgraph, and branching follows the highest-degree rule for the
-optimum phase and lexicographic include-first order for the witness/count
-phase, which makes the reported witness the lexicographically least optimal
-set under the fixed coset order.  Both phases move the candidates with no
-remaining conflict into the chosen set; the optimum phase finds them and its
-branching vertex in one scan of the candidates per node.
+bitmasks (arbitrary width) and the upper bound is a greedy clique cover of
+the candidate subgraph.  Both phases move the candidates with no remaining
+conflict into the chosen set.
+
+The optimum phase branches by the colour-class rule of MCQ/BBMC (Tomita &
+Seki 2003; San Segundo, Rodriguez-Losada & Jimenez 2011), with the cover's
+cliques in place of colour classes (a clique cover of the graph is a
+colouring of its complement).  A node takes the cliques from the last one
+down and branches on their vertices in turn, each child including one
+vertex, and stops once the cliques left could not beat the best set found.
+A set larger than `best` must take a vertex from a clique with index
+>= best - size, so only those cliques are branched on, and the depth is at
+most the optimum.  The witness/count phase branches on the lowest
+candidate, include first, which makes the reported witness the
+lexicographically least optimal set under the fixed coset order.
 
 Torus translations act transitively on the cosets, so both phases search
 only the sets that contain vertex 0.  The lexicographically least optimum
@@ -26,11 +34,11 @@ The optimum phase also uses the point group of the torus: the signed
 permutations that map the period lattice onto itself fix vertex 0 and are
 automorphisms of the exclusion graph.  It branches on orbits (orbital
 branching, Ostrowski, Linderoth, Rossi & Smriglio 2011): each node carries
-the subgroup that maps its candidates onto themselves; the include child
-takes v with the stabiliser of v, the exclude child drops the whole orbit of
-v and keeps the group.  Any optimum that meets the orbit has an image through
-v, so the optimum is the same as without symmetry, in far fewer nodes.
-Phase 2 does not use the point group.
+the subgroup that maps its candidates onto themselves; the child that
+includes v takes the stabiliser of v, and the node then drops the whole
+orbit of v from its candidates and keeps the group.  Any optimum that meets
+the orbit has an image through v, so the optimum is the same as without
+symmetry, in far fewer nodes.  Phase 2 does not use the point group.
 
 Determinism contract: the search is one sequential depth-first pass, so
 optimum, witness, count and the node count of each phase depend only on the
@@ -85,28 +93,29 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _greedy_clique_cover(cand: int, adj: tuple[int, ...], cap: int) -> int:
-    """Number of cliques in a greedy cover of the candidate subgraph.
+def _greedy_clique_cover(cand: int, adj: tuple[int, ...], cap: int) -> list[int]:
+    """The cliques, as vertex masks, of a greedy cover of the candidate
+    subgraph.
 
     Clique i is the chain of lowest bits in the common neighborhood of what
     cliques 0..i-1 left, which is the partition a scan of the candidates in
     index order makes when it puts each one into the first clique it extends.
-    An independent set picks at most one vertex per clique, so this is an
-    upper bound on the MIS size of the candidates.  The count stops as soon
-    as it exceeds `cap`: the result is min(cover, max(cap, 0) + 1).
+    An independent set picks at most one vertex per clique, so the number of
+    cliques is an upper bound on the MIS size of the candidates.  The cover
+    stops as soon as it has more than `cap` cliques: its length is
+    min(cover, max(cap, 0) + 1).
     """
     rest = cand
-    n_cliques = 0
-    while rest:
-        n_cliques += 1
-        if n_cliques > cap:
-            break
-        common = rest
+    cap = max(cap, 0)
+    cliques: list[int] = []
+    while rest and len(cliques) <= cap:
+        common = left = rest
         while common:
             low = common & -common
             rest ^= low
             common &= adj[low.bit_length() - 1]
-    return n_cliques
+        cliques.append(left ^ rest)
+    return cliques
 
 
 def _isolated(cand: int, adj: tuple[int, ...]) -> int:
@@ -176,40 +185,37 @@ def _search_optimum(
 
     `group` holds the positions, in the columns of `images`, of a group of
     coset permutations that fix the chosen set and map the candidates onto
-    themselves.  With the identity alone this is a plain branch-and-bound.
+    themselves.  With the identity alone this is the plain colour-class
+    branch-and-bound of the module docstring.
     """
     counter.spend()
-    # one scan: isolated candidates join the set (as in `_isolated`), the
-    # others compete for the highest degree (ties to the lowest index); an
-    # isolated vertex has no edge into cand, so it changes no degree
-    isolated = 0
-    v, v_deg = -1, 0
-    m = cand
-    while m:
-        low = m & -m
-        m ^= low
-        u = low.bit_length() - 1
-        d = (adj[u] & cand).bit_count()
-        if not d:
-            isolated |= low
-        elif d > v_deg:
-            v, v_deg = u, d
+    isolated = _isolated(cand, adj)
     cand ^= isolated
     size += isolated.bit_count()
     if not cand:
         return max(best, size)
-    if size + _greedy_clique_cover(cand, adj, best - size) <= best:
-        return best
-    # include v under its stabiliser, or exclude the whole orbit of v
-    col = images(v)
-    orbit = 0
-    for p in group:
-        orbit |= 1 << col[p]
-    stabiliser = [p for p in group if col[p] == v]
-    best = _search_optimum(
-        adj, cand & ~adj[v] & ~(1 << v), size + 1, best, stabiliser, images, counter
-    )
-    return _search_optimum(adj, cand & ~orbit, size, best, group, images, counter)
+    cliques = _greedy_clique_cover(cand, adj, len(adj))
+    # every vertex of cliques i+1.. has been branched on or dropped, so the
+    # candidates left lie in cliques 0..i and add at most i + 1
+    for i in range(len(cliques) - 1, -1, -1):
+        m = cliques[i] & cand
+        while m:
+            if size + i + 1 <= best:
+                return best
+            low = m & -m
+            v = low.bit_length() - 1
+            # include v under its stabiliser, then drop the whole orbit of v
+            col = images(v)
+            stabiliser = [p for p in group if col[p] == v]
+            best = _search_optimum(
+                adj, cand & ~adj[v] & ~low, size + 1, best, stabiliser, images, counter
+            )
+            orbit = 0
+            for p in group:
+                orbit |= 1 << col[p]
+            cand &= ~orbit
+            m &= cand
+    return best
 
 
 def _prove_optimum(
@@ -247,7 +253,7 @@ def _optima(
         if size == optimum:
             yield chosen
         return
-    if size + _greedy_clique_cover(cand, adj, optimum - size) < optimum:
+    if size + len(_greedy_clique_cover(cand, adj, optimum - size)) < optimum:
         return
     v = _lowest_bit(cand)
     yield from _optima(

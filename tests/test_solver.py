@@ -12,6 +12,7 @@ from hc3.solver import (
     _coset_images,
     _Counter,
     _greedy_clique_cover,
+    _optima,
     _point_group,
     _prove_optimum,
     max_packing,
@@ -166,14 +167,38 @@ def test_orbital_branching_matches_plain_search(case):
     assert _phase1(graph, ops)[0] == _phase1(graph, [IDENTITY_OP])[0]
 
 
+@settings(max_examples=300, deadline=None)
+@given(periods_and_d2())
+@example((((4, 0, 0), (0, 4, 0), (0, 0, 4)), 2))
+def test_phase1_optimum_matches_phase2_search(case):
+    # phase 2 shares no branching rule with phase 1: it finds a set of the
+    # proven size k and none of any size from k + 1 up to the root cover
+    # bound (a maximum set is a leaf of the search whose target is its size)
+    period, d2 = case
+    q = quotient(period)
+    graph = build_exclusion_graph(q, d2)
+    adj = graph.adjacency
+    k = _phase1(graph, _point_group(q))[0]
+    root = ((1 << graph.n) - 1) & ~adj[0] & ~1
+    assert next(_optima(adj, root, 1, 1, k, _Counter(None)), None) is not None
+    bound = 1 + len(_greedy_clique_cover(root, adj, graph.n))
+    for target in range(k + 1, bound + 1):
+        assert next(_optima(adj, root, 1, 1, target, _Counter(None)), None) is None
+
+
 @pytest.mark.parametrize(
     "period,d2,count,nodes",
     [
-        (((5, 0, 0), (0, 5, 0), (0, 0, 5)), 3, None, 4213),
-        (((6, 0, 0), (0, 6, 0), (0, 0, 6)), 8, None, 3691),
-        (((5, 0, 0), (0, 5, 0), (0, 0, 5)), 5, None, 673),
-        (((4, 0, 0), (1, 4, 0), (2, 1, 5)), 5, 160, 780),
+        (((5, 0, 0), (0, 5, 0), (0, 0, 5)), 3, None, 626),
+        (((6, 0, 0), (0, 6, 0), (0, 0, 6)), 8, None, 3157),
+        (((5, 0, 0), (0, 5, 0), (0, 0, 5)), 5, None, 624),
+        (((4, 0, 0), (1, 4, 0), (2, 1, 5)), 5, 160, 645),
+        (((8, 0, 0), (0, 8, 0), (0, 0, 8)), 2, None, 384),
+        (((6, 0, 0), (0, 6, 0), (0, 0, 6)), 6, None, 2017),
     ],
+    # ids without the count, so that a re-pin keeps the test names
+    ids=["diag5-d2=3", "diag6-d2=8", "diag5-d2=5", "skewed-d2=5-count",
+         "diag8-d2=2", "diag6-d2=6"],
 )
 def test_node_counts_are_pinned(period, d2, count, nodes):
     # node counts are part of the determinism contract: a change to the
@@ -191,19 +216,21 @@ def test_orbital_branching_cuts_nodes():
 
 
 def list_scan_clique_cover(cand, adj):
-    """Reference greedy cover: scan candidates in index order and put each
-    into the first clique whose common neighborhood holds it."""
-    cliques = []  # common neighborhood masks
+    """Reference greedy cover, as vertex masks: scan candidates in index
+    order and put each into the first clique whose common neighborhood
+    holds it."""
+    cliques = []  # [members, common neighborhood]
     for v in range(len(adj)):
         if not cand >> v & 1:
             continue
-        for i, common in enumerate(cliques):
-            if common >> v & 1:
-                cliques[i] = common & adj[v]
+        for clique in cliques:
+            if clique[1] >> v & 1:
+                clique[0] |= 1 << v
+                clique[1] &= adj[v]
                 break
         else:
-            cliques.append(adj[v] & cand)
-    return len(cliques)
+            cliques.append([1 << v, adj[v] & cand])
+    return [members for members, _ in cliques]
 
 
 COVER_GRAPHS = [
@@ -220,7 +247,7 @@ def test_clique_cover_matches_list_scan(adj, data):
     cover = list_scan_clique_cover(cand, adj)
     assert _greedy_clique_cover(cand, adj, len(adj)) == cover
     # a negative cap is exceeded by the first clique
-    assert _greedy_clique_cover(cand, adj, cap) == min(cover, max(cap, 0) + 1)
+    assert _greedy_clique_cover(cand, adj, cap) == cover[: max(cap, 0) + 1]
 
 
 def test_density_cardinality_table_small():

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import catalog, documents, embeddings, perturbations, solver, voronoi
 from .admissibility import Configuration, PeriodTooShortError, SitesOutsideWindowError
-from .lattice import Quotient, Site, lattice_index, shortest_vectors
+from .lattice import Quotient, Site, cross, lattice_index, primitive, shortest_vectors
 from .solver import BudgetExhaustedError
 
 EXIT_OK = 0
@@ -377,8 +377,8 @@ def _parse_selector(text: str) -> catalog.Selector:
         if parts[0] == "mesh" and len(parts) == 4:
             anchor = _parse_site(parts[1])
             g1, g2 = _parse_site(parts[2]), _parse_site(parts[3])
-            normal_raw = _mesh_normal(g1, g2)
-            return catalog.MeshSelector(catalog.MeshSpec((g1, g2), anchor, normal_raw))
+            spec = catalog.MeshSpec((g1, g2), anchor, primitive(cross(g1, g2)))
+            return catalog.MeshSelector(spec)
     except CliError:
         raise
     except ValueError as exc:
@@ -387,15 +387,6 @@ def _parse_selector(text: str) -> catalog.Selector:
         f"bad mesh spec {text!r} (want line:A:D, plane:A:N or mesh:A:G1:G2)",
         EXIT_BAD_INPUT,
     )
-
-
-def _mesh_normal(g1: Site, g2: Site) -> Site:
-    from .lattice import cross, primitive
-
-    c = cross(g1, g2)
-    if c == (0, 0, 0):
-        raise ValueError("mesh generators are collinear")
-    return primitive(c)
 
 
 def _cmd_slide(args) -> int:

@@ -15,7 +15,7 @@ import json
 from pathlib import Path
 
 from .admissibility import Configuration, PeriodTooShortError
-from .lattice import Quotient, Site, Window
+from .lattice import Quotient, Site, Window, shortest_vectors
 
 __all__ = [
     "DocumentError",
@@ -101,8 +101,6 @@ def from_document(doc: dict, validate: bool = True) -> Configuration:
     try:
         config = Configuration(domain, d2, occupied)
     except PeriodTooShortError as exc:
-        from .lattice import shortest_vectors
-
         m, vecs = shortest_vectors(domain.period)  # type: ignore[union-attr]
         raise InadmissibleDocumentError(((0, 0, 0), vecs[0]), m) from exc
     except ValueError as exc:

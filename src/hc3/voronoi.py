@@ -13,6 +13,13 @@ cutoff radius r doubles until 4R^2 < r^2, which certifies that no neighbor
 beyond the cutoff can touch the cell.  Vertices become Fractions once, in
 the finished polytope.
 
+The cutter keeps one vertex-plane incidence table: the set of planes each
+vertex lies on.  A cut extends it for the vertices on the new plane and
+gives each new vertex the two or more planes its edge lies on; planes are
+never removed.  The facets are the planes with at least three vertices, and
+each facet cycle is walked from its least vertex to the neighbour on a
+second common plane, counterclockwise about the outward normal.
+
 Volumes are exact rationals obtained from an outward-oriented fan
 triangulation of the facet cycles, summed in integers over a common
 denominator.
@@ -20,7 +27,6 @@ denominator.
 
 from __future__ import annotations
 
-import functools
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,15 +87,23 @@ class RationalPolytope:
 class _Poly:
     """Mutable vertex/half-space intersection used during cutting.
 
-    Facets are (normal, offset, vertex index set); vertices are homogeneous
-    integer 4-tuples (X, Y, Z, W), W > 0, gcd 1.
+    Vertices are homogeneous integer 4-tuples (X, Y, Z, W), W > 0, gcd 1;
+    planes are (normal, offset) pairs, and tight[i] is the set of indices of
+    the planes that vertex i lies on.  Every stored plane supports the
+    polytope, so two vertices on two common planes span an edge.
     """
 
-    __slots__ = ("verts", "facets")
+    __slots__ = ("verts", "planes", "tight")
 
-    def __init__(self, verts: list[HVec], facets):
+    def __init__(
+        self,
+        verts: list[HVec],
+        planes: list[tuple[Site, int]],
+        tight: list[frozenset[int]],
+    ):
         self.verts = verts
-        self.facets = facets
+        self.planes = planes
+        self.tight = tight
 
     @classmethod
     def cube(cls, center: Site, r: int) -> "_Poly":
@@ -99,16 +113,16 @@ class _Poly:
             for sy in (-1, 1):
                 for sz in (-1, 1):
                     corners.append((cx + sx * r, cy + sy * r, cz + sz * r, 1))
-        faces = []
+        planes = []
         for axis in range(3):
             for sign in (-1, 1):
                 normal = tuple(sign if i == axis else 0 for i in range(3))
-                offset = sign * center[axis] + r
-                members = {
-                    i for i, v in enumerate(corners) if dot(normal, v) == offset
-                }
-                faces.append((normal, offset, members))
-        return cls(corners, faces)
+                planes.append((normal, sign * center[axis] + r))
+        tight = [
+            frozenset(k for k, (a, b) in enumerate(planes) if dot(a, v) == b)
+            for v in corners
+        ]
+        return cls(corners, planes, tight)
 
     def cut(self, normal: Site, offset: int) -> bool:
         """Intersect with normal.z <= offset; returns True when changed."""
@@ -118,50 +132,26 @@ class _Poly:
         pos = [i for i, si in enumerate(s) if si > 0]
         if not pos:
             return False
+        k = len(self.planes)
+        self.planes.append((normal, offset))
+        verts, tight = self.verts, self.tight
         keep = [i for i, si in enumerate(s) if si <= 0]
-        vfac = {i: set() for i in range(len(self.verts))}
-        for fi, (_, _, members) in enumerate(self.facets):
-            for i in members:
-                vfac[i].add(fi)
-        new_pts: list[HVec] = []
-        new_facsets: list[set[int]] = []
+        self.verts = [verts[i] for i in keep]
+        self.tight = [tight[i] | {k} if s[i] == 0 else tight[i] for i in keep]
         for i in keep:
             si = s[i]
             if si == 0:
                 continue
-            vi = self.verts[i]
             for j in pos:
-                common = vfac[i] & vfac[j]
+                common = tight[i] & tight[j]
                 if len(common) < 2:
                     continue
                 # s_j v_i - s_i v_j lies on the plane, and its W is positive
-                sj, vj = s[j], self.verts[j]
-                h = [sj * vi[k] - si * vj[k] for k in range(4)]
+                vi, sj, vj = verts[i], s[j], verts[j]
+                h = [sj * vi[m] - si * vj[m] for m in range(4)]
                 g = gcd(*h)
-                pt = (h[0] // g, h[1] // g, h[2] // g, h[3] // g)
-                for k, q in enumerate(new_pts):
-                    if q == pt:
-                        new_facsets[k] |= common
-                        break
-                else:
-                    new_pts.append(pt)
-                    new_facsets.append(set(common))
-        index_map = {old: n for n, old in enumerate(keep)}
-        verts = [self.verts[i] for i in keep]
-        base = len(verts)
-        verts.extend(new_pts)
-        facets = []
-        for fi, (a, b, members) in enumerate(self.facets):
-            kept = {index_map[i] for i in members if i in index_map}
-            kept |= {base + k for k, fs in enumerate(new_facsets) if fi in fs}
-            if len(kept) >= 3:
-                facets.append((a, b, kept))
-        cut_members = {index_map[i] for i in keep if s[i] == 0}
-        cut_members |= {base + k for k in range(len(new_pts))}
-        if len(cut_members) >= 3:
-            facets.append((normal, offset, cut_members))
-        self.verts = verts
-        self.facets = facets
+                self.verts.append((h[0] // g, h[1] // g, h[2] // g, h[3] // g))
+                self.tight.append(common | {k})
         return True
 
     def sq_radius(self, center: Site) -> tuple[int, int]:
@@ -180,14 +170,24 @@ class _Poly:
         num, den = self.sq_radius(center)
         return 4 * num < r * r * den
 
-    def _scaled_cycles(self) -> tuple[list[Site], int, list[tuple[int, ...]]]:
+    def _facets(self) -> tuple[list[Site], int, dict[int, tuple[int, ...]]]:
+        """The scaled vertices, their scale, and the cycle of every facet (a
+        plane with at least three vertices) by plane index."""
         pts, scale = _scaled(self.verts)
-        cycles = [_order_cycle(pts, sorted(m), a) for a, _, m in self.facets]
+        members: list[list[int]] = [[] for _ in self.planes]
+        for i, t in enumerate(self.tight):
+            for p in t:
+                members[p].append(i)
+        cycles = {
+            p: _facet_cycle(pts, self.tight, m, self.planes[p][0])
+            for p, m in enumerate(members)
+            if len(m) >= 3
+        }
         return pts, scale, cycles
 
     def freeze(self) -> RationalPolytope:
-        _, _, cycles = self._scaled_cycles()
-        facets = [Facet(a, b, c) for (a, b, _), c in zip(self.facets, cycles)]
+        _, _, cycles = self._facets()
+        facets = [Facet(*self.planes[p], c) for p, c in cycles.items()]
         facets.sort(key=lambda f: (f.normal, f.offset))
         verts = tuple(
             (Fraction(x, w), Fraction(y, w), Fraction(z, w))
@@ -196,7 +196,8 @@ class _Poly:
         return RationalPolytope(verts, tuple(facets))
 
     def volume(self) -> Fraction:
-        return _fan_volume(*self._scaled_cycles())
+        pts, scale, cycles = self._facets()
+        return _fan_volume(pts, scale, cycles.values())
 
 
 def _scaled(verts: list[HVec]) -> tuple[list[Site], int]:
@@ -221,44 +222,28 @@ def _fan_volume(pts: list[Site], scale: int, cycles) -> Fraction:
     return Fraction(abs(total), 6 * scale**3)
 
 
-def _order_cycle(pts: list[Site], members: list[int], normal: Site) -> tuple[int, ...]:
-    """Vertices of a facet ordered counterclockwise around the outward normal.
+def _facet_cycle(
+    pts: list[Site], tight: list[frozenset[int]], members: list[int], normal: Site
+) -> tuple[int, ...]:
+    """The vertices of a facet, counterclockwise around the outward normal
+    from the least index: each step goes to the neighbour on a second common
+    plane.  pts are the vertices over a common positive denominator."""
 
-    pts are the vertices over a common positive denominator; the offsets from
-    the centroid are scaled by k = len(members) as well, which changes no
-    sign of a cross or dot product, so the order is that of the exact points.
-    """
-    k = len(members)
-    sx = sum(pts[i][0] for i in members)
-    sy = sum(pts[i][1] for i in members)
-    sz = sum(pts[i][2] for i in members)
-    rel = {
-        i: (k * pts[i][0] - sx, k * pts[i][1] - sy, k * pts[i][2] - sz)
-        for i in members
-    }
-    ref = rel[members[0]]
+    def neighbours(v: int) -> list[int]:
+        return [u for u in members if u != v and len(tight[u] & tight[v]) >= 2]
 
-    def half(w) -> int:
-        d = dot(cross(ref, w), normal)
-        if d > 0:
-            return 0
-        if d < 0:
-            return 1
-        return 0 if dot(ref, w) > 0 else 1
-
-    def cmp(i: int, j: int) -> int:
-        wi, wj = rel[i], rel[j]
-        hi, hj = half(wi), half(wj)
-        if hi != hj:
-            return -1 if hi < hj else 1
-        d = dot(cross(wi, wj), normal)
-        if d > 0:
-            return -1
-        if d < 0:
-            return 1
-        return 0
-
-    return tuple(sorted(members, key=functools.cmp_to_key(cmp)))
+    first = members[0]
+    a, b = neighbours(first)
+    p0 = pts[first]
+    if dot(cross(sub(pts[a], p0), sub(pts[b], p0)), normal) < 0:
+        a = b
+    cycle = [first]
+    prev, cur = first, a
+    while cur != first:
+        cycle.append(cur)
+        u, w = neighbours(cur)
+        prev, cur = cur, w if u == prev else u
+    return tuple(cycle)
 
 
 def _cut_cell(center: Site, r: int, neighbors: list[Site]) -> _Poly:
@@ -329,7 +314,8 @@ def cell_volume(p: RationalPolytope) -> Fraction:
 def tessellation_check(c: Configuration) -> bool:
     """Exact check that the per-particle cell volumes of one fundamental
     domain sum to the period index."""
-    assert isinstance(c.domain, Quotient)
+    if not isinstance(c.domain, Quotient):
+        raise ValueError("Voronoi cells require a periodic configuration")
     total = Fraction(0)
     for x in sorted(c.occupied):
         total += cell_volume(voronoi_cell(c, x))

@@ -194,10 +194,16 @@ def test_slide_out_of_window_is_an_invalid_slide(tmp_path):
             ["voronoi", "--site", "1,0,0"],
             1, "", "error: site (1, 0, 0) is not occupied",
         ),
+        (
+            '{"d2":5,"period":[[9,0,0],[2,1,0],[5,0,1]],"sites":[[0,0,0]]}',
+            ["slide", "--mesh", "mesh:0,0,0:1,0,0:2,0,0", "--shift", "1,0,0"],
+            2, "", "error: bad mesh spec 'mesh:0,0,0:1,0,0:2,0,0': "
+            "mesh generators are collinear\n",
+        ),
     ],
     ids=["empty-window", "directory", "slide-directory", "not-utf8", "empty-torus",
          "one-site-window-slide", "window-voronoi", "window-excite",
-         "unoccupied-voronoi"],
+         "unoccupied-voronoi", "collinear-mesh"],
 )
 def test_edge_documents_exit_without_traceback(tmp_path, content, argv, code, stdout, error):
     # content None puts a directory where the document should be

@@ -2,14 +2,21 @@
 
 import functools
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hc3.admissibility import Configuration
-from hc3.catalog import build_layered, known_sublattice, scaled_basis
+from hc3.catalog import (
+    build_layered,
+    known_sublattice,
+    known_sublattice_keys,
+    scaled_basis,
+)
 from hc3.lattice import (
+    Window,
     apply_symmetry,
     cross,
     dot,
@@ -39,6 +46,14 @@ VOLUME_TABLE = {2: 2, 3: 4, 4: 8, 5: 9, 6: 12, 8: 16, 9: 20, 10: 26, 12: 32}
 def sublattice_config(d2, variant=None):
     basis = known_sublattice(d2, variant)
     return Configuration(quotient(basis), d2, frozenset({(0, 0, 0)}))
+
+
+def doubled_catalog_config(d2):
+    """The catalog lattice on the torus of its doubled basis: eight sites."""
+    basis = known_sublattice(d2)
+    q = quotient(scaled_basis(basis, 2))
+    occupied = frozenset(x for x in q.reps if lattice_contains(basis, x))
+    return Configuration(q, d2, occupied)
 
 
 def test_cube_cell_of_2z3():
@@ -133,14 +148,34 @@ def test_slab_cell_certifies_beyond_eight_doublings():
 
 def test_volume_additivity_on_doubled_cells():
     for d2 in (2, 3, 5):
-        basis = known_sublattice(d2)
-        q = quotient(scaled_basis(basis, 2))
-        occupied = frozenset(x for x in q.reps if lattice_contains(basis, x))
-        assert len(occupied) == 8
-        c = Configuration(q, d2, occupied)
-        volumes = [cell_volume(voronoi_cell(c, x)) for x in sorted(occupied)]
+        c = doubled_catalog_config(d2)
+        assert len(c.occupied) == 8
+        volumes = [cell_volume(voronoi_cell(c, x)) for x in sorted(c.occupied)]
         assert len(set(volumes)) == 1
-        assert sum(volumes) == 8 * lattice_index(basis)
+        assert sum(volumes) == 8 * lattice_index(known_sublattice(d2))
+
+
+def test_facet_cycles_are_counterclockwise_from_the_least_vertex():
+    configs = [sublattice_config(d2, variant) for d2, variant in known_sublattice_keys()]
+    configs += [doubled_catalog_config(d2) for d2 in (2, 3, 5)]
+    for c in configs:
+        for x in sorted(c.occupied):
+            cell = voronoi_cell(c, x)
+            for f in cell.facets:
+                cycle = f.vertices
+                pts = [cell.vertices[i] for i in cycle]
+                assert cycle[0] == min(cycle)
+                assert all(dot(f.normal, p) == f.offset for p in pts)
+                for k in range(len(pts)):
+                    p0, p1, p2 = pts[k - 2], pts[k - 1], pts[k]
+                    assert dot(cross(sub(p1, p0), sub(p2, p1)), f.normal) > 0
+
+
+@pytest.mark.parametrize("occupied", [frozenset(), frozenset({(0, 0, 0)})])
+def test_tessellation_check_rejects_a_window(occupied):
+    c = Configuration(Window((-2, -2, -2), (2, 2, 2)), 2, occupied)
+    with pytest.raises(ValueError, match="require a periodic configuration"):
+        tessellation_check(c)
 
 
 def test_voronoi_requires_occupied_site():
@@ -282,8 +317,16 @@ def cut_inputs(draw):
     return center, r, [tuple(c + o for c, o in zip(center, v)) for v in neighbors]
 
 
+# the 12 neighbours (+-1, +-1, 0) and their coordinate permutations
+RHOMBIC_SHELL = [v for v in product((-1, 0, 1), repeat=3) if sq_norm(v) == 2]
+
+
 @settings(max_examples=120, deadline=None)
 @given(cut_inputs())
+# x + y <= 2 passes exactly through the corners (1, 1, +-1) of the cube
+@example(((0, 0, 0), 1, [(2, 2, 0)]))
+# the rhombic dodecahedron: its fourfold vertices lie on four planes
+@example(((0, 0, 0), 2, RHOMBIC_SHELL))
 def test_cut_cell_matches_fraction_reference(inputs):
     center, r, neighbors = inputs
     cell = _cut_cell(center, r, neighbors).freeze()

@@ -10,12 +10,12 @@ A quotient too small for d2 (some nonzero period vector shorter than the
 exclusion distance) is rejected at construction time: on such a torus a
 particle would conflict with its own periodic images.
 
-Conflicts are found from the conflict offsets {v : 0 < |v|^2 < d2}, one
-lattice ball, by set or dict lookups: insertion candidates, the exclusion
-graph and `conflict_masks` (the conflict bitmasks of a list of points) all
-use them.  Only `is_admissible` stays pairwise over the cached minimum-image
-distances, which is faster on the many small configurations of a sliding
-scan.
+Every conflict test looks up the conflict offsets {v : 0 < |v|^2 < d2},
+one lattice ball, in a set or dict: the conflicting pairs and with them
+`is_admissible`, insertion candidates, the exclusion graph and
+`conflict_masks` (the conflict bitmasks of a list of points).  In a window
+no two sites are farther apart than its diagonal, so the ball there is
+clipped to the diagonal's squared length.
 
 The exclusion graph looks up the offsets for one block of n/h0 rows only,
 where h0 is the first HNF diagonal entry.  Translations are automorphisms
@@ -26,6 +26,7 @@ shorter than the exclusion distance, so h0 >= sqrt(d2).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -102,17 +103,31 @@ class Configuration:
     def pair_sq_distance(self, a: Site, b: Site) -> int:
         return self.domain.pair_sq_distance(a, b)
 
-    def is_admissible(self) -> tuple[bool, tuple[Site, Site] | None]:
-        """Check all pairs; on failure return the first violating pair
-        (in sorted site order)."""
-        sites = self.sorted_sites()
+    def conflict_offsets(self) -> tuple[Site, ...]:
+        """The conflict offsets that can join two sites of the domain."""
         d2 = self.d2
-        dist = self.domain.pair_sq_distance
-        for i, a in enumerate(sites):
-            for b in sites[i + 1 :]:
-                if dist(a, b) < d2:
-                    return False, (a, b)
-        return True, None
+        if isinstance(self.domain, Window):
+            # no two sites of a window are farther apart than its diagonal
+            w = self.domain
+            d2 = min(d2, sum((h - lo) ** 2 for lo, h in zip(w.lo, w.hi)) + 1)
+        return _conflict_offsets(d2)
+
+    def conflicting_pairs(self) -> Iterator[tuple[Site, Site]]:
+        """Every pair a < b of occupied sites closer than the exclusion
+        distance, in sorted order: b is the coset of a + v, v an offset."""
+        reduce = self.domain.reduce
+        occupied = self.occupied
+        offsets = self.conflict_offsets()
+        for a in self.sorted_sites():
+            x, y, z = a
+            near = {reduce((x + u, y + v, z + w)) for u, v, w in offsets}
+            yield from ((a, b) for b in sorted(near & occupied) if b > a)
+
+    def is_admissible(self) -> tuple[bool, tuple[Site, Site] | None]:
+        """No conflicting pair; on failure also the first one in sorted
+        order."""
+        pair = next(self.conflicting_pairs(), None)
+        return pair is None, pair
 
     def density(self) -> Fraction:
         """Occupied fraction of the domain, exact."""
@@ -124,8 +139,9 @@ class Configuration:
         None when there is no pair: an empty torus, or a window with fewer
         than two sites."""
         dist = self.domain.pair_sq_distance
-        # sorted, as in is_admissible, so a torus reuses its cached differences
-        pairs = (dist(a, b) for a, b in combinations(self.sorted_sites(), 2))
+        # pairwise: on an admissible configuration the minimum is d2 or
+        # more, beyond the conflict offsets
+        pairs = (dist(a, b) for a, b in combinations(self.occupied, 2))
         if self.occupied and isinstance(self.domain, Quotient):
             pairs = chain(pairs, [self.domain.min_period_sq_norm()])
         return min(pairs, default=None)
@@ -138,7 +154,7 @@ class Configuration:
         Empty list <=> the configuration is saturated.
         """
         reduce = self.domain.reduce
-        offsets = _conflict_offsets(self.d2)
+        offsets = self.conflict_offsets()
         blocked = set(self.occupied)
         for o in self.occupied:
             blocked.update(reduce(add(o, v)) for v in offsets)

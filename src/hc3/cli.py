@@ -5,13 +5,15 @@ Standard output is line-oriented and byte-deterministic for identical
 inputs (solver statistics go to standard error); ``--json`` switches each
 command to a single machine-readable JSON object.  Rationals are always
 rendered as "p/q" strings.  Exit codes: 0 success, 1 domain violation,
-2 bad input, 3 budget exhausted.
+2 bad input, 3 budget exhausted; a reader that closes standard output early
+does not change them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -66,11 +68,20 @@ def _fmt_fraction(x: Fraction) -> str:
 
 
 def _emit(args, text_lines: list[str], payload: dict) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`hc3 slide --scan | head -1`).  The exit
+        # code stays the command's verdict; stdout goes to the null device,
+        # or the interpreter's flush at exit would fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _load(path: str, validate: bool = True) -> Configuration:

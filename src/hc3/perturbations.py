@@ -9,6 +9,9 @@ The excitation scan spends the solver's node budget and deduplicates by the
 translations that fix the configuration (``Quotient.stabiliser``).
 ``find_sliding`` alone decides which shifts of line or plane sub-meshes are
 slides; shifting every occupied site is a global translation, not a slide.
+A translation keeps every distance inside the selection and inside the
+rest, so a slide is checked on the new pairs only, moved against unmoved
+sites, through the conflict offsets.
 """
 
 from __future__ import annotations
@@ -265,28 +268,49 @@ def find_sliding(
     configuration (a global translation) so that something moves, nothing
     lands on an unmoved site, every site stays in a window domain and the
     result is admissible.  An empty list means none was found.
+
+    A conflicting pair of c inside the selection or inside the rest keeps
+    its distance, so a selection passes only if it splits every such pair.
+    The new pairs are the moved s + t against the unmoved r: s + t lands on
+    or conflicts with r exactly when t - (r - s) is congruent to 0 or to a
+    conflict offset.  So each difference of two sites is tabulated once with
+    the shifts it bars, and a shift passes a selection when no difference
+    r - s of a selected s and an unmoved r bars it.  Only the shifts that
+    pass are built, for their minimum pair distance.
     """
     if selectors is None:
         selectors = standard_selectors(c)
     if shifts is None:
         shifts = standard_shifts(2)
     reduce = c.domain.reduce
+    near = {reduce(w) for w in ((0, 0, 0), *c.conflict_offsets())}
+    conflicts = list(c.conflicting_pairs())
+    # difference of two sites -> bitmask (by shift index) of the shifts it bars
+    bars = {
+        d: sum(1 << i for i, t in enumerate(shifts) if reduce(sub(t, d)) in near)
+        for d in {reduce(sub(r, s)) for s in c.occupied for r in c.occupied if r != s}
+    }
     moves = []
     for sel in selectors:
         selected = sel.select(c)
         if not selected or selected == c.occupied:
             continue
+        if any((a in selected) == (b in selected) for a, b in conflicts):
+            continue
         rest = c.occupied - selected
-        for t in shifts:
+        mask = 0
+        for d in {reduce(sub(r, s)) for s in selected for r in rest}:
+            mask |= bars[d]
+        for i, t in enumerate(shifts):
+            if mask >> i & 1:
+                continue
             moved = {reduce(add(x, t)) for x in selected}
-            if moved == selected or not moved.isdisjoint(rest):
+            if moved == selected:
                 continue
             try:
                 shifted = c.with_sites(rest | moved)
             except SitesOutsideWindowError:
                 continue
-            # is_admissible stops at its first violation: the cheap filter
-            if shifted.is_admissible()[0]:
-                moves.append(SlidingMove(sel, t, shifted.min_pair_sq_distance()))
+            moves.append(SlidingMove(sel, t, shifted.min_pair_sq_distance()))
     moves.sort(key=lambda m: (m.selector.describe(), m.shift))
     return moves

@@ -22,7 +22,9 @@ from hc3.catalog import (
 from hc3.embeddings import admits_layered, embedding_classes, enumerate_fcc_embeddings
 from hc3.lattice import (
     hnf,
+    in_lattice,
     lattice_contains,
+    lattice_from_generators,
     lattice_index,
     quotient,
     shortest_vectors,
@@ -61,8 +63,9 @@ def _report(n, text):
 
 def _sublattice_config(d2, variant=None, scale=1):
     basis = known_sublattice(d2, variant)
+    lat = lattice_from_generators(basis)
     q = quotient(scaled_basis(basis, scale) if scale > 1 else basis)
-    occupied = frozenset(x for x in q.reps if lattice_contains(basis, x))
+    occupied = frozenset(x for x in q.reps if in_lattice(lat, x))
     return Configuration(q, d2, occupied)
 
 

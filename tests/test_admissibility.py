@@ -14,7 +14,14 @@ from hc3.admissibility import (
     conflict_masks,
 )
 from hc3.catalog import known_sublattice, scaled_basis
-from hc3.lattice import Window, quotient, sq_norm, sub
+from hc3.lattice import (
+    Window,
+    in_lattice,
+    lattice_from_generators,
+    quotient,
+    sq_norm,
+    sub,
+)
 from test_solver import periods_and_d2
 
 DIAG2 = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
@@ -62,14 +69,16 @@ def test_min_pair_sq_distance_examples():
     basis5 = known_sublattice(5)
     q = quotient(scaled_basis(basis5, 2))
     # all cosets of the basis5 sublattice inside the doubled torus
-    occupied = frozenset(x for x in q.reps if _in_lattice(basis5, x))
+    lat5 = lattice_from_generators(basis5)
+    occupied = frozenset(x for x in q.reps if in_lattice(lat5, x))
     assert len(occupied) == 8
     c = Configuration(q, 5, occupied)
     assert c.min_pair_sq_distance() == 5
 
     basis9 = known_sublattice(9)
     q9 = quotient(scaled_basis(basis9, 2))
-    c9 = Configuration(q9, 9, frozenset(x for x in q9.reps if _in_lattice(basis9, x)))
+    lat9 = lattice_from_generators(basis9)
+    c9 = Configuration(q9, 9, frozenset(x for x in q9.reps if in_lattice(lat9, x)))
     assert c9.min_pair_sq_distance() == 9
 
     two_z3 = Configuration(
@@ -78,12 +87,6 @@ def test_min_pair_sq_distance_examples():
         frozenset((x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)),
     )
     assert two_z3.min_pair_sq_distance() == 4
-
-
-def _in_lattice(basis, v):
-    from hc3.lattice import lattice_contains
-
-    return lattice_contains(basis, v)
 
 
 def test_min_pair_includes_period_for_single_particle():
@@ -200,6 +203,49 @@ def test_admissible_iff_independent(occupied, d2):
     mask = sum(1 << q.rep_index[x] for x in occupied)
     independent = all(not g.adjacency[q.rep_index[x]] & mask for x in occupied)
     assert c.is_admissible()[0] == independent
+
+
+def pairwise_admissible(c):
+    """The O(n^2) oracle for `is_admissible`: every pair of sorted sites by
+    its minimum-image (torus) or plain (window) distance; on failure the
+    first violating pair."""
+    sites = c.sorted_sites()
+    for i, a in enumerate(sites):
+        for b in sites[i + 1 :]:
+            if c.pair_sq_distance(a, b) < c.d2:
+                return False, (a, b)
+    return True, None
+
+
+@st.composite
+def site_sets(draw):
+    """Any set of sites (often inadmissible) on a skewed HNF torus of index
+    <= 64 or in a small window, whose d2 may exceed its diagonal."""
+    if draw(st.booleans()):
+        period, d2 = draw(periods_and_d2())
+        domain = quotient(period)
+    else:
+        lo = draw(st.tuples(*[st.integers(-3, 3)] * 3))
+        domain = Window(lo, tuple(v + draw(st.integers(0, 3)) for v in lo))
+        d2 = draw(st.integers(1, 40))
+    occupied = draw(st.sets(st.sampled_from(domain.sites()), max_size=12))
+    return Configuration(domain, d2, frozenset(occupied))
+
+
+@settings(max_examples=150, deadline=None)
+@given(site_sets())
+@example(  # far beyond the window's diagonal: every pair conflicts
+    Configuration(Window((0, 0, 0), (3, 0, 0)), 10**6, frozenset({(0, 0, 0), (3, 0, 0)}))
+)
+def test_conflicting_pairs_match_pairwise_oracle(c):
+    sites = c.sorted_sites()
+    assert list(c.conflicting_pairs()) == [
+        (a, b)
+        for i, a in enumerate(sites)
+        for b in sites[i + 1 :]
+        if c.pair_sq_distance(a, b) < c.d2
+    ]
+    assert c.is_admissible() == pairwise_admissible(c)
 
 
 def test_window_admissibility_is_free_boundary():

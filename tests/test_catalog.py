@@ -31,7 +31,8 @@ from hc3.lattice import (
     cross,
     dot,
     hnf,
-    lattice_contains,
+    in_lattice,
+    lattice_from_generators,
     lattice_index,
     quotient,
     scale,
@@ -309,7 +310,8 @@ def test_mesh_shift_square_mesh_violates_at_d2_3():
     # with the body-centered layer
     q4 = quotient(((4, 0, 0), (0, 4, 0), (0, 0, 4)))
     bcc2 = known_sublattice(3)
-    occupied = frozenset(x for x in q4.reps if lattice_contains(bcc2, x))
+    lat = lattice_from_generators(bcc2)
+    occupied = frozenset(x for x in q4.reps if in_lattice(lat, x))
     c = Configuration(q4, 3, occupied)
     assert c.is_admissible()[0]
     mesh = known_mesh("square-4")

@@ -359,11 +359,12 @@ def test_slide_check_and_scan(tmp_path):
     from hc3.admissibility import Configuration
     from hc3.catalog import known_sublattice, scaled_basis
     from hc3.documents import save
-    from hc3.lattice import lattice_contains, quotient
+    from hc3.lattice import in_lattice, lattice_from_generators, quotient
 
     basis = known_sublattice(11)
+    lat = lattice_from_generators(basis)
     q = quotient(scaled_basis(basis, 2))
-    occupied = frozenset(x for x in q.reps if lattice_contains(basis, x))
+    occupied = frozenset(x for x in q.reps if in_lattice(lat, x))
     save(Configuration(q, 11, occupied), doc)
 
     r = run_cli(
@@ -395,6 +396,36 @@ def test_slide_scan_finds_moves(tmp_path):
     first = r.stdout.splitlines()[0]
     assert first.startswith("moves ")
     assert int(first.split()[1]) > 0
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["slide", "{p4}", "--scan"], 0), (["verify", "{bad}"], 1)],
+    ids=["slide-scan", "verify-inadmissible"],
+)
+def test_closed_stdout_keeps_the_verdict_without_traceback(tmp_path, argv, code):
+    """A reader that stops early (`hc3 slide --scan | head -1`) closes the
+    pipe.  Here its read end is closed before the command starts, so the
+    first write fails every time; the exit code is still the verdict."""
+    p4, bad = tmp_path / "p4.json", tmp_path / "bad.json"
+    run_cli("pack", "--diag", "4", "--d2", "4", "--out", str(p4), check=True)
+    bad.write_text(
+        '{"d2":2,"window":{"lo":[0,0,0],"hi":[3,0,0]},"sites":[[0,0,0],[1,0,0]]}'
+    )
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "hc3.cli", *(a.format(p4=p4, bad=bad) for a in argv)],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=BASE_ENV,
+        )
+    finally:
+        os.close(write)
+    assert "Traceback" not in r.stderr
+    assert (r.returncode, r.stderr) == (code, "")
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,8 @@ from hc3.lattice import (
     Window,
     add,
     hnf,
-    lattice_contains,
+    in_lattice,
+    lattice_from_generators,
     lattice_points,
     quotient,
     sq_norm,
@@ -40,6 +41,7 @@ from hc3.perturbations import (
     standard_selectors,
     standard_shifts,
 )
+from test_admissibility import pairwise_admissible
 
 DIAG2 = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
 DIAG4 = ((4, 0, 0), (0, 4, 0), (0, 0, 4))
@@ -47,8 +49,9 @@ DIAG4 = ((4, 0, 0), (0, 4, 0), (0, 0, 4))
 
 def sublattice_on_scaled_torus(d2, variant=None, scale=2):
     basis = known_sublattice(d2, variant)
+    lat = lattice_from_generators(basis)
     q = quotient(scaled_basis(basis, scale))
-    occupied = frozenset(x for x in q.reps if lattice_contains(basis, x))
+    occupied = frozenset(x for x in q.reps if in_lattice(lat, x))
     return Configuration(q, d2, occupied)
 
 
@@ -267,8 +270,8 @@ def test_standard_shifts():
 
 def reference_sliding(c, selectors, shifts):
     """Sliding by one mesh_shift per shift, then the count, movement and
-    admissibility checks, plus the rule that a whole-configuration selection
-    is a global translation."""
+    pairwise admissibility checks, plus the rule that a whole-configuration
+    selection is a global translation."""
     moves = []
     for sel in selectors:
         if sel.select(c) == c.occupied:
@@ -280,7 +283,7 @@ def reference_sliding(c, selectors, shifts):
                 continue
             if len(shifted.occupied) != len(c.occupied):
                 continue
-            if shifted.occupied == c.occupied or not shifted.is_admissible()[0]:
+            if shifted.occupied == c.occupied or not pairwise_admissible(shifted)[0]:
                 continue
             moves.append(SlidingMove(sel, t, shifted.min_pair_sq_distance()))
     moves.sort(key=lambda m: (m.selector.describe(), m.shift))
@@ -305,14 +308,16 @@ def reference_selectors(c):
 
 
 nonzero = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
+WINDOW_4X4 = Window((0, 0, 0), (3, 3, 0))
 
 
 @st.composite
 def sliding_cases(draw):
-    """A small admissible set on a skewed HNF torus of index <= 64 or in a
-    window (often one or a few collinear sites, so whole-configuration
-    selections occur), line and plane selectors through random sites, and
-    random shifts (zero included)."""
+    """A small set on a skewed HNF torus of index <= 64 or in a window (often
+    one or a few collinear sites, so whole-configuration selections occur),
+    admissible but for a drawn number of sites that violate d2, line and
+    plane selectors through random sites, and random shifts (zero
+    included)."""
     d2 = draw(st.integers(1, 4))
     if draw(st.booleans()):
         a = draw(st.integers(1, 8))
@@ -328,10 +333,15 @@ def sliding_cases(draw):
         domain = Window(lo, tuple(v + draw(st.integers(0, 3)) for v in lo))
         sites = list(domain.sites())
     occupied: list = []
+    keep, violating = draw(st.integers(1, 6)), draw(st.integers(0, 2))
     for x in draw(st.permutations(sites)):
         if all(domain.pair_sq_distance(x, y) >= d2 for y in occupied):
+            if keep:
+                occupied.append(x)
+                keep -= 1
+        elif violating:
             occupied.append(x)
-    occupied = occupied[: draw(st.integers(1, 6))]
+            violating -= 1
     anchors = st.sampled_from(occupied + sites[:4])
     selectors = draw(
         st.lists(
@@ -351,6 +361,27 @@ def sliding_cases(draw):
         Configuration(Window((0, 0, 0), (3, 0, 0)), 2, frozenset({(0, 0, 0), (2, 0, 0)})),
         [LineSelector((0, 0, 0), (1, 0, 0))],
         [(1, 0, 0)],
+    )
+)
+@example(  # the selected line holds a conflicting pair, which moves along
+    (
+        Configuration(WINDOW_4X4, 2, frozenset({(0, 0, 0), (1, 0, 0), (3, 3, 0)})),
+        [LineSelector((0, 0, 0), (1, 0, 0))],
+        [(0, 1, 0), (0, 2, 0)],
+    )
+)
+@example(  # the conflicting pair stays behind in the rest
+    (
+        Configuration(WINDOW_4X4, 2, frozenset({(0, 0, 0), (1, 0, 0), (3, 3, 0)})),
+        [LineSelector((3, 3, 0), (1, 0, 0))],
+        [(0, -1, 0), (0, -2, 0)],
+    )
+)
+@example(  # the shift (2, 0, 0) lands the moved site on the unmoved one
+    (
+        Configuration(Window((0, 0, 0), (3, 0, 0)), 2, frozenset({(0, 0, 0), (2, 0, 0)})),
+        [PlaneSelector((0, 0, 0), (1, 0, 0))],
+        [(2, 0, 0), (3, 0, 0)],
     )
 )
 def test_find_sliding_matches_per_shift_reference(case):

@@ -21,7 +21,8 @@ from hc3.lattice import (
     cross,
     dot,
     hnf,
-    lattice_contains,
+    in_lattice,
+    lattice_from_generators,
     lattice_index,
     quotient,
     sq_norm,
@@ -51,8 +52,9 @@ def sublattice_config(d2, variant=None):
 def doubled_catalog_config(d2):
     """The catalog lattice on the torus of its doubled basis: eight sites."""
     basis = known_sublattice(d2)
+    lat = lattice_from_generators(basis)
     q = quotient(scaled_basis(basis, 2))
-    occupied = frozenset(x for x in q.reps if lattice_contains(basis, x))
+    occupied = frozenset(x for x in q.reps if in_lattice(lat, x))
     return Configuration(q, d2, occupied)
 
 
@@ -103,9 +105,10 @@ def test_cell_respects_stabilizer_symmetries():
     for d2 in (2, 3):
         cell = voronoi_cell(sublattice_config(d2), (0, 0, 0))
         basis = known_sublattice(d2)
+        lat = lattice_from_generators(basis)
         verts = set(cell.vertices)
         for op in symmetry_group():
-            if all(lattice_contains(basis, apply_symmetry(op, g)) for g in basis):
+            if all(in_lattice(lat, apply_symmetry(op, g)) for g in basis):
                 mapped = {
                     tuple(
                         sum(Fraction(op[i][j]) * v[j] for j in range(3))

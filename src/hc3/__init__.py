@@ -58,8 +58,8 @@ from .perturbations import (
     insertion_conflicts,
     min_insertion_order,
 )
+from .search import BudgetExhaustedError
 from .solver import (
-    BudgetExhaustedError,
     PackingResult,
     max_packing,
 )

@@ -50,7 +50,7 @@ class SitesOutsideWindowError(ValueError):
 
 
 @cache
-def _conflict_offsets(d2: int) -> tuple[Site, ...]:
+def offsets_closer_than(d2: int) -> tuple[Site, ...]:
     """All offsets v with 0 < |v|^2 < d2.  Two distinct sites conflict
     exactly when their difference is congruent to one of these offsets.
     Built once per d2 and shared by every caller."""
@@ -61,7 +61,7 @@ def conflict_masks(points: list[Site], d2: int) -> list[int]:
     """For each of the distinct points, the bitmask (by list index) of the
     points strictly closer than the exclusion distance, plain distances."""
     index = {p: i for i, p in enumerate(points)}
-    offsets = _conflict_offsets(d2)
+    offsets = offsets_closer_than(d2)
     return [
         sum(1 << index[q] for v in offsets if (q := add(p, v)) in index)
         for p in points
@@ -110,7 +110,7 @@ class Configuration:
             # no two sites of a window are farther apart than its diagonal
             w = self.domain
             d2 = min(d2, sum((h - lo) ** 2 for lo, h in zip(w.lo, w.hi)) + 1)
-        return _conflict_offsets(d2)
+        return offsets_closer_than(d2)
 
     def conflicting_pairs(self) -> Iterator[tuple[Site, Site]]:
         """Every pair a < b of occupied sites closer than the exclusion
@@ -197,7 +197,7 @@ def build_exclusion_graph(q: Quotient, d2: int) -> ExclusionGraph:
         raise PeriodTooShortError(
             f"period min squared norm {q.min_period_sq_norm()} < d2 = {d2}"
         )
-    offsets = _conflict_offsets(d2)
+    offsets = offsets_closer_than(d2)
     index = q.rep_index
     reduce = q.reduce
     n = q.index

@@ -20,6 +20,7 @@ and the domain's ``period`` (empty on a window), built once with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 from .admissibility import Configuration
@@ -402,7 +403,7 @@ class LineSelector:
         return f"line:{_fmt(self.anchor)}:{_fmt(self.direction)}"
 
     def select(self, c: Configuration) -> frozenset[Site]:
-        lat = lattice_from_generators([self.direction, *c.domain.period])
+        lat = _span(self.direction, *c.domain.period)
         return frozenset(x for x in c.occupied if in_lattice(lat, sub(x, self.anchor)))
 
 
@@ -445,11 +446,17 @@ class MeshSelector:
 
     def select(self, c: Configuration) -> frozenset[Site]:
         anchor = self.mesh.anchor
-        lat = lattice_from_generators([*self.mesh.generators, *c.domain.period])
+        lat = _span(*self.mesh.generators, *c.domain.period)
         return frozenset(x for x in c.occupied if in_lattice(lat, sub(x, anchor)))
 
 
 Selector = LineSelector | PlaneSelector | MeshSelector
+
+
+@cache
+def _span(*gens: Site) -> tuple[Site, ...]:
+    """The span of a selector's generators and the period, built once."""
+    return lattice_from_generators(gens)
 
 
 def _fmt(v: Site) -> str:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import catalog, documents, embeddings, perturbations, solver, voronoi
 from .admissibility import Configuration, PeriodTooShortError, SitesOutsideWindowError
 from .lattice import Quotient, Site, cross, lattice_index, primitive, shortest_vectors
-from .solver import BudgetExhaustedError
+from .search import BudgetExhaustedError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -146,11 +146,6 @@ def _cmd_pack(args) -> int:
         raise CliError(str(exc), EXIT_BUDGET)
     print(f"# nodes={result.nodes} time={result.wall_time:.3f}s", file=sys.stderr)
     witness_sites = result.witness.sorted_sites()
-    lines = [f"optimum {result.optimum}"]
-    lines.append("witness " + " ".join(_fmt_site(s) for s in witness_sites))
-    lines.append(f"density {_fmt_fraction(result.witness.density())}")
-    if result.count is not None:
-        lines.append(f"count {result.count}")
     payload = {
         "optimum": result.optimum,
         "witness": [list(s) for s in witness_sites],
@@ -158,7 +153,11 @@ def _cmd_pack(args) -> int:
         "d2": args.d2,
         "period": [list(g) for g in q.period],
     }
+    lines = [f"optimum {result.optimum}"]
+    lines.append("witness " + " ".join(_fmt_site(s) for s in witness_sites))
+    lines.append(f"density {payload['density']}")
     if result.count is not None:
+        lines.append(f"count {result.count}")
         payload["count"] = result.count
     if args.out:
         _save(result.witness, args.out, {"source": "pack"})
@@ -178,15 +177,15 @@ def _cmd_verify(args) -> int:
         _add_violation(c, pair, lines, payload)
         _emit(args, lines, payload)
         return EXIT_DOMAIN
-    lines.append(f"density {_fmt_fraction(c.density())}")
-    payload["density"] = _fmt_fraction(c.density())
+    payload["density"] = density = _fmt_fraction(c.density())
+    lines.append(f"density {density}")
     m = c.min_pair_sq_distance()
     if m is not None:
         lines.append(f"min-pair-sq-distance {m}")
         payload["min_pair_sq_distance"] = m
     if isinstance(c.domain, Quotient):
-        lines.append(f"period-min-sq-norm {c.domain.min_period_sq_norm()}")
-        payload["period_min_sq_norm"] = c.domain.min_period_sq_norm()
+        payload["period_min_sq_norm"] = norm = c.domain.min_period_sq_norm()
+        lines.append(f"period-min-sq-norm {norm}")
     saturated = not c.insertion_candidates()
     lines.append(f"saturated {'yes' if saturated else 'no'}")
     payload["saturated"] = saturated
@@ -202,13 +201,6 @@ def _cmd_pc(args) -> int:
     q = Quotient(basis)
     c = Configuration(q, args.d2, frozenset({(0, 0, 0)}))
     meta = {"kind": "catalog-sublattice", "d2": str(args.d2)}
-    lines = [
-        f"d2 {args.d2}",
-        "basis " + " ".join(_fmt_site(g) for g in basis),
-        f"index {lattice_index(basis)}",
-        f"density {_fmt_fraction(c.density())}",
-        f"min-sq-norm {shortest_vectors(basis)[0]}",
-    ]
     payload = {
         "d2": args.d2,
         "basis": [list(g) for g in basis],
@@ -216,6 +208,13 @@ def _cmd_pc(args) -> int:
         "density": _fmt_fraction(c.density()),
         "min_sq_norm": shortest_vectors(basis)[0],
     }
+    lines = [
+        f"d2 {args.d2}",
+        "basis " + " ".join(_fmt_site(g) for g in basis),
+        f"index {payload['index']}",
+        f"density {payload['density']}",
+        f"min-sq-norm {payload['min_sq_norm']}",
+    ]
     if args.out:
         _save(c, args.out, meta)
         lines.append(f"file {args.out}")
@@ -230,14 +229,6 @@ def _cmd_layered(args) -> int:
     except (catalog.UnknownCatalogEntryError, ValueError) as exc:
         raise CliError(str(exc), EXIT_BAD_INPUT)
     assert isinstance(c.domain, Quotient)
-    lines = [
-        f"d2 {args.d2}",
-        f"word {args.word}",
-        "period " + " ".join(_fmt_site(g) for g in c.domain.period),
-        f"sites {len(c.occupied)}",
-        f"density {_fmt_fraction(c.density())}",
-        f"min-pair-sq-distance {c.min_pair_sq_distance()}",
-    ]
     payload = {
         "d2": args.d2,
         "word": args.word,
@@ -246,6 +237,14 @@ def _cmd_layered(args) -> int:
         "density": _fmt_fraction(c.density()),
         "min_pair_sq_distance": c.min_pair_sq_distance(),
     }
+    lines = [
+        f"d2 {args.d2}",
+        f"word {args.word}",
+        "period " + " ".join(_fmt_site(g) for g in c.domain.period),
+        f"sites {len(c.occupied)}",
+        f"density {payload['density']}",
+        f"min-pair-sq-distance {payload['min_pair_sq_distance']}",
+    ]
     if args.out:
         _save(c, args.out, {"kind": "layered", "word": args.word})
         lines.append(f"file {args.out}")

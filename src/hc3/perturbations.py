@@ -5,7 +5,7 @@ conflict with; its order is the net particle loss.  Insertion conflicts are
 counted against the periodic extension (actual lattice points, images
 included), which is what makes the order meaningful on small tori as well;
 they are the points x + v, v a conflict offset, whose coset is occupied.
-The excitation scan spends the solver's node budget and deduplicates by the
+The excitation scan spends a ``search.NodeBudget`` and deduplicates by the
 translations that fix the configuration (``Quotient.stabiliser``).
 ``find_sliding`` alone decides which shifts of line or plane sub-meshes are
 slides; shifting every occupied site is a global translation, not a slide.
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from .admissibility import (
     Configuration,
     SitesOutsideWindowError,
-    _conflict_offsets,
     conflict_masks,
+    offsets_closer_than,
 )
 from .catalog import LineSelector, PlaneSelector, Selector
 from .lattice import (
@@ -35,7 +35,7 @@ from .lattice import (
     sq_norm,
     sub,
 )
-from .solver import BudgetExhaustedError, _Counter
+from .search import BudgetExhaustedError, NodeBudget
 
 __all__ = [
     "Excitation",
@@ -67,7 +67,7 @@ def insertion_conflicts(c: Configuration, x: Site) -> list[Site]:
     reduce = c.domain.reduce
     if reduce(x) in c.occupied:
         raise ValueError(f"site {x} is occupied")
-    near = (add(x, v) for v in _conflict_offsets(c.d2))
+    near = (add(x, v) for v in offsets_closer_than(c.d2))
     return sorted(p for p in near if reduce(p) in c.occupied)
 
 
@@ -150,7 +150,7 @@ def enumerate_excitations(
 
     stab_q = _stabilizer_lattice(c)
     found: dict[tuple, None] = {}
-    counter = _Counter(budget)
+    counter = NodeBudget(budget)
 
     def canon(added: frozenset, removed: frozenset):
         shifts = {sub(stab_q.reduce(a), a) for a in added}
@@ -203,22 +203,6 @@ def enumerate_excitations(
     ]
     excitations.sort(key=lambda e: (e.order, e.added, e.removed))
     return ExcitationScan(tuple(excitations), complete, counter.nodes)
-
-
-def revalidate_excitation(c: Configuration, exc: Excitation) -> bool:
-    """Re-check an excitation against the periodic extension: added points
-    pairwise admissible, removed exactly the conflict set, and no remaining
-    configuration point too close to an added one."""
-    d2 = c.d2
-    added = exc.added
-    for i, a in enumerate(added):
-        for b in added[i + 1 :]:
-            if sq_norm(sub(a, b)) < d2:
-                return False
-    removed = set()
-    for a in added:
-        removed.update(insertion_conflicts(c, a))
-    return removed == set(exc.removed)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ down and branches on their vertices in turn, each child including one
 vertex, and stops once the cliques left could not beat the best set found.
 A set larger than `best` must take a vertex from a clique with index
 >= best - size, so only those cliques are branched on, and the depth is at
-most the optimum.  The witness/count phase branches on the lowest
-candidate, include first, which makes the reported witness the
-lexicographically least optimal set under the fixed coset order.
+most the optimum.  The witness/count phase runs ``search.include_first``,
+which branches on the lowest candidate, include first: the reported witness
+is the lexicographically least optimal set under the fixed coset order.
 
 Torus translations act transitively on the cosets, so both phases search
 only the sets that contain vertex 0.  The lexicographically least optimum
@@ -43,23 +43,20 @@ symmetry, in far fewer nodes.  Phase 2 does not use the point group.
 Determinism contract: the search is one sequential depth-first pass, so
 optimum, witness, count and the node count of each phase depend only on the
 input.  The search never returns an unproven optimum: exceeding the node
-budget raises instead.
+budget (one ``search.NodeBudget`` for both phases) raises instead.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from .admissibility import Configuration, ExclusionGraph, build_exclusion_graph
 from .lattice import Quotient, Site, SymmetryOp, apply_symmetry, symmetry_group
+from .search import Cut, NodeBudget, include_first, isolated
 
-__all__ = ["PackingResult", "BudgetExhaustedError", "max_packing"]
-
-
-class BudgetExhaustedError(RuntimeError):
-    """The node budget ran out before the search proved its result."""
+__all__ = ["PackingResult", "max_packing"]
 
 
 @dataclass(frozen=True)
@@ -69,28 +66,6 @@ class PackingResult:
     count: int | None
     nodes: int
     wall_time: float
-
-
-class _Counter:
-    """The node budget of a search (the packing solver, the excitation scan
-    and the minimal-cell search): spend() counts one node, or raises once the
-    count would pass the budget, so a search stopped by a budget b >= 0 has
-    counted exactly b nodes."""
-
-    __slots__ = ("nodes", "budget")
-
-    def __init__(self, budget: int | None):
-        self.nodes = 0
-        self.budget = budget
-
-    def spend(self) -> None:
-        if self.budget is not None and self.nodes >= self.budget:
-            raise BudgetExhaustedError(f"node budget {self.budget} exhausted")
-        self.nodes += 1
-
-
-def _lowest_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
 
 
 def _greedy_clique_cover(cand: int, adj: tuple[int, ...], cap: int) -> list[int]:
@@ -116,22 +91,6 @@ def _greedy_clique_cover(cand: int, adj: tuple[int, ...], cap: int) -> list[int]
             common &= adj[low.bit_length() - 1]
         cliques.append(left ^ rest)
     return cliques
-
-
-def _isolated(cand: int, adj: tuple[int, ...]) -> int:
-    """Mask of the candidates with no remaining conflicts.
-
-    Such vertices belong to every maximal (hence every maximum) extension,
-    so the searches move them into the chosen set.
-    """
-    isolated = 0
-    m = cand
-    while m:
-        low = m & -m
-        m ^= low
-        if not (adj[low.bit_length() - 1] & cand):
-            isolated |= low
-    return isolated
 
 
 _SIGNED_PERMUTATIONS = symmetry_group()
@@ -178,7 +137,7 @@ def _search_optimum(
     best: int,
     group: list[int],
     images: Callable[[int], tuple[int, ...]],
-    counter: _Counter,
+    counter: NodeBudget,
 ) -> int:
     """The larger of `best` and the largest independent set that adds
     candidates to `size` chosen vertices.
@@ -189,9 +148,9 @@ def _search_optimum(
     branch-and-bound of the module docstring.
     """
     counter.spend()
-    isolated = _isolated(cand, adj)
-    cand ^= isolated
-    size += isolated.bit_count()
+    free = isolated(cand, adj)
+    cand ^= free
+    size += free.bit_count()
     if not cand:
         return max(best, size)
     cliques = _greedy_clique_cover(cand, adj, len(adj))
@@ -219,7 +178,7 @@ def _search_optimum(
 
 
 def _prove_optimum(
-    graph: ExclusionGraph, ops: list[SymmetryOp], counter: _Counter
+    graph: ExclusionGraph, ops: list[SymmetryOp], counter: NodeBudget
 ) -> int:
     """Phase 1: the optimum over the sets through vertex 0, branching on the
     orbits of `ops`, a group of automorphisms of the graph that fix vertex 0."""
@@ -229,44 +188,22 @@ def _prove_optimum(
     return _search_optimum(adj, root_cand, 1, 0, list(range(len(ops))), images, counter)
 
 
-def _optima(
-    adj: tuple[int, ...],
-    cand: int,
-    chosen: int,
-    size: int,
-    optimum: int,
-    counter: _Counter,
-) -> Iterator[int]:
-    """The chosen masks of every independent set of size `optimum` that
-    extends `chosen` by candidates, in lexicographic order.
+def _short_of(adj: tuple[int, ...], k: int) -> Cut:
+    """The phase 2 cut: the chosen set plus a clique cover of the candidates
+    falls short of k.  At a leaf it keeps exactly the sets of size k."""
 
-    Branches on the lowest candidate, include-first, so the first set
-    yielded is the lexicographically least one.  Nodes are spent only while
-    the generator runs: one that is never resumed searches no further.
-    """
-    counter.spend()
-    isolated = _isolated(cand, adj)
-    cand ^= isolated
-    size += isolated.bit_count()
-    chosen |= isolated
-    if not cand:
-        if size == optimum:
-            yield chosen
-        return
-    if size + len(_greedy_clique_cover(cand, adj, optimum - size)) < optimum:
-        return
-    v = _lowest_bit(cand)
-    yield from _optima(
-        adj, cand & ~adj[v] & ~(1 << v), chosen | 1 << v, size + 1, optimum, counter
-    )
-    yield from _optima(adj, cand & ~(1 << v), chosen, size, optimum, counter)
+    def cut(chosen: int, cand: int) -> bool:
+        size = chosen.bit_count()
+        return size + len(_greedy_clique_cover(cand, adj, k - size)) < k
+
+    return cut
 
 
 def _mask_sites(q: Quotient, mask: int) -> frozenset[Site]:
     """The coset representatives of the vertices in the mask."""
     sites = []
     while mask:
-        sites.append(q.reps[_lowest_bit(mask)])
+        sites.append(q.reps[(mask & -mask).bit_length() - 1])
         mask &= mask - 1
     return frozenset(sites)
 
@@ -289,12 +226,12 @@ def max_packing(
     t0 = time.perf_counter()
     graph = build_exclusion_graph(q, d2)
     adj, n = graph.adjacency, graph.n
-    counter = _Counter(node_budget)
+    counter = NodeBudget(node_budget)
     # Phase 1: the optimum value, by orbits of the point group.
     optimum = _prove_optimum(graph, _point_group(q), counter)
     # Phase 2: the optima through vertex 0 (module docstring), least first.
     root_cand = ((1 << n) - 1) & ~adj[0] & ~1
-    optima = _optima(adj, root_cand, 1, 1, optimum, counter)
+    optima = include_first(adj, 1, root_cand, _short_of(adj, optimum), counter)
     first = next(optima, None)
     if first is None:
         raise AssertionError("optimum proven but no witness enumerated")

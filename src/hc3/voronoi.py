@@ -23,6 +23,10 @@ second common plane, counterclockwise about the outward normal.
 Volumes are exact rationals obtained from an outward-oriented fan
 triangulation of the facet cycles, summed in integers over a common
 denominator.
+
+The minimal-cell search runs ``search.include_first`` over the admissible
+neighbourhoods of the origin in a ball; it cuts a node whose chosen and
+candidate points leave a cell no smaller than the best, and a leaf reuses it.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .lattice import (
     sq_norm,
     sub,
 )
-from .solver import BudgetExhaustedError, _Counter, _isolated
+from .search import BudgetExhaustedError, NodeBudget, include_first
 
 __all__ = [
     "RationalPolytope",
@@ -339,11 +343,12 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
     """Best-effort minimum Voronoi cell volume over admissible neighborhoods
     of the origin inside the given ball.
 
-    DFS over insertion candidates with a strong lower bound: the cell cut by
-    every still-possible candidate.  Candidates with no remaining conflicts
-    are always included (they can only shrink the cell).  A leaf value counts
-    only when its cell certifies (all vertices strictly inside radius/2), so
-    the reported volume is a true cell volume of some admissible extension.
+    ``search.include_first`` over insertion candidates with a strong lower
+    bound: the cell cut by every still-possible candidate.  Candidates with
+    no remaining conflicts are always included (they can only shrink the
+    cell).  A leaf value counts only when its cell certifies (all vertices
+    strictly inside radius/2), so the reported volume is a true cell volume
+    of some admissible extension.
     NON-EXHAUSTIVE beyond the node budget: `completed` reports whether the
     search ran to the end.
     """
@@ -359,34 +364,26 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
         key=lambda v: (sq_norm(v), v),
     )
     conflict = conflict_masks(cands, d2)
-    counter = _Counter(node_budget)
+    budget = NodeBudget(node_budget)
     best_volume: Fraction | None = None
     best_mask = 0
     uncertified = False
+    poly = vol = None
 
-    def dfs(chosen: int, cand: int) -> None:
-        nonlocal best_volume, best_mask, uncertified
-        counter.spend()
-        isolated = _isolated(cand, conflict)
-        chosen |= isolated
-        cand ^= isolated
+    def cut(chosen: int, cand: int) -> bool:
+        # the cell of chosen | cand bounds the leaves below; a leaf reuses it
+        nonlocal poly, vol
         poly = _cut_cell((0, 0, 0), radius, _members(cands, chosen | cand))
         vol = poly.volume()
-        if best_volume is not None and vol >= best_volume:
-            return
-        if not cand:
+        return best_volume is not None and vol >= best_volume
+
+    completed = True
+    try:
+        for chosen in include_first(conflict, 0, (1 << len(cands)) - 1, cut, budget):
             if poly.inside((0, 0, 0), radius):
                 best_volume, best_mask = vol, chosen
             else:
                 uncertified = True
-            return
-        v = (cand & -cand).bit_length() - 1
-        dfs(chosen | 1 << v, cand & ~conflict[v] & ~(1 << v))
-        dfs(chosen, cand & ~(1 << v))
-
-    completed = True
-    try:
-        dfs(0, (1 << len(cands)) - 1)
     except BudgetExhaustedError:
         completed = False
     return MinCellResult(
@@ -394,7 +391,7 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
         neighborhood=tuple(_members(cands, best_mask)),
         completed=completed,
         certified=best_volume is not None and not uncertified,
-        nodes=counter.nodes,
+        nodes=budget.nodes,
     )
 
 

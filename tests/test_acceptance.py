@@ -33,10 +33,10 @@ from hc3.perturbations import (
     enumerate_excitations,
     find_sliding,
     min_insertion_order,
-    revalidate_excitation,
 )
 from hc3.solver import max_packing
 from hc3.voronoi import cell_volume, tessellation_check, voronoi_cell
+from test_perturbations import revalidate_excitation
 
 DIAG2 = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
 DIAG4 = ((4, 0, 0), (0, 4, 0), (0, 0, 4))

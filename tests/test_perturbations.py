@@ -32,12 +32,12 @@ from hc3.lattice import (
 )
 from hc3.perturbations import (
     _DIRECTIONS,
+    Excitation,
     SlidingMove,
     enumerate_excitations,
     find_sliding,
     insertion_conflicts,
     min_insertion_order,
-    revalidate_excitation,
     standard_selectors,
     standard_shifts,
 )
@@ -98,6 +98,22 @@ def reference_insertion_conflicts(c, x):
             out.extend(c.domain.images_near(o, x, c.d2 - 1))
         return sorted(out)
     return sorted(o for o in c.occupied if sq_norm(sub(o, x)) < c.d2)
+
+
+def revalidate_excitation(c: Configuration, exc: Excitation) -> bool:
+    """Re-check an excitation against the periodic extension: added points
+    pairwise admissible, removed exactly the conflict set, and no remaining
+    configuration point too close to an added one."""
+    d2 = c.d2
+    added = exc.added
+    for i, a in enumerate(added):
+        for b in added[i + 1 :]:
+            if sq_norm(sub(a, b)) < d2:
+                return False
+    removed = set()
+    for a in added:
+        removed.update(insertion_conflicts(c, a))
+    return removed == set(exc.removed)
 
 
 small = st.integers(-6, 6)

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from hc3.admissibility import build_exclusion_graph
 from hc3.catalog import known_sublattice, known_sublattice_keys, scaled_basis
 from hc3.lattice import IDENTITY_OP, add, apply_symmetry, hnf, quotient, symmetry_group
+from hc3.search import BudgetExhaustedError, NodeBudget, include_first
 from hc3.solver import (
-    BudgetExhaustedError,
     _coset_images,
-    _Counter,
     _greedy_clique_cover,
-    _optima,
     _point_group,
     _prove_optimum,
+    _short_of,
     max_packing,
 )
 
@@ -138,7 +137,7 @@ def test_random_periods_match_bruteforce(case):
 
 
 def _phase1(graph, ops):
-    counter = _Counter(None)
+    counter = NodeBudget(None)
     return _prove_optimum(graph, ops, counter), counter.nodes
 
 
@@ -180,10 +179,14 @@ def test_phase1_optimum_matches_phase2_search(case):
     adj = graph.adjacency
     k = _phase1(graph, _point_group(q))[0]
     root = ((1 << graph.n) - 1) & ~adj[0] & ~1
-    assert next(_optima(adj, root, 1, 1, k, _Counter(None)), None) is not None
+
+    def optima(target):
+        return include_first(adj, 1, root, _short_of(adj, target), NodeBudget(None))
+
+    assert next(optima(k), None) is not None
     bound = 1 + len(_greedy_clique_cover(root, adj, graph.n))
     for target in range(k + 1, bound + 1):
-        assert next(_optima(adj, root, 1, 1, target, _Counter(None)), None) is None
+        assert next(optima(target), None) is None
 
 
 @pytest.mark.parametrize(

@@ -192,6 +192,7 @@ def test_min_cell_search_rediscovers_fcc():
     assert result.completed
     assert result.certified
     assert result.volume == 2
+    assert result.nodes == 69
     # the witness neighborhood contains the full first FCC shell
     shell = {v for v in result.neighborhood if sum(x * x for x in v) == 2}
     assert len(shell) == 12
@@ -202,6 +203,7 @@ def test_min_cell_search_rediscovers_bcc():
     assert result.completed
     assert result.certified
     assert result.volume == 4
+    assert result.nodes == 29
 
 
 def test_min_cell_search_partial_flag():

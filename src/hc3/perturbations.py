@@ -5,8 +5,9 @@ conflict with; its order is the net particle loss.  Insertion conflicts are
 counted against the periodic extension (actual lattice points, images
 included), which is what makes the order meaningful on small tori as well;
 they are the points x + v, v a conflict offset, whose coset is occupied.
-The excitation scan spends a ``search.NodeBudget`` and deduplicates by the
-translations that fix the configuration (``Quotient.stabiliser``).
+The excitation scan walks the pairwise-admissible added sets level by level,
+each once, as bitmasks; it spends a ``search.NodeBudget`` and deduplicates by
+the translations that fix the configuration (``Quotient.stabiliser``).
 ``find_sliding`` alone decides which shifts of line or plane sub-meshes are
 slides; shifting every occupied site is a global translation, not a slide.
 A translation keeps every distance inside the selection and inside the
@@ -35,7 +36,7 @@ from .lattice import (
     sq_norm,
     sub,
 )
-from .search import BudgetExhaustedError, NodeBudget
+from .search import BudgetExhaustedError, NodeBudget, members
 
 __all__ = [
     "Excitation",
@@ -129,30 +130,36 @@ def enumerate_excitations(
 
     Everything is computed in the periodic extension: added candidates are
     actual lattice points of the ball, pairwise admissibility uses plain
-    distances, and the removed set collects conflict points.  DFS over
-    pairwise-admissible added sets; the budget bounds the number of visited
-    nodes and a partial scan is flagged.
+    distances, and the removed set collects conflict points.  The scan visits
+    every pairwise-admissible added set once, level by level: level k + 1
+    extends each set of level k by one higher-index candidate that conflicts
+    with none of its points.  Each visited set spends one node of the budget;
+    a scan stopped by the budget is flagged incomplete and still lists every
+    excitation with no more added points than the last completed level.
     """
     if not isinstance(c.domain, Quotient):
         raise ValueError("excitation enumeration requires a periodic configuration")
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    dom = c.domain
-    candidates = []
-    for x in lattice_points(IDENTITY_OP, (0, 0, 0), radius * radius):
-        if dom.reduce(x) not in c.occupied:
-            candidates.append(x)
-    candidates.sort(key=lambda x: (sq_norm(x), x))
+    ball = lattice_points(IDENTITY_OP, (0, 0, 0), radius * radius)
+    candidates = sorted(
+        (x for x in ball if c.domain.reduce(x) not in c.occupied),
+        key=lambda x: (sq_norm(x), x),
+    )
     conflict = conflict_masks(candidates, c.d2)
-    conflict_points = {
-        x: frozenset(insertion_conflicts(c, x)) for x in candidates
-    }
+    # removed points are bitmasks over the sorted points near the candidates
+    repelled = [insertion_conflicts(c, x) for x in candidates]
+    near = sorted(set().union(*repelled))
+    bit = {p: 1 << j for j, p in enumerate(near)}
+    removes = [sum(bit[p] for p in ps) for ps in repelled]
 
     stab_q = _stabilizer_lattice(c)
     found: dict[tuple, None] = {}
     counter = NodeBudget(budget)
 
-    def canon(added: frozenset, removed: frozenset):
+    def canon(added_mask: int, removed_mask: int):
+        added = members(candidates, added_mask)
+        removed = members(near, removed_mask)
         shifts = {sub(stab_q.reduce(a), a) for a in added}
         return min(
             (
@@ -162,44 +169,27 @@ def enumerate_excitations(
             for t in shifts
         )
 
-    def dfs(
-        start: int, added_mask: int, added: frozenset, removed: frozenset, cap: int
-    ) -> bool:
-        """Record the excitations below this node; True when some added set
-        reached the size cap."""
-        counter.spend()
-        if added and len(removed) - len(added) <= max_order:
-            found.setdefault(canon(added, removed))
-        if len(added) == cap:
-            return True
-        hit_cap = False
-        for i in range(start, len(candidates)):
-            if added_mask & conflict[i]:
-                continue  # conflicts with an already added point
-            x = candidates[i]
-            hit_cap |= dfs(
-                i + 1,
-                added_mask | 1 << i,
-                added | {x},
-                removed | conflict_points[x],
-                cap,
-            )
-        return hit_cap
-
-    # Iterative deepening on the added-set size keeps small excitations
-    # ahead of the combinatorial tail, so a budget-truncated scan still
-    # reports every excitation up to the last completed size.
+    # a level holds (next candidate index, added mask, removed mask) triples
     complete = True
-    cap = 1
+    level = [(0, 0, 0)]
     try:
-        while dfs(0, 0, frozenset(), frozenset(), cap):
-            cap += 1
+        while level:
+            deeper = []
+            for start, added, removed in level:
+                for i in range(start, len(candidates)):
+                    if added & conflict[i]:
+                        continue  # conflicts with an already added point
+                    counter.spend()
+                    a, r = added | 1 << i, removed | removes[i]
+                    if r.bit_count() - a.bit_count() <= max_order:
+                        found.setdefault(canon(a, r))
+                    deeper.append((i + 1, a, r))
+            level = deeper
     except BudgetExhaustedError:
         complete = False
 
     excitations = [
-        Excitation(added=a, removed=r, order=len(r) - len(a))
-        for a, r in sorted(found)
+        Excitation(added=a, removed=r, order=len(r) - len(a)) for a, r in found
     ]
     excitations.sort(key=lambda e: (e.order, e.added, e.removed))
     return ExcitationScan(tuple(excitations), complete, counter.nodes)

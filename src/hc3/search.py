@@ -1,16 +1,25 @@
 """What the exhaustive searches share: the node budget, the isolated-candidate
-step and the include-first enumerator.  Vertex sets are int bitmasks over a
-conflict graph, `adj[v]` the mask of the vertices that conflict with v.
+step, the include-first enumerator and the bitmask decoder.  Vertex sets are
+int bitmasks over a conflict graph, `adj[v]` the mask of the vertices that
+conflict with v.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence, TypeVar
 
-__all__ = ["BudgetExhaustedError", "NodeBudget", "Cut", "isolated", "include_first"]
+__all__ = [
+    "BudgetExhaustedError",
+    "NodeBudget",
+    "Cut",
+    "isolated",
+    "include_first",
+    "members",
+]
 
 # cut(chosen, cand): whether a node's subtree can be dropped
 Cut = Callable[[int, int], bool]
+T = TypeVar("T")
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -31,6 +40,16 @@ class NodeBudget:
         if self.budget is not None and self.nodes >= self.budget:
             raise BudgetExhaustedError(f"node budget {self.budget} exhausted")
         self.nodes += 1
+
+
+def members(points: Sequence[T], mask: int) -> list[T]:
+    """The points at the set bits of the mask, in index order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(points[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 def isolated(cand: int, adj: tuple[int, ...]) -> int:

@@ -53,8 +53,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .admissibility import Configuration, ExclusionGraph, build_exclusion_graph
-from .lattice import Quotient, Site, SymmetryOp, apply_symmetry, symmetry_group
-from .search import Cut, NodeBudget, include_first, isolated
+from .lattice import Quotient, SymmetryOp, apply_symmetry, symmetry_group
+from .search import Cut, NodeBudget, include_first, isolated, members
 
 __all__ = ["PackingResult", "max_packing"]
 
@@ -199,15 +199,6 @@ def _short_of(adj: tuple[int, ...], k: int) -> Cut:
     return cut
 
 
-def _mask_sites(q: Quotient, mask: int) -> frozenset[Site]:
-    """The coset representatives of the vertices in the mask."""
-    sites = []
-    while mask:
-        sites.append(q.reps[(mask & -mask).bit_length() - 1])
-        mask &= mask - 1
-    return frozenset(sites)
-
-
 def max_packing(
     q: Quotient,
     d2: int,
@@ -239,13 +230,15 @@ def max_packing(
     if count or mod_translations:
 
         def weight(mask: int) -> int:
-            return len(q.stabiliser(_mask_sites(q, mask))) if mod_translations else n
+            if not mod_translations:
+                return n
+            return len(q.stabiliser(frozenset(members(q.reps, mask))))
 
         total = weight(first) + sum(map(weight, optima))
         if total % optimum:
             raise AssertionError("the weighted sum of optima is not a multiple of k")
         counted = total // optimum
-    witness = Configuration(q, d2, _mask_sites(q, first))
+    witness = Configuration(q, d2, frozenset(members(q.reps, first)))
     return PackingResult(
         optimum=optimum,
         witness=witness,

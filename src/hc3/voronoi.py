@@ -48,7 +48,7 @@ from .lattice import (
     sq_norm,
     sub,
 )
-from .search import BudgetExhaustedError, NodeBudget, include_first
+from .search import BudgetExhaustedError, NodeBudget, include_first, members
 
 __all__ = [
     "RationalPolytope",
@@ -373,7 +373,7 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
     def cut(chosen: int, cand: int) -> bool:
         # the cell of chosen | cand bounds the leaves below; a leaf reuses it
         nonlocal poly, vol
-        poly = _cut_cell((0, 0, 0), radius, _members(cands, chosen | cand))
+        poly = _cut_cell((0, 0, 0), radius, members(cands, chosen | cand))
         vol = poly.volume()
         return best_volume is not None and vol >= best_volume
 
@@ -388,12 +388,8 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
         completed = False
     return MinCellResult(
         volume=best_volume,
-        neighborhood=tuple(_members(cands, best_mask)),
+        neighborhood=tuple(members(cands, best_mask)),
         completed=completed,
         certified=best_volume is not None and not uncertified,
         nodes=budget.nodes,
     )
-
-
-def _members(points: list[Site], mask: int) -> list[Site]:
-    return [p for i, p in enumerate(points) if mask >> i & 1]

@@ -11,20 +11,16 @@ import sys
 import time
 from fractions import Fraction
 
-from hc3.admissibility import Configuration
 from hc3.catalog import (
     LineSelector,
     build_layered,
     known_sublattice,
-    layered_quotient,
     scaled_basis,
 )
 from hc3.embeddings import admits_layered, embedding_classes, enumerate_fcc_embeddings
 from hc3.lattice import (
     hnf,
-    in_lattice,
     lattice_contains,
-    lattice_from_generators,
     lattice_index,
     quotient,
     shortest_vectors,
@@ -36,7 +32,12 @@ from hc3.perturbations import (
 )
 from hc3.solver import max_packing
 from hc3.voronoi import cell_volume, tessellation_check, voronoi_cell
-from test_perturbations import revalidate_excitation
+from test_perturbations import (
+    dfcc_doubled,
+    dhcp_doubled,
+    revalidate_excitation,
+    sublattice_on_scaled_torus,
+)
 
 DIAG2 = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
 DIAG4 = ((4, 0, 0), (0, 4, 0), (0, 0, 4))
@@ -59,14 +60,6 @@ VORONOI_VOLUMES = {2: 2, 3: 4, 4: 8, 5: 9, 6: 12, 8: 16, 9: 20, 10: 26, 12: 32}
 
 def _report(n, text):
     print(f"ACCEPTANCE {n} PASS - {text}")
-
-
-def _sublattice_config(d2, variant=None, scale=1):
-    basis = known_sublattice(d2, variant)
-    lat = lattice_from_generators(basis)
-    q = quotient(scaled_basis(basis, scale) if scale > 1 else basis)
-    occupied = frozenset(x for x in q.reps if in_lattice(lat, x))
-    return Configuration(q, d2, occupied)
 
 
 def test_criterion_1_density_cardinality_table():
@@ -140,7 +133,7 @@ def test_criterion_4_catalog_validation():
 def test_criterion_5_voronoi_volumes():
     t0 = time.perf_counter()
     for d2, want in VORONOI_VOLUMES.items():
-        c = _sublattice_config(d2)
+        c = sublattice_on_scaled_torus(d2, scale=1)
         cell = voronoi_cell(c, (0, 0, 0))
         assert cell_volume(cell) == want
         assert cell_volume(cell) == 1 / c.density()
@@ -184,26 +177,16 @@ def test_criterion_7_layered_criterion():
     _report(7, f"alternate stacking exists exactly for ell divisible by 3 ({elapsed:.1f}s)")
 
 
-def _dfcc_doubled():
-    q = quotient(scaled_basis(layered_quotient(5, "S").period, 2))
-    return build_layered(5, "SS", on=q)
-
-
-def _dhcp_doubled():
-    q = quotient(scaled_basis(layered_quotient(5, "ST").period, 2))
-    return build_layered(5, "STST", on=q)
-
-
 def test_criterion_8_excitation_dichotomy():
     t0 = time.perf_counter()
-    dhcp = _dhcp_doubled()
+    dhcp = dhcp_doubled()
     scan = enumerate_excitations(dhcp, 2, 2, budget=200_000)
     assert scan.complete
     assert scan.excitations
     for e in scan.excitations:
         assert (len(e.added), len(e.removed)) == (1, 3)
         assert revalidate_excitation(dhcp, e)
-    dfcc = _dfcc_doubled()
+    dfcc = dfcc_doubled()
     scan_fcc = enumerate_excitations(dfcc, 2, 2, budget=200_000)
     assert scan_fcc.complete
     assert scan_fcc.excitations == ()
@@ -223,20 +206,20 @@ def test_criterion_8_excitation_dichotomy():
 def test_criterion_9_sliding():
     t0 = time.perf_counter()
     # 2Z^3 at d2=4: the standard scan finds line slides
-    c4 = _sublattice_config(4, scale=2)
+    c4 = sublattice_on_scaled_torus(4)
     assert find_sliding(c4)
     # BCC at d2=11: diagonal line shifted by (1,1,1), post-shift min distance 11
-    bcc11 = _sublattice_config(11, scale=2)
+    bcc11 = sublattice_on_scaled_torus(11)
     sel = LineSelector((0, 0, 0), (1, 1, 1))
     moves = find_sliding(bcc11, selectors=[sel], shifts=[(1, 1, 1)])
     assert len(moves) == 1
     assert moves[0].min_pair_sq_distance == 11
     # the same shift is rejected at d2=12
-    bcc12 = _sublattice_config(12, scale=2)
+    bcc12 = sublattice_on_scaled_torus(12)
     assert find_sliding(bcc12, selectors=[sel], shifts=[(1, 1, 1)]) == []
     # no sliding anywhere in the standard family for the rigid values
     for d2 in (2, 3, 5, 8, 9, 10, 12):
-        assert find_sliding(_sublattice_config(d2, scale=2)) == [], d2
+        assert find_sliding(sublattice_on_scaled_torus(d2)) == [], d2
     elapsed = time.perf_counter() - t0
     assert elapsed < 60
     _report(9, f"sliding exactly at d2 in {{4, 11}} ({elapsed:.1f}s)")
@@ -335,7 +318,7 @@ def test_criterion_11_property_suites():
         assert c.is_admissible()[0]
         assert classify_stacking(c, (1, 1, 1)) == word
 
-    dhcp = _dhcp_doubled()
+    dhcp = dhcp_doubled()
     scan = enumerate_excitations(dhcp, 2, 2, budget=200_000)
     assert all(revalidate_excitation(dhcp, e) for e in scan.excitations)
     elapsed = time.perf_counter() - t0

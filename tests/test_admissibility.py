@@ -13,15 +13,8 @@ from hc3.admissibility import (
     build_exclusion_graph,
     conflict_masks,
 )
-from hc3.catalog import known_sublattice, scaled_basis
-from hc3.lattice import (
-    Window,
-    in_lattice,
-    lattice_from_generators,
-    quotient,
-    sq_norm,
-    sub,
-)
+from hc3.catalog import known_sublattice
+from hc3.lattice import Window, quotient, sq_norm, sub
 from test_solver import periods_and_d2
 
 DIAG2 = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
@@ -66,19 +59,15 @@ def test_density_examples():
 
 
 def test_min_pair_sq_distance_examples():
-    basis5 = known_sublattice(5)
-    q = quotient(scaled_basis(basis5, 2))
-    # all cosets of the basis5 sublattice inside the doubled torus
-    lat5 = lattice_from_generators(basis5)
-    occupied = frozenset(x for x in q.reps if in_lattice(lat5, x))
-    assert len(occupied) == 8
-    c = Configuration(q, 5, occupied)
+    # imported here: test_perturbations imports this module
+    from test_perturbations import sublattice_on_scaled_torus
+
+    # all cosets of the d2=5 sublattice inside the doubled torus
+    c = sublattice_on_scaled_torus(5)
+    assert len(c.occupied) == 8
     assert c.min_pair_sq_distance() == 5
 
-    basis9 = known_sublattice(9)
-    q9 = quotient(scaled_basis(basis9, 2))
-    lat9 = lattice_from_generators(basis9)
-    c9 = Configuration(q9, 9, frozenset(x for x in q9.reps if in_lattice(lat9, x)))
+    c9 = sublattice_on_scaled_torus(9)
     assert c9.min_pair_sq_distance() == 9
 
     two_z3 = Configuration(

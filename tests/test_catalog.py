@@ -21,9 +21,7 @@ from hc3.catalog import (
     known_mesh,
     known_sublattice,
     layer_family,
-    layered_quotient,
     mesh_shift,
-    scaled_basis,
 )
 from hc3.lattice import (
     Window,
@@ -38,6 +36,7 @@ from hc3.lattice import (
     scale,
     shortest_vectors,
 )
+from test_perturbations import dhcp_doubled, sublattice_on_scaled_torus
 
 DENSITY_TABLE = {
     2: Fraction(1, 2),
@@ -269,11 +268,10 @@ def test_word_closure_on_quotient():
     with pytest.raises(WordClosureError):
         build_layered(5, "ST", on=q_s)
     # the doubled HCP period accepts STST but not STS
-    q2 = quotient(scaled_basis(layered_quotient(5, "ST").period, 2))
-    c = build_layered(5, "STST", on=q2)
+    c = dhcp_doubled()
     assert len(c.occupied) == 16
     with pytest.raises(WordClosureError):
-        build_layered(5, "STS", on=q2)
+        build_layered(5, "STS", on=c.domain)
 
 
 def test_window_build_and_classify():
@@ -285,19 +283,13 @@ def test_window_build_and_classify():
 
 
 def test_mesh_shift_identity():
-    q4 = quotient(((4, 0, 0), (0, 4, 0), (0, 0, 4)))
-    c = Configuration(
-        q4, 4, frozenset((x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2))
-    )
+    c = sublattice_on_scaled_torus(4)  # 2Z^3 on the 4^3 torus
     sel = LineSelector((0, 0, 0), (0, 0, 1))
     assert mesh_shift(c, sel, (0, 0, 0)).occupied == c.occupied
 
 
 def test_mesh_shift_line_slide_at_d2_4():
-    q4 = quotient(((4, 0, 0), (0, 4, 0), (0, 0, 4)))
-    c = Configuration(
-        q4, 4, frozenset((x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2))
-    )
+    c = sublattice_on_scaled_torus(4)  # 2Z^3 on the 4^3 torus
     sel = LineSelector((0, 0, 0), (0, 0, 1))
     assert sel.select(c) == {(0, 0, 0), (0, 0, 2)}
     shifted = mesh_shift(c, sel, (0, 0, 1))

@@ -337,12 +337,10 @@ def test_embed_classes():
 def test_excite_and_budget_exit(tmp_path):
     doc = tmp_path / "hcp2.json"
     # doubled HCP torus: big enough for local excitations
-    from hc3.catalog import build_layered, layered_quotient, scaled_basis
     from hc3.documents import save
-    from hc3.lattice import quotient
+    from test_perturbations import dhcp_doubled
 
-    q = quotient(scaled_basis(layered_quotient(5, "ST").period, 2))
-    save(build_layered(5, "STST", on=q), doc)
+    save(dhcp_doubled(), doc)
 
     r = run_cli(str(doc), check=False)  # sanity: bad usage
     r = run_cli("excite", str(doc), "--max-order", "2", "--radius", "2", check=True)
@@ -356,16 +354,10 @@ def test_excite_and_budget_exit(tmp_path):
 
 def test_slide_check_and_scan(tmp_path):
     doc = tmp_path / "bcc.json"
-    from hc3.admissibility import Configuration
-    from hc3.catalog import known_sublattice, scaled_basis
     from hc3.documents import save
-    from hc3.lattice import in_lattice, lattice_from_generators, quotient
+    from test_perturbations import sublattice_on_scaled_torus
 
-    basis = known_sublattice(11)
-    lat = lattice_from_generators(basis)
-    q = quotient(scaled_basis(basis, 2))
-    occupied = frozenset(x for x in q.reps if in_lattice(lat, x))
-    save(Configuration(q, 11, occupied), doc)
+    save(sublattice_on_scaled_torus(11), doc)
 
     r = run_cli(
         "slide", str(doc), "--mesh", "line:0,0,0:1,1,1", "--shift", "1,1,1", check=True
@@ -374,7 +366,7 @@ def test_slide_check_and_scan(tmp_path):
     assert "min-pair-sq-distance 11" in r.stdout
 
     doc12 = tmp_path / "bcc12.json"
-    save(Configuration(q, 12, occupied), doc12)
+    save(sublattice_on_scaled_torus(12), doc12)  # the same BCC torus at d2=12
     r = run_cli("slide", str(doc12), "--mesh", "line:0,0,0:1,1,1", "--shift", "1,1,1")
     assert r.returncode == 1
     assert "valid no" in r.stdout
@@ -385,13 +377,10 @@ def test_slide_check_and_scan(tmp_path):
 
 def test_slide_scan_finds_moves(tmp_path):
     doc = tmp_path / "2z3.json"
-    from hc3.admissibility import Configuration
     from hc3.documents import save
-    from hc3.lattice import quotient
+    from test_perturbations import sublattice_on_scaled_torus
 
-    q = quotient(((4, 0, 0), (0, 4, 0), (0, 0, 4)))
-    occ = frozenset((x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2))
-    save(Configuration(q, 4, occ), doc)
+    save(sublattice_on_scaled_torus(4), doc)
     r = run_cli("slide", str(doc), "--scan", check=True)
     first = r.stdout.splitlines()[0]
     assert first.startswith("moves ")

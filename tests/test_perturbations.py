@@ -1,12 +1,13 @@
 """Excitations (insertions with forced removals) and sliding detection."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hc3.admissibility import Configuration, SitesOutsideWindowError
+from hc3.admissibility import Configuration, SitesOutsideWindowError, conflict_masks
 from hc3.catalog import (
     LineSelector,
     PlaneSelector,
@@ -33,6 +34,7 @@ from hc3.lattice import (
 from hc3.perturbations import (
     _DIRECTIONS,
     Excitation,
+    ExcitationScan,
     SlidingMove,
     enumerate_excitations,
     find_sliding,
@@ -41,6 +43,7 @@ from hc3.perturbations import (
     standard_selectors,
     standard_shifts,
 )
+from hc3.search import BudgetExhaustedError, NodeBudget
 from test_admissibility import pairwise_admissible
 
 DIAG2 = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
@@ -209,25 +212,163 @@ def test_excitations_max_order_zero_empty():
         assert scan.excitations == ()
 
 
+def reference_excitations(c, max_order, radius, budget=100_000):
+    """The excitation scan by iterative deepening: round k walks every
+    pairwise-admissible added set of size <= k again, with frozensets."""
+    dom = c.domain
+    candidates = [
+        x
+        for x in lattice_points(IDENTITY_OP, (0, 0, 0), radius * radius)
+        if dom.reduce(x) not in c.occupied
+    ]
+    candidates.sort(key=lambda x: (sq_norm(x), x))
+    conflict = conflict_masks(candidates, c.d2)
+    conflict_points = {x: frozenset(insertion_conflicts(c, x)) for x in candidates}
+    stab_q = Quotient(lattice_from_generators([*dom.period, *dom.stabiliser(c.occupied)]))
+    found = {}
+    counter = NodeBudget(budget)
+
+    def canon(added, removed):
+        shifts = {sub(stab_q.reduce(a), a) for a in added}
+        return min(
+            (
+                tuple(sorted(add(x, t) for x in added)),
+                tuple(sorted(add(x, t) for x in removed)),
+            )
+            for t in shifts
+        )
+
+    def dfs(start, added_mask, added, removed, cap):
+        counter.spend()
+        if added and len(removed) - len(added) <= max_order:
+            found.setdefault(canon(added, removed))
+        if len(added) == cap:
+            return True
+        hit_cap = False
+        for i in range(start, len(candidates)):
+            if added_mask & conflict[i]:
+                continue
+            x = candidates[i]
+            hit_cap |= dfs(
+                i + 1, added_mask | 1 << i, added | {x}, removed | conflict_points[x], cap
+            )
+        return hit_cap
+
+    complete, cap = True, 1
+    try:
+        while dfs(0, 0, frozenset(), frozenset(), cap):
+            cap += 1
+    except BudgetExhaustedError:
+        complete = False
+    excitations = sorted(
+        (Excitation(added=a, removed=r, order=len(r) - len(a)) for a, r in found),
+        key=lambda e: (e.order, e.added, e.removed),
+    )
+    return ExcitationScan(tuple(excitations), complete, counter.nodes)
+
+
+def admissible_added_sets(c, radius):
+    """Every nonempty set of unoccupied ball points at pairwise squared
+    distance >= d2, each extended point by point in ball order."""
+    ball = [
+        x
+        for x in lattice_points(IDENTITY_OP, (0, 0, 0), radius * radius)
+        if c.domain.reduce(x) not in c.occupied
+    ]
+    sets = []
+
+    def extend(chosen, start):
+        for i in range(start, len(ball)):
+            if all(sq_norm(sub(ball[i], y)) >= c.d2 for y in chosen):
+                sets.append((*chosen, ball[i]))
+                extend(sets[-1], i + 1)
+
+    extend((), 0)
+    return sets
+
+
 def test_excitations_of_the_empty_torus():
     """Every translation fixes the empty configuration, so its excitations
     are the nonempty admissible added sets up to every translation, with
-    nothing removed.  The node counts are pinned."""
+    nothing removed.  A complete scan spends one node per such set."""
     c = Configuration(quotient(((3, 0, 0), (0, 3, 0), (0, 0, 3))), 2)
     ball = lattice_points(IDENTITY_OP, (0, 0, 0), 1)
-    classes = {
-        min(tuple(sorted(sub(x, a) for x in added)) for a in added)
+    sets = [
+        added
         for k in range(1, len(ball) + 1)
         for added in itertools.combinations(ball, k)
         if all(sq_norm(sub(x, y)) >= 2 for x, y in itertools.combinations(added, 2))
-    }
+    ]
+    classes = {min(tuple(sorted(sub(x, a) for x in added)) for a in added) for added in sets}
     scan = enumerate_excitations(c, 1, 1)
-    assert (scan.complete, scan.nodes) == (True, 326)
+    assert (scan.complete, scan.nodes) == (True, len(sets))
+    assert len(sets) == 64  # the origin alone, or any nonempty set of unit vectors
     assert sorted(e.added for e in scan.excitations) == sorted(classes)
     assert all(e.removed == () and e.order == -len(e.added) for e in scan.excitations)
     partial = enumerate_excitations(c, 5, 3, budget=300)
     assert (partial.complete, partial.nodes) == (False, 300)
     assert len(partial.excitations) == 63
+
+
+@st.composite
+def excitation_cases(draw):
+    """An admissible site set on a skewed HNF torus of index <= 27 with
+    d2 in 2..5, a radius of 1 or 2 and a maximum order in -3..3."""
+    d2 = draw(st.integers(2, 5))
+    a = draw(st.integers(2, 9))
+    c = draw(st.integers(1, 27 // a))
+    f = draw(st.integers(1, 27 // (a * c)))
+    b, d = draw(st.integers(0, a - 1)), draw(st.integers(0, a - 1))
+    e = draw(st.integers(0, c - 1))
+    q = quotient(hnf(((a, 0, 0), (b, c, 0), (d, e, f))))
+    assume(q.min_period_sq_norm() >= d2)
+    occupied: list = []
+    keep = draw(st.integers(0, 8))
+    for x in draw(st.permutations(q.reps)):
+        if keep and all(q.pair_sq_distance(x, y) >= d2 for y in occupied):
+            occupied.append(x)
+            keep -= 1
+    radius, max_order = draw(st.integers(1, 2)), draw(st.integers(-3, 3))
+    return Configuration(q, d2, frozenset(occupied)), radius, max_order
+
+
+@settings(max_examples=80, deadline=None)
+@given(excitation_cases())
+def test_level_walk_matches_iterative_deepening(case):
+    c, radius, max_order = case
+    # from d2 = 4 on, enough for the reference to finish radius 2
+    budget = 3_000 if c.d2 < 4 else 25_000
+    ref = reference_excitations(c, max_order, radius, budget=budget)
+    scan = enumerate_excitations(c, max_order, radius, budget=budget)
+    if ref.complete:
+        assert (scan.excitations, scan.complete) == (ref.excitations, True)
+    else:
+        # the reference finished every size below its largest recorded one,
+        # on more nodes than the walk spends on those sizes
+        k = max((len(e.added) for e in ref.excitations), default=1) - 1
+        assert [e for e in scan.excitations if len(e.added) <= k] == [
+            e for e in ref.excitations if len(e.added) <= k
+        ]
+    if scan.complete:
+        assert scan.nodes == len(admissible_added_sets(c, radius))
+
+
+def test_budget_stop_lists_every_smaller_excitation():
+    """A budget of the number of admissible added sets of size <= k lets the
+    scan finish level k: it lists every class with at most k added points."""
+    empty = Configuration(quotient(((3, 0, 0), (0, 3, 0), (0, 0, 3))), 2)
+    for c, max_order, radius in ((dhcp_doubled(), 4, 2), (empty, 1, 1)):
+        sizes = Counter(map(len, admissible_added_sets(c, radius)))
+        full = enumerate_excitations(c, max_order, radius, budget=sizes.total())
+        assert full.complete
+        for k in sorted(sizes):
+            budget = sum(n for size, n in sizes.items() if size <= k)
+            scan = enumerate_excitations(c, max_order, radius, budget=budget)
+            assert scan.nodes == budget
+            assert scan.complete == (k == max(sizes))
+            assert scan.excitations == tuple(
+                e for e in full.excitations if len(e.added) <= k
+            )
 
 
 def test_excitations_budget_partial():

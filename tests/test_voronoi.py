@@ -9,12 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hc3.admissibility import Configuration
-from hc3.catalog import (
-    build_layered,
-    known_sublattice,
-    known_sublattice_keys,
-    scaled_basis,
-)
+from hc3.catalog import build_layered, known_sublattice, known_sublattice_keys
 from hc3.lattice import (
     Window,
     apply_symmetry,
@@ -38,6 +33,7 @@ from hc3.voronoi import (
     tessellation_check,
     voronoi_cell,
 )
+from test_perturbations import sublattice_on_scaled_torus
 
 DIAG2 = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
 
@@ -47,15 +43,6 @@ VOLUME_TABLE = {2: 2, 3: 4, 4: 8, 5: 9, 6: 12, 8: 16, 9: 20, 10: 26, 12: 32}
 def sublattice_config(d2, variant=None):
     basis = known_sublattice(d2, variant)
     return Configuration(quotient(basis), d2, frozenset({(0, 0, 0)}))
-
-
-def doubled_catalog_config(d2):
-    """The catalog lattice on the torus of its doubled basis: eight sites."""
-    basis = known_sublattice(d2)
-    lat = lattice_from_generators(basis)
-    q = quotient(scaled_basis(basis, 2))
-    occupied = frozenset(x for x in q.reps if in_lattice(lat, x))
-    return Configuration(q, d2, occupied)
 
 
 def test_cube_cell_of_2z3():
@@ -151,7 +138,7 @@ def test_slab_cell_certifies_beyond_eight_doublings():
 
 def test_volume_additivity_on_doubled_cells():
     for d2 in (2, 3, 5):
-        c = doubled_catalog_config(d2)
+        c = sublattice_on_scaled_torus(d2)
         assert len(c.occupied) == 8
         volumes = [cell_volume(voronoi_cell(c, x)) for x in sorted(c.occupied)]
         assert len(set(volumes)) == 1
@@ -160,7 +147,7 @@ def test_volume_additivity_on_doubled_cells():
 
 def test_facet_cycles_are_counterclockwise_from_the_least_vertex():
     configs = [sublattice_config(d2, variant) for d2, variant in known_sublattice_keys()]
-    configs += [doubled_catalog_config(d2) for d2 in (2, 3, 5)]
+    configs += [sublattice_on_scaled_torus(d2) for d2 in (2, 3, 5)]
     for c in configs:
         for x in sorted(c.occupied):
             cell = voronoi_cell(c, x)

@@ -361,15 +361,6 @@ class Quotient:
         shifts = (reduce(sub(y, low)) for y in sites)
         return [t for t in shifts if all(reduce(add(x, t)) in sites for x in sites)]
 
-    def images_near(self, base: Site, center: Site, r_sq: int) -> list[Site]:
-        """All points base + p (p in the period lattice) with
-        |point - center|^2 <= r_sq, in the deterministic order of
-        ``lattice_points``."""
-        return [
-            add(v, center)
-            for v in lattice_points(self.reduced, sub(base, center), r_sq)
-        ]
-
 
 def quotient(period: Basis) -> Quotient:
     """Quotient of Z^3 by the lattice generated by the given period basis."""

@@ -17,6 +17,7 @@ sites, through the conflict offsets.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .admissibility import (
@@ -75,20 +76,15 @@ def insertion_conflicts(c: Configuration, x: Site) -> list[Site]:
 def min_insertion_order(c: Configuration) -> tuple[int, list[Site]]:
     """Minimum over the unoccupied sites of the domain of (number of
     conflicts - 1), with all attaining sites in sorted order."""
-    best: int | None = None
-    argmin: list[Site] = []
-    for x in c.domain.sites():
-        if x in c.occupied:
-            continue
-        order = len(insertion_conflicts(c, x)) - 1
-        if best is None or order < best:
-            best = order
-            argmin = [x]
-        elif order == best:
-            argmin.append(x)
-    if best is None:
+    reduce = c.domain.reduce
+    # the offsets are symmetric under v -> -v, so the occupied o with x
+    # among their o + v are exactly the conflicts of x
+    hits = Counter(reduce(add(o, v)) for o in c.occupied for v in c.conflict_offsets())
+    orders = {x: hits[x] - 1 for x in c.domain.sites() if x not in c.occupied}
+    if not orders:
         raise ValueError("the domain has no unoccupied site")
-    return best, argmin
+    best = min(orders.values())
+    return best, [x for x, k in orders.items() if k == best]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Exact rational Voronoi cells of periodic configurations.
 
-A cell is built by cutting a bounding cube with the perpendicular bisector
-half-space of every sufficiently close periodic neighbor; the bisector of
+One private routine builds the certified cell of a site x, cut about x as
+given (not about its coset representative): a bounding cube cut by the
+perpendicular bisector half-space of every sufficiently close periodic
+neighbor x + p, p in the ball of ``lattice_points`` about x; the bisector of
 integer points x and y is the integer half-space 2(y-x).z <= |y|^2 - |x|^2.
 While cutting, a vertex is a homogeneous integer 4-tuple (X, Y, Z, W) with
 W > 0 and gcd 1, standing for (X/W, Y/W, Z/W): the side test of a vertex and
@@ -10,8 +12,9 @@ are equal tuples.  Neighbors are cut in distance order, and cutting stops at
 the first neighbor y with |y-x|^2 > 4R^2, R the largest vertex distance from
 x: that bisector and every later one leave each vertex strictly inside.  The
 cutoff radius r doubles until 4R^2 < r^2, which certifies that no neighbor
-beyond the cutoff can touch the cell.  Vertices become Fractions once, in
-the finished polytope.
+beyond the cutoff can touch the cell.  ``voronoi_cell`` freezes the
+certified cell into Fraction vertices once; ``tessellation_check`` never
+does, and sums the cell volumes in integers.
 
 The cutter keeps one vertex-plane incidence table: the set of planes each
 vertex lies on.  A cut extends it for the vertices on the new plane and
@@ -41,6 +44,7 @@ from .lattice import (
     IDENTITY_OP,
     Quotient,
     Site,
+    add,
     ceil_sqrt,
     cross,
     dot,
@@ -250,17 +254,15 @@ def _facet_cycle(
     return tuple(cycle)
 
 
-def _cut_cell(center: Site, r: int, neighbors: list[Site]) -> _Poly:
+def _cut_cell(center: Site, r: int, near: list[tuple[int, Site]]) -> _Poly:
     poly = _Poly.cube(center, r)
-    # popped in (|y-x|^2, y) order: a heap, because cutting stops at twice
-    # the cell radius, well inside the ball
-    cx, cy, cz = center
-    heap = [((y[0] - cx) ** 2 + (y[1] - cy) ** 2 + (y[2] - cz) ** 2, y) for y in neighbors]
-    heapq.heapify(heap)
+    # near holds (|y-x|^2, y) pairs, popped in order from a heap made in
+    # place, because cutting stops at twice the cell radius, well inside the ball
+    heapq.heapify(near)
     c_sq = sq_norm(center)
     num, den = poly.sq_radius(center)
-    while heap:
-        d_sq, y = heapq.heappop(heap)
+    while near:
+        d_sq, y = heapq.heappop(near)
         # |y-x|^2 > 4R^2: this bisector and every later one miss the cell
         if d_sq * den > 4 * num:
             break
@@ -270,42 +272,47 @@ def _cut_cell(center: Site, r: int, neighbors: list[Site]) -> _Poly:
     return poly
 
 
-def _periodic_neighbors(c: Configuration, x: Site, r: int) -> list[Site]:
-    assert isinstance(c.domain, Quotient)
-    out = []
-    for o in sorted(c.occupied):
-        for p in c.domain.images_near(o, x, r * r):
-            if p != x:
-                out.append(p)
-    return out
-
-
 class SiteNotOccupiedError(ValueError):
     """The Voronoi cell was asked for at a site the configuration leaves empty."""
 
 
-def voronoi_cell(c: Configuration, x: Site) -> RationalPolytope:
-    """Exact Voronoi cell of the occupied site x in the periodic configuration.
+def _certified_cell(c: Configuration, x: Site) -> _Poly:
+    """The cell of the site x, cut about x as given and certified against
+    every periodic neighbour.
 
-    The cutoff starts at twice the exclusion distance (rounded up) and doubles
-    until every vertex lies strictly inside half the cutoff, which certifies
-    the cell against all remaining neighbors.
+    The cutoff starts at twice the exclusion distance (rounded up) and
+    doubles until every vertex lies strictly inside half the cutoff.
     """
-    if not isinstance(c.domain, Quotient):
+    q = c.domain
+    if not isinstance(q, Quotient):
         raise ValueError("Voronoi cells require a periodic configuration")
-    x = c.domain.reduce(x)
-    if x not in c.occupied:
-        raise SiteNotOccupiedError(f"site {x} is not occupied")
+    if q.reduce(x) not in c.occupied:
+        raise SiteNotOccupiedError(f"site {q.reduce(x)} is not occupied")
     # The doubling ends by the first r > sqrt(sum |b_i|^2) over the reduced
     # basis b: that is at least twice the covering radius of the period
     # lattice, so every Voronoi-relevant image x + p is cut and every vertex
     # lies within the covering radius of x, inside r/2.
     r = 2 * ceil_sqrt(c.d2)
     while True:
-        poly = _cut_cell(x, r, _periodic_neighbors(c, x, r))
+        near = [
+            (sq_norm(p), add(x, p))
+            for o in c.occupied
+            for p in lattice_points(q.reduced, sub(o, x), r * r)
+            if any(p)
+        ]
+        poly = _cut_cell(x, r, near)
         if poly.inside(x, r):
-            return poly.freeze()
+            return poly
         r *= 2
+
+
+def voronoi_cell(c: Configuration, x: Site) -> RationalPolytope:
+    """Exact Voronoi cell of the occupied site x in the periodic configuration.
+
+    The one certified cell, cut about x as given: a site outside the HNF box
+    gives the cell of its coset translated to it.
+    """
+    return _certified_cell(c, x).freeze()
 
 
 def cell_volume(p: RationalPolytope) -> Fraction:
@@ -317,13 +324,11 @@ def cell_volume(p: RationalPolytope) -> Fraction:
 
 def tessellation_check(c: Configuration) -> bool:
     """Exact check that the per-particle cell volumes of one fundamental
-    domain sum to the period index."""
+    domain sum to the period index; each certified cell's volume is summed
+    from its integer vertices, with no Fraction vertices."""
     if not isinstance(c.domain, Quotient):
         raise ValueError("Voronoi cells require a periodic configuration")
-    total = Fraction(0)
-    for x in sorted(c.occupied):
-        total += cell_volume(voronoi_cell(c, x))
-    return total == c.domain.index
+    return sum(_certified_cell(c, x).volume() for x in c.occupied) == c.domain.index
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +359,12 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
     """
     if radius < ceil_sqrt(d2):
         raise ValueError(f"radius {radius} below exclusion distance for d2={d2}")
-    r_sq = radius * radius
-    cands = sorted(
-        (
-            v
-            for v in lattice_points(IDENTITY_OP, (0, 0, 0), r_sq)
-            if v != (0, 0, 0) and d2 <= sq_norm(v)
-        ),
-        key=lambda v: (sq_norm(v), v),
+    pairs = sorted(
+        (sq_norm(v), v)
+        for v in lattice_points(IDENTITY_OP, (0, 0, 0), radius * radius)
+        if v != (0, 0, 0) and d2 <= sq_norm(v)
     )
+    cands = [v for _, v in pairs]
     conflict = conflict_masks(cands, d2)
     budget = NodeBudget(node_budget)
     best_volume: Fraction | None = None
@@ -373,7 +375,7 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
     def cut(chosen: int, cand: int) -> bool:
         # the cell of chosen | cand bounds the leaves below; a leaf reuses it
         nonlocal poly, vol
-        poly = _cut_cell((0, 0, 0), radius, members(cands, chosen | cand))
+        poly = _cut_cell((0, 0, 0), radius, members(pairs, chosen | cand))
         vol = poly.volume()
         return best_volume is not None and vol >= best_volume
 

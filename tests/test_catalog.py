@@ -35,6 +35,7 @@ from hc3.lattice import (
     quotient,
     scale,
     shortest_vectors,
+    sub,
 )
 from test_perturbations import dhcp_doubled, sublattice_on_scaled_torus
 
@@ -258,6 +259,73 @@ def test_classify_rejects_non_layered():
     c = Configuration(q4, 2, frozenset({(0, 0, 0), (1, 1, 0)}))
     with pytest.raises(NotLayeredError):
         classify_stacking(c, (1, 1, 1))
+
+
+def _dhcp_bottom_layers():
+    """The d2=5 ST stacking with its layers at plane value 3 (mod 6) dropped."""
+    c = build_layered(5, "ST")
+    return Configuration(
+        c.domain, 5, frozenset(x for x in c.occupied if dot((1, 1, 1), x) % 6 == 0)
+    )
+
+
+def _d2_5_layers_stepped_off_the_cosets():
+    """Two d2=5 layers in a window: the triangular-6 mesh through the origin
+    and its translate by (1, 1, 1), which is in neither the S nor the T
+    coset."""
+    w = Window((-4, -4, -4), (4, 4, 4))
+    mesh = lattice_from_generators(known_mesh("triangular-6").generators)
+    on = {x for x in w.sites() if dot((1, 1, 1), x) == 0 and in_lattice(mesh, x)}
+    on |= {
+        x for x in w.sites() if dot((1, 1, 1), x) == 3 and in_lattice(mesh, sub(x, (1, 1, 1)))
+    }
+    return Configuration(w, 5, frozenset(on))
+
+
+@pytest.mark.parametrize(
+    "config, normal, prefix",
+    [
+        (lambda: build_layered(5, "ST"), (1, 0, 0), "no layered family for d2=5"),
+        (
+            lambda: Configuration(build_layered(5, "ST").domain, 5, frozenset()),
+            (1, 1, 1),
+            "empty configuration",
+        ),
+        (
+            lambda: Configuration(quotient(((4, 0, 0), (0, 4, 0), (0, 0, 4))), 5,
+                                  frozenset({(0, 0, 0)})),
+            (1, 1, 1),
+            "period incompatible with plane step 3",
+        ),
+        (
+            _dhcp_bottom_layers,
+            (1, 1, 1),
+            "1 layers present, period demands 2",
+        ),
+        (
+            lambda: Configuration(Window((0, 0, 0), (3, 3, 3)), 5, frozenset({(0, 0, 0)})),
+            (1, 1, 1),
+            "fewer than two layers in window",
+        ),
+        (
+            lambda: Configuration(Window((0, 0, 0), (2, 2, 2)), 5,
+                                  frozenset({(0, 0, 0), (2, 2, 2)})),
+            (1, 1, 1),
+            "layer planes [0, 6] are not spaced by 3",
+        ),
+        (
+            _d2_5_layers_stepped_off_the_cosets,
+            (1, 1, 1),
+            "step (1, 1, 1) matches 0 shift cosets",
+        ),
+    ],
+    ids=["no-family", "empty", "period-vs-step", "layer-count", "one-window-layer",
+         "uneven-planes", "no-shift-coset"],
+)
+def test_classify_rejections(config, normal, prefix):
+    with pytest.raises(NotLayeredError) as info:
+        classify_stacking(config(), normal)
+    assert str(info.value).startswith(prefix)
 
 
 def test_word_closure_on_quotient():

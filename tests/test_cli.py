@@ -324,6 +324,23 @@ def test_voronoi_volume_and_geometry(tmp_path):
     assert r.returncode == 1  # not occupied
 
 
+def test_voronoi_geometry_is_centred_on_the_given_site(tmp_path):
+    # (9, 0, 0) is a translate of the origin by a period vector of the
+    # d2=5 sublattice; the dumped cell surrounds (9, 0, 0), not the origin:
+    # the cell about the origin spans x from -3/2 to 3/2
+    doc = tmp_path / "pc5.json"
+    run_cli("pc", "--d2", "5", "--out", str(doc), check=True)
+    obj = tmp_path / "c9.obj"
+    r = run_cli(
+        "voronoi", str(doc), "--site", "9,0,0", "--dump-geometry", str(obj), check=True
+    )
+    assert r.stdout.splitlines()[:2] == ["site (9,0,0)", "volume 9"]
+    xs = [float(line.split()[1]) for line in obj.read_text().splitlines()
+          if line.startswith("v ")]
+    assert len(xs) == 14
+    assert min(xs) == 7.5 and max(xs) == 10.5
+
+
 def test_embed_classes():
     r = run_cli("embed", "--ell", "2", "--classes", check=True)
     assert r.stdout.splitlines()[0] == "classes 1"

@@ -258,7 +258,7 @@ def test_min_image_metric_properties(a, b, c):
 
 def test_images_near_finds_all_in_ball():
     q = quotient(((2, 0, 0), (0, 2, 0), (0, 0, 2)))
-    pts = q.images_near((0, 0, 0), (0, 0, 0), 4)
+    pts = lattice_points(q.reduced, (0, 0, 0), 4)
     expected = sorted(
         (x, y, z)
         for x in range(-2, 3)

@@ -98,7 +98,9 @@ def reference_insertion_conflicts(c, x):
     if isinstance(c.domain, Quotient):
         out = []
         for o in sorted(c.occupied):
-            out.extend(c.domain.images_near(o, x, c.d2 - 1))
+            out.extend(
+                add(v, x) for v in lattice_points(c.domain.reduced, sub(o, x), c.d2 - 1)
+            )
         return sorted(out)
     return sorted(o for o in c.occupied if sq_norm(sub(o, x)) < c.d2)
 
@@ -155,6 +157,38 @@ def configurations_and_sites(draw):
 def test_insertion_conflicts_match_image_loop(case):
     c, x = case
     assert insertion_conflicts(c, x) == reference_insertion_conflicts(c, x)
+
+
+def reference_min_insertion_order(c):
+    """The per-site scan: the conflicts of every unoccupied site of the
+    domain, in order."""
+    best, argmin = None, []
+    for x in c.domain.sites():
+        if x in c.occupied:
+            continue
+        order = len(insertion_conflicts(c, x)) - 1
+        if best is None or order < best:
+            best, argmin = order, [x]
+        elif order == best:
+            argmin.append(x)
+    if best is None:
+        raise ValueError("the domain has no unoccupied site")
+    return best, argmin
+
+
+@settings(max_examples=100, deadline=None)
+@given(configurations_and_sites())
+def test_min_insertion_order_matches_per_site_scan(case):
+    c, _ = case
+    full = Configuration(c.domain, c.d2, frozenset(c.domain.sites()))
+    for config in (c, full):
+        try:
+            want = reference_min_insertion_order(config)
+        except ValueError:
+            with pytest.raises(ValueError, match="no unoccupied site"):
+                min_insertion_order(config)
+        else:
+            assert min_insertion_order(config) == want
 
 
 def test_dhcp_face_center_has_exactly_three_conflicts():

@@ -12,6 +12,7 @@ from hc3.admissibility import Configuration
 from hc3.catalog import build_layered, known_sublattice, known_sublattice_keys
 from hc3.lattice import (
     Window,
+    add,
     apply_symmetry,
     cross,
     dot,
@@ -19,6 +20,7 @@ from hc3.lattice import (
     in_lattice,
     lattice_from_generators,
     lattice_index,
+    lattice_points,
     quotient,
     sq_norm,
     sub,
@@ -33,7 +35,7 @@ from hc3.voronoi import (
     tessellation_check,
     voronoi_cell,
 )
-from test_perturbations import sublattice_on_scaled_torus
+from test_perturbations import dhcp_doubled, sublattice_on_scaled_torus
 
 DIAG2 = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
 
@@ -114,11 +116,16 @@ def test_doubling_cutoff_idempotent():
         neighbors = []
         for o in sorted(c.occupied):
             neighbors.extend(
-                p for p in c.domain.images_near(o, (0, 0, 0), r * r) if p != (0, 0, 0)
+                p for p in lattice_points(c.domain.reduced, o, r * r) if p != (0, 0, 0)
             )
-        bigger = _cut_cell((0, 0, 0), r, neighbors)
+        bigger = _cut_cell((0, 0, 0), r, keyed((0, 0, 0), neighbors))
         assert set(bigger.freeze().vertices) == set(cell.vertices)
         assert bigger.volume() == cell_volume(cell)
+
+
+def keyed(center, neighbors):
+    """The (|y - center|^2, y) pairs that ``_cut_cell`` takes."""
+    return [(sq_norm(sub(y, center)), y) for y in neighbors]
 
 
 def _ceil_sqrt(n):
@@ -166,6 +173,34 @@ def test_tessellation_check_rejects_a_window(occupied):
     c = Configuration(Window((-2, -2, -2), (2, 2, 2)), 2, occupied)
     with pytest.raises(ValueError, match="require a periodic configuration"):
         tessellation_check(c)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        lambda: sublattice_on_scaled_torus(5),
+        lambda: sublattice_on_scaled_torus(9),
+        dhcp_doubled,
+        lambda: build_layered(6, "SSSTU", family="I"),
+    ],
+    ids=["doubled-d2-5", "doubled-d2-9", "doubled-dhcp", "6-I-SSSTU"],
+)
+def test_cell_is_cut_about_the_site_as_given(config):
+    # a site outside the HNF box gets the cell of its coset, translated to it:
+    # every vertex moves by p and every facet offset by n.p, in the same order
+    c = config()
+    b0, b1, b2 = c.domain.reduced
+    for s in sorted(c.occupied):
+        cell = voronoi_cell(c, s)
+        for p in (b0, b1, b2, tuple(-(u + v + w) for u, v, w in zip(b0, b1, b2))):
+            moved = voronoi_cell(c, add(s, p))
+            assert moved.vertices == tuple(
+                tuple(v[k] + p[k] for k in range(3)) for v in cell.vertices
+            )
+            assert moved.facets == tuple(
+                Facet(f.normal, f.offset + dot(f.normal, p), f.vertices)
+                for f in cell.facets
+            )
 
 
 def test_voronoi_requires_occupied_site():
@@ -321,7 +356,7 @@ RHOMBIC_SHELL = [v for v in product((-1, 0, 1), repeat=3) if sq_norm(v) == 2]
 @example(((0, 0, 0), 2, RHOMBIC_SHELL))
 def test_cut_cell_matches_fraction_reference(inputs):
     center, r, neighbors = inputs
-    cell = _cut_cell(center, r, neighbors).freeze()
+    cell = _cut_cell(center, r, keyed(center, neighbors)).freeze()
     want, volume = reference_cell(center, r, neighbors)
     assert cell == want
     assert cell_volume(cell) == volume
@@ -331,7 +366,7 @@ def test_cut_cell_matches_fraction_reference(inputs):
 @given(cut_inputs(), st.data())
 def test_neighbors_beyond_twice_the_cell_radius_do_not_cut(inputs, data):
     center, r, neighbors = inputs
-    cell = _cut_cell(center, r, neighbors).freeze()
+    cell = _cut_cell(center, r, keyed(center, neighbors)).freeze()
     r_sq = max(sq_norm(tuple(v[k] - center[k] for k in range(3))) for v in cell.vertices)
     far = data.draw(
         st.lists(st.tuples(*[st.integers(-6 * r, 6 * r)] * 3), min_size=1, max_size=8)
@@ -339,7 +374,7 @@ def test_neighbors_beyond_twice_the_cell_radius_do_not_cut(inputs, data):
     far = [y for y in (tuple(c + o for c, o in zip(center, v)) for v in far)
            if sq_norm(sub(y, center)) > 4 * r_sq]
     assume(far)
-    assert _cut_cell(center, r, neighbors + far).freeze() == cell
+    assert _cut_cell(center, r, keyed(center, neighbors + far)).freeze() == cell
     assert reference_cell(center, r, neighbors + far)[0] == cell
 
 

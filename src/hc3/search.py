@@ -1,24 +1,51 @@
 """What the exhaustive searches share: the node budget, the isolated-candidate
-step, the include-first enumerator and the bitmask decoder.  Vertex sets are
-int bitmasks over a conflict graph, `adj[v]` the mask of the vertices that
-conflict with v.
+step, the orbit step, the include-first enumerator and the bitmask decoder.
+Vertex sets are int bitmasks over a conflict graph, `adj[v]` the mask of the
+vertices that conflict with v.
+
+A symmetry group of the graph is given as `images`, v -> the images of v
+under a fixed list of automorphisms, and a group, the positions in that list
+of the automorphisms in use.  ``include_first`` branches on orbits under it
+(orbital branching, Ostrowski, Linderoth, Rossi & Smriglio 2011): each node
+carries a group that maps its chosen set and its candidates onto themselves;
+the child that includes the lowest candidate v takes the stabiliser of v, and
+the exclude child drops the whole orbit O of v and keeps the group.  A leaf S
+comes with the multiplicity  mult(S) = prod |O| / |S & O|  over the include
+edges on its path.
+
+Let F be a family of maximal independent sets that the group maps onto
+itself, and let the cut drop only nodes with no set of F below them and keep
+exactly the leaves in F (phase 2 of the solver: the maximum sets).  Then for
+any weight w that the group leaves invariant, sum w(S) * mult(S) over the
+leaves is sum w(S) over the sets of F that extend the root: the group maps
+the sets through v onto the sets through each u of O, so the sets that meet
+O carry |O| times the weight of the sets through v, each divided by
+|S & O|.  The first leaf is the least set of F in lexicographic order, as
+without symmetry: had it met a dropped orbit at u != v, its image through v
+under the node's group would agree with it below v and contain v, and so
+come first.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, Iterator, Sequence, TypeVar
 
 __all__ = [
     "BudgetExhaustedError",
     "NodeBudget",
     "Cut",
+    "Images",
     "isolated",
+    "orbit",
     "include_first",
     "members",
 ]
 
 # cut(chosen, cand): whether a node's subtree can be dropped
 Cut = Callable[[int, int], bool]
+# v -> the images of vertex v under a fixed list of graph automorphisms
+Images = Callable[[int], Sequence[int]]
 T = TypeVar("T")
 
 
@@ -64,19 +91,42 @@ def isolated(cand: int, adj: tuple[int, ...]) -> int:
     return found
 
 
+def orbit(images: Images, group: list[int], v: int) -> tuple[list[int], int]:
+    """The stabiliser of v in the group, as positions in the columns of
+    `images`, and the mask of the orbit of v."""
+    col = images(v)
+    stabiliser = [p for p in group if col[p] == v]
+    mask = 0
+    for p in group:
+        mask |= 1 << col[p]
+    return stabiliser, mask
+
+
+_ONE = Fraction(1)
+
+
 def include_first(
-    adj: tuple[int, ...], chosen: int, cand: int, cut: Cut, budget: NodeBudget
-) -> Iterator[int]:
+    adj: tuple[int, ...],
+    chosen: int,
+    cand: int,
+    cut: Cut,
+    budget: NodeBudget,
+    images: Images,
+    group: list[int],
+) -> Iterator[tuple[int, Fraction]]:
     """The chosen masks at the leaves of the include/exclude tree extending
     the independent set `chosen` by the candidates `cand`, in lexicographic
-    order of their sorted index tuples, each once.  A node spends one node,
-    moves its isolated candidates into `chosen` and is dropped when
-    cut(chosen, cand) holds; otherwise it yields `chosen` if no candidates
-    are left, or branches on the lowest candidate, include first.  Uncut,
-    the leaves contain every maximal independent extension, but not only
-    those: an excluded vertex can end up with no chosen neighbour.  `cut`
-    may read state the consumer changes between yields; a generator that is
-    not resumed searches no further.
+    order of their sorted index tuples, each once, with their orbit
+    multiplicities (module docstring; 1 under the identity group).  A node
+    spends one node, moves its isolated candidates into `chosen` and is
+    dropped when cut(chosen, cand) holds; otherwise it yields `chosen` if no
+    candidates are left, or branches on the lowest candidate v, include
+    first, then excludes the orbit of v.  `group` must map `chosen` and
+    `cand` onto themselves.  Uncut and under the identity, the leaves contain
+    every maximal independent extension, but not only those: an excluded
+    vertex can end up with no chosen neighbour.  `cut` may read state the
+    consumer changes between yields; a generator that is not resumed
+    searches no further.
     """
     budget.spend()
     free = isolated(cand, adj)
@@ -85,9 +135,18 @@ def include_first(
     if cut(chosen, cand):
         return
     if not cand:
-        yield chosen
+        yield chosen, _ONE
         return
     low = cand & -cand
     v = low.bit_length() - 1
-    yield from include_first(adj, chosen | low, cand & ~adj[v] & ~low, cut, budget)
-    yield from include_first(adj, chosen, cand ^ low, cut, budget)
+    stabiliser, orb = orbit(images, group, v)
+    include = include_first(
+        adj, chosen | low, cand & ~adj[v] & ~low, cut, budget, images, stabiliser
+    )
+    if orb == low:
+        yield from include
+    else:
+        size = orb.bit_count()
+        for leaf, mult in include:
+            yield leaf, mult * Fraction(size, (leaf & orb).bit_count())
+    yield from include_first(adj, chosen, cand & ~orb, cut, budget, images, group)

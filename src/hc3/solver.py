@@ -20,25 +20,37 @@ is the lexicographically least optimal set under the fixed coset order.
 
 Torus translations act transitively on the cosets, so both phases search
 only the sets that contain vertex 0.  The lexicographically least optimum
-contains vertex 0.  Phase 2 is one stream of the optima through vertex 0 in
+contains vertex 0.  Phase 2 is one stream of optima through vertex 0 in
 lexicographic order: the witness is its first set, and a count is the
-weighted sum  sum_S w(S) / k  over the stream, where k is the optimum and
-the sum must divide exactly.  With w = n it is the number of optima (each
-vertex lies in as many optima as vertex 0, so n * c0 = count * k).  With
-w(S) = |Stab(S)|, the number of translations that map S onto itself
-(``Quotient.stabiliser``), it is the number of translation orbits: an orbit
-whose stabiliser is T has n/|T| sets, meets vertex 0 in k/|T| of them, and
-so adds exactly k to the sum.
+weighted sum  sum_S w(S) / k  over all the optima through vertex 0, where k
+is the optimum and the sum must divide exactly.  With w = n it is the
+number of optima (each vertex lies in as many optima as vertex 0, so
+n * c0 = count * k).  With w(S) = |Stab(S)|, the number of translations
+that map S onto itself (``Quotient.stabiliser``), it is the number of
+translation orbits: an orbit whose stabiliser is T has n/|T| sets, meets
+vertex 0 in k/|T| of them, and so adds exactly k to the sum.
 
-The optimum phase also uses the point group of the torus: the signed
-permutations that map the period lattice onto itself fix vertex 0 and are
-automorphisms of the exclusion graph.  It branches on orbits (orbital
-branching, Ostrowski, Linderoth, Rossi & Smriglio 2011): each node carries
-the subgroup that maps its candidates onto themselves; the child that
-includes v takes the stabiliser of v, and the node then drops the whole
-orbit of v from its candidates and keeps the group.  Any optimum that meets
-the orbit has an image through v, so the optimum is the same as without
-symmetry, in far fewer nodes.  Phase 2 does not use the point group.
+Both phases also use the point group of the torus: the signed permutations
+that map the period lattice onto itself fix vertex 0, map the root
+candidates onto themselves and are automorphisms of the exclusion graph.
+They branch on orbits (orbital branching, Ostrowski, Linderoth, Rossi &
+Smriglio 2011; ``search.orbit``): each node carries the subgroup that maps
+its candidates onto themselves; the child that includes v takes the
+stabiliser of v, and the node then drops the whole orbit of v from its
+candidates and keeps the group.  Any optimum that meets the orbit has an
+image through v, so the optimum is the same as without symmetry, in far
+fewer nodes.  In phase 2 each optimum S of the stream comes with the
+multiplicity  mult(S) = prod |O| / |S & O|  over the include edges on its
+path, O the orbit dropped after that edge, and a count is the exact sum
+sum_S w(S) * mult(S) / k: the group maps the optima through v onto the
+optima through each u of O, so the optima that meet O carry |O| times the
+weight of those through v, each divided by |S & O|.  Both weights are
+invariant under the group: w = n trivially, and w = |Stab(S)| because the
+point group normalises the translations.  The first optimum of the stream
+is still the lexicographically least: had it met a dropped orbit at u != v,
+its image through v under the node's group would agree with it below v and
+contain v, and so come first.  So a ``pack`` without a count runs the same
+stream and stops at its first set.
 
 Determinism contract: the search is one sequential depth-first pass, so
 optimum, witness, count and the node count of each phase depend only on the
@@ -50,11 +62,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from itertools import chain
 
 from .admissibility import Configuration, ExclusionGraph, build_exclusion_graph
 from .lattice import Quotient, SymmetryOp, apply_symmetry, symmetry_group
-from .search import Cut, NodeBudget, include_first, isolated, members
+from .search import Cut, Images, NodeBudget, include_first, isolated, members, orbit
 
 __all__ = ["PackingResult", "max_packing"]
 
@@ -110,9 +122,7 @@ def _point_group(q: Quotient) -> list[SymmetryOp]:
     ]
 
 
-def _coset_images(
-    q: Quotient, ops: list[SymmetryOp]
-) -> Callable[[int], tuple[int, ...]]:
+def _coset_images(q: Quotient, ops: list[SymmetryOp]) -> Images:
     """v -> the coset indices of op(v) over `ops`: column v of each coset
     permutation.  A column is built on first use, so a search pays only for
     the vertices it branches on."""
@@ -136,7 +146,7 @@ def _search_optimum(
     size: int,
     best: int,
     group: list[int],
-    images: Callable[[int], tuple[int, ...]],
+    images: Images,
     counter: NodeBudget,
 ) -> int:
     """The larger of `best` and the largest independent set that adds
@@ -164,28 +174,24 @@ def _search_optimum(
             low = m & -m
             v = low.bit_length() - 1
             # include v under its stabiliser, then drop the whole orbit of v
-            col = images(v)
-            stabiliser = [p for p in group if col[p] == v]
+            stabiliser, orb = orbit(images, group, v)
             best = _search_optimum(
                 adj, cand & ~adj[v] & ~low, size + 1, best, stabiliser, images, counter
             )
-            orbit = 0
-            for p in group:
-                orbit |= 1 << col[p]
-            cand &= ~orbit
+            cand &= ~orb
             m &= cand
     return best
 
 
 def _prove_optimum(
-    graph: ExclusionGraph, ops: list[SymmetryOp], counter: NodeBudget
+    graph: ExclusionGraph, images: Images, group: list[int], counter: NodeBudget
 ) -> int:
     """Phase 1: the optimum over the sets through vertex 0, branching on the
-    orbits of `ops`, a group of automorphisms of the graph that fix vertex 0."""
+    orbits of `group`, automorphisms of the graph that fix vertex 0 (as
+    positions in the columns of `images`)."""
     adj = graph.adjacency
     root_cand = ((1 << graph.n) - 1) & ~adj[0] & ~1
-    images = _coset_images(graph.quotient, ops)
-    return _search_optimum(adj, root_cand, 1, 0, list(range(len(ops))), images, counter)
+    return _search_optimum(adj, root_cand, 1, 0, group, images, counter)
 
 
 def _short_of(adj: tuple[int, ...], k: int) -> Cut:
@@ -218,11 +224,18 @@ def max_packing(
     graph = build_exclusion_graph(q, d2)
     adj, n = graph.adjacency, graph.n
     counter = NodeBudget(node_budget)
+    # one point group for both phases: every op fixes vertex 0 and maps the
+    # root candidates onto themselves
+    ops = _point_group(q)
+    images, group = _coset_images(q, ops), list(range(len(ops)))
     # Phase 1: the optimum value, by orbits of the point group.
-    optimum = _prove_optimum(graph, _point_group(q), counter)
-    # Phase 2: the optima through vertex 0 (module docstring), least first.
+    optimum = _prove_optimum(graph, images, group, counter)
+    # Phase 2: the optima through vertex 0 up to the point group (module
+    # docstring), least first.
     root_cand = ((1 << n) - 1) & ~adj[0] & ~1
-    optima = include_first(adj, 1, root_cand, _short_of(adj, optimum), counter)
+    optima = include_first(
+        adj, 1, root_cand, _short_of(adj, optimum), counter, images, group
+    )
     first = next(optima, None)
     if first is None:
         raise AssertionError("optimum proven but no witness enumerated")
@@ -234,11 +247,11 @@ def max_packing(
                 return n
             return len(q.stabiliser(frozenset(members(q.reps, mask))))
 
-        total = weight(first) + sum(map(weight, optima))
+        total = sum(weight(mask) * mult for mask, mult in chain([first], optima))
         if total % optimum:
             raise AssertionError("the weighted sum of optima is not a multiple of k")
         counted = total // optimum
-    witness = Configuration(q, d2, frozenset(members(q.reps, first)))
+    witness = Configuration(q, d2, frozenset(members(q.reps, first[0])))
     return PackingResult(
         optimum=optimum,
         witness=witness,

@@ -27,9 +27,10 @@ Volumes are exact rationals obtained from an outward-oriented fan
 triangulation of the facet cycles, summed in integers over a common
 denominator.
 
-The minimal-cell search runs ``search.include_first`` over the admissible
-neighbourhoods of the origin in a ball; it cuts a node whose chosen and
-candidate points leave a cell no smaller than the best, and a leaf reuses it.
+The minimal-cell search runs ``search.include_first``, under the identity
+group, over the admissible neighbourhoods of the origin in a ball; it cuts a
+node whose chosen and candidate points leave a cell no smaller than the
+best, and a leaf reuses it.
 """
 
 from __future__ import annotations
@@ -381,7 +382,9 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
 
     completed = True
     try:
-        for chosen in include_first(conflict, 0, (1 << len(cands)) - 1, cut, budget):
+        for chosen, _ in include_first(
+            conflict, 0, (1 << len(cands)) - 1, cut, budget, lambda v: (v,), [0]
+        ):
             if poly.inside((0, 0, 0), radius):
                 best_volume, best_mask = vol, chosen
             else:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hc3.search import BudgetExhaustedError, NodeBudget, include_first
+from hc3.search import BudgetExhaustedError, NodeBudget, include_first, orbit
 
 
 @st.composite
@@ -46,12 +46,19 @@ def indices(mask):
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
+def identity(v):
+    return (v,)
+
+
 @settings(max_examples=300, deadline=None)
 @given(graphs(), st.data())
 def test_include_first_matches_bruteforce(adj, data):
     n = len(adj)
     budget = NodeBudget(None)
-    leaves = list(include_first(adj, 0, (1 << n) - 1, never, budget))
+    pairs = list(include_first(adj, 0, (1 << n) - 1, never, budget, identity, [0]))
+    # under the identity group every leaf has multiplicity 1
+    assert all(mult == 1 for _, mult in pairs)
+    leaves = [mask for mask, _ in pairs]
     for mask in leaves:
         assert not any(mask >> v & 1 and adj[v] & mask for v in range(n))
     # lexicographic order of sorted index tuples, each leaf once
@@ -62,9 +69,46 @@ def test_include_first_matches_bruteforce(adj, data):
     # a budget below the full search stops it after exactly that many nodes
     limit = data.draw(st.integers(0, budget.nodes))
     stopped = NodeBudget(limit)
+    search = include_first(adj, 0, (1 << n) - 1, never, stopped, identity, [0])
     if limit < budget.nodes:
         with pytest.raises(BudgetExhaustedError):
-            list(include_first(adj, 0, (1 << n) - 1, never, stopped))
+            list(search)
     else:
-        assert list(include_first(adj, 0, (1 << n) - 1, never, stopped)) == leaves
+        assert list(search) == pairs
     assert stopped.nodes == limit
+
+
+# the rotations of a 6-cycle, as the images of each vertex
+ROTATIONS = [[(v + r) % 6 for r in range(6)] for v in range(6)]
+
+
+def test_orbit_is_stabiliser_and_orbit_mask():
+    assert orbit(ROTATIONS.__getitem__, list(range(6)), 2) == ([0], 0b111111)
+    # the subgroup {0, 3} of the half turn: orbits are antipodal pairs
+    assert orbit(ROTATIONS.__getitem__, [0, 3], 1) == ([0], 0b010010)
+    assert orbit(identity, [0], 4) == ([0], 0b10000)
+
+
+def test_rotations_of_a_cycle_weight_each_maximal_set():
+    # the 6-cycle under its rotations, cut to the maximal independent sets
+    # {0,2,4}, {1,3,5}, {0,3}, {1,4} and {2,5}: the multiplicities of the
+    # orbital leaves add up to their number, and the first leaf is the same
+    adj = tuple((1 << (v + 1) % 6) | (1 << (v - 1) % 6) for v in range(6))
+
+    def not_maximal(chosen, cand):
+        blocked = chosen
+        for v in indices(chosen):
+            blocked |= adj[v]
+        return not cand and blocked != 63
+
+    def leaves(budget, images, group):
+        return list(include_first(adj, 0, 63, not_maximal, budget, images, group))
+
+    plain_budget, budget = NodeBudget(None), NodeBudget(None)
+    plain = leaves(plain_budget, identity, [0])
+    assert sorted(mask for mask, _ in plain) == brute_force_maximal_sets(adj)
+    assert len(plain) == 5
+    orbital = leaves(budget, ROTATIONS.__getitem__, list(range(6)))
+    assert orbital[0][0] == plain[0][0] == 0b010101
+    assert sum(mult for _, mult in orbital) == 5
+    assert budget.nodes < plain_budget.nodes

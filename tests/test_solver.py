@@ -1,13 +1,13 @@
 """Exact packing solver: oracle equivalence, counts, determinism, bounds."""
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hc3.admissibility import build_exclusion_graph
 from hc3.catalog import known_sublattice, known_sublattice_keys, scaled_basis
 from hc3.lattice import IDENTITY_OP, add, apply_symmetry, hnf, quotient, symmetry_group
-from hc3.search import BudgetExhaustedError, NodeBudget, include_first
+from hc3.search import BudgetExhaustedError, NodeBudget, include_first, members
 from hc3.solver import (
     _coset_images,
     _greedy_clique_cover,
@@ -138,7 +138,19 @@ def test_random_periods_match_bruteforce(case):
 
 def _phase1(graph, ops):
     counter = NodeBudget(None)
-    return _prove_optimum(graph, ops, counter), counter.nodes
+    images = _coset_images(graph.quotient, ops)
+    return _prove_optimum(graph, images, list(range(len(ops))), counter), counter.nodes
+
+
+def _stream(graph, ops, k, budget):
+    """Phase 2's weighted stream of the optima through vertex 0, branching
+    on the orbits of `ops`."""
+    adj = graph.adjacency
+    root = ((1 << graph.n) - 1) & ~adj[0] & ~1
+    images = _coset_images(graph.quotient, ops)
+    return include_first(
+        adj, 1, root, _short_of(adj, k), budget, images, list(range(len(ops)))
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -170,9 +182,10 @@ def test_orbital_branching_matches_plain_search(case):
 @given(periods_and_d2())
 @example((((4, 0, 0), (0, 4, 0), (0, 0, 4)), 2))
 def test_phase1_optimum_matches_phase2_search(case):
-    # phase 2 shares no branching rule with phase 1: it finds a set of the
-    # proven size k and none of any size from k + 1 up to the root cover
-    # bound (a maximum set is a leaf of the search whose target is its size)
+    # phase 2 under the identity shares no branching rule with phase 1: it
+    # finds a set of the proven size k and none of any size from k + 1 up to
+    # the root cover bound (a maximum set is a leaf of the search whose
+    # target is its size)
     period, d2 = case
     q = quotient(period)
     graph = build_exclusion_graph(q, d2)
@@ -181,7 +194,7 @@ def test_phase1_optimum_matches_phase2_search(case):
     root = ((1 << graph.n) - 1) & ~adj[0] & ~1
 
     def optima(target):
-        return include_first(adj, 1, root, _short_of(adj, target), NodeBudget(None))
+        return _stream(graph, [IDENTITY_OP], target, NodeBudget(None))
 
     assert next(optima(k), None) is not None
     bound = 1 + len(_greedy_clique_cover(root, adj, graph.n))
@@ -193,15 +206,17 @@ def test_phase1_optimum_matches_phase2_search(case):
     "period,d2,count,nodes",
     [
         (((5, 0, 0), (0, 5, 0), (0, 0, 5)), 3, None, 626),
-        (((6, 0, 0), (0, 6, 0), (0, 0, 6)), 8, None, 3157),
+        (((6, 0, 0), (0, 6, 0), (0, 0, 6)), 8, None, 985),
         (((5, 0, 0), (0, 5, 0), (0, 0, 5)), 5, None, 624),
-        (((4, 0, 0), (1, 4, 0), (2, 1, 5)), 5, 160, 645),
+        (((4, 0, 0), (1, 4, 0), (2, 1, 5)), 5, 160, 327),
         (((8, 0, 0), (0, 8, 0), (0, 0, 8)), 2, None, 384),
         (((6, 0, 0), (0, 6, 0), (0, 0, 6)), 6, None, 2017),
+        (((4, 0, 0), (0, 4, 0), (0, 0, 5)), 5, 14000, 493),
+        (((6, 0, 0), (0, 6, 0), (0, 0, 6)), 12, 23490, 76),
     ],
     # ids without the count, so that a re-pin keeps the test names
     ids=["diag5-d2=3", "diag6-d2=8", "diag5-d2=5", "skewed-d2=5-count",
-         "diag8-d2=2", "diag6-d2=6"],
+         "diag8-d2=2", "diag6-d2=6", "diag445-d2=5-count", "diag6-d2=12-count"],
 )
 def test_node_counts_are_pinned(period, d2, count, nodes):
     # node counts are part of the determinism contract: a change to the
@@ -216,6 +231,54 @@ def test_orbital_branching_cuts_nodes():
     q = quotient(((5, 0, 0), (0, 5, 0), (0, 0, 5)))
     _, plain_nodes = _phase1(build_exclusion_graph(q, 5), [IDENTITY_OP])
     assert 4 * max_packing(q, 5).nodes <= plain_nodes
+
+
+@settings(max_examples=100, deadline=None)
+@given(periods_and_d2())
+@example((((4, 0, 0), (0, 4, 0), (0, 0, 5)), 5))
+@example((((2, 0, 0), (0, 3, 0), (0, 0, 3)), 2))
+def test_orbital_stream_matches_plain_stream(case):
+    # branching phase 2 on point-group orbits keeps the first optimum and,
+    # through the leaf multiplicities, every weighted sum of a weight the
+    # point group leaves invariant: the number of cosets and the size of
+    # the translation stabiliser
+    period, d2 = case
+    q = quotient(period)
+    graph = build_exclusion_graph(q, d2)
+    k = _phase1(graph, _point_group(q))[0]
+    # the plain stream is the oracle; thin periods such as
+    # ((3,0,0),(2,1,0),(2,0,21)) at d2=2 have 699,051 optima through vertex
+    # 0, which it cannot list in test time
+    try:
+        plain = list(_stream(graph, [IDENTITY_OP], k, NodeBudget(20_000)))
+    except BudgetExhaustedError:
+        assume(False)
+    orbital = list(_stream(graph, _point_group(q), k, NodeBudget(None)))
+    assert orbital[0][0] == plain[0][0]
+    assert all(mult == 1 for _, mult in plain)
+    assert sum(mult for _, mult in orbital) == len(plain)
+
+    def stabiliser(mask):
+        return len(q.stabiliser(frozenset(members(q.reps, mask))))
+
+    assert sum(stabiliser(m) * mult for m, mult in orbital) == sum(
+        stabiliser(m) for m, _ in plain
+    )
+
+
+def test_phase2_orbital_branching_cuts_nodes():
+    # a phase-2 point group that silently shrank to the identity would pass
+    # every correctness oracle; the node count of the count stream would not
+    q = quotient(((4, 0, 0), (0, 4, 0), (0, 0, 5)))
+    graph = build_exclusion_graph(q, 5)
+    k = _phase1(graph, _point_group(q))[0]
+    nodes = {}
+    for name, ops in (("point group", _point_group(q)), ("identity", [IDENTITY_OP])):
+        budget = NodeBudget(None)
+        for _ in _stream(graph, ops, k, budget):
+            pass
+        nodes[name] = budget.nodes
+    assert 4 * nodes["point group"] <= nodes["identity"]
 
 
 def list_scan_clique_cover(cand, adj):

@@ -41,6 +41,13 @@ class PeriodTooShortError(ValueError):
     """The period lattice has a nonzero vector shorter than the exclusion distance."""
 
 
+def _check_period(q: Quotient, d2: int) -> None:
+    if q.min_period_sq_norm() < d2:
+        raise PeriodTooShortError(
+            f"period min squared norm {q.min_period_sq_norm()} < d2 = {d2}"
+        )
+
+
 class SitesOutsideWindowError(ValueError):
     """Some occupied sites of a window configuration lie outside the window."""
 
@@ -80,11 +87,7 @@ class Configuration:
         if self.d2 < 1:
             raise ValueError(f"d2 must be a positive integer, got {self.d2}")
         if isinstance(self.domain, Quotient):
-            if self.domain.min_period_sq_norm() < self.d2:
-                raise PeriodTooShortError(
-                    f"period min squared norm {self.domain.min_period_sq_norm()}"
-                    f" < d2 = {self.d2}"
-                )
+            _check_period(self.domain, self.d2)
             object.__setattr__(
                 self,
                 "occupied",
@@ -193,10 +196,7 @@ def build_exclusion_graph(q: Quotient, d2: int) -> ExclusionGraph:
     k*step bits.  That vector is no shorter than the exclusion distance, so
     h0 >= sqrt(d2) and the offset lookups drop by at least that factor.
     """
-    if q.min_period_sq_norm() < d2:
-        raise PeriodTooShortError(
-            f"period min squared norm {q.min_period_sq_norm()} < d2 = {d2}"
-        )
+    _check_period(q, d2)
     offsets = offsets_closer_than(d2)
     index = q.rep_index
     reduce = q.reduce

@@ -14,7 +14,8 @@ the two in-plane generators it has index 9 and shortest squared norm exactly
 Builds, classification and selectors treat tori and windows alike: a
 layer, line or mesh is a coset of the lattice spanned by its generators
 and the domain's ``period`` (empty on a window), built once with
-``lattice_from_generators`` and tested with ``in_lattice``.
+``lattice_from_generators`` and tested with ``in_lattice``; planes n.x = v
+are equal modulo gcd(n.p over the periods p), which is 0 on a window.
 """
 
 from __future__ import annotations

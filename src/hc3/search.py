@@ -127,26 +127,33 @@ def include_first(
     vertex can end up with no chosen neighbour.  `cut` may read state the
     consumer changes between yields; a generator that is not resumed
     searches no further.
+
+    Nodes are frames (chosen, cand, group, path) on an explicit stack, so
+    the depth is limited by memory only.  `path` links (orb, parent) the
+    non-trivial orbits dropped after the include edges above the frame; a
+    leaf S yields prod |O| / |S & O| over it.
     """
-    budget.spend()
-    free = isolated(cand, adj)
-    chosen |= free
-    cand ^= free
-    if cut(chosen, cand):
-        return
-    if not cand:
-        yield chosen, _ONE
-        return
-    low = cand & -cand
-    v = low.bit_length() - 1
-    stabiliser, orb = orbit(images, group, v)
-    include = include_first(
-        adj, chosen | low, cand & ~adj[v] & ~low, cut, budget, images, stabiliser
-    )
-    if orb == low:
-        yield from include
-    else:
-        size = orb.bit_count()
-        for leaf, mult in include:
-            yield leaf, mult * Fraction(size, (leaf & orb).bit_count())
-    yield from include_first(adj, chosen, cand & ~orb, cut, budget, images, group)
+    stack = [(chosen, cand, group, None)]
+    while stack:
+        chosen, cand, group, path = stack.pop()
+        budget.spend()
+        free = isolated(cand, adj)
+        chosen |= free
+        cand ^= free
+        if cut(chosen, cand):
+            continue
+        if not cand:
+            mult = _ONE
+            while path:
+                orb, path = path
+                mult *= Fraction(orb.bit_count(), (chosen & orb).bit_count())
+            yield chosen, mult
+            continue
+        low = cand & -cand
+        v = low.bit_length() - 1
+        stabiliser, orb = orbit(images, group, v)
+        # exclude below include: the include subtree runs first
+        stack.append((chosen, cand & ~orb, group, path))
+        if orb != low:
+            path = (orb, path)
+        stack.append((chosen | low, cand & ~adj[v] & ~low, stabiliser, path))

@@ -14,9 +14,11 @@ down and branches on their vertices in turn, each child including one
 vertex, and stops once the cliques left could not beat the best set found.
 A set larger than `best` must take a vertex from a clique with index
 >= best - size, so only those cliques are branched on, and the depth is at
-most the optimum.  The witness/count phase runs ``search.include_first``,
-which branches on the lowest candidate, include first: the reported witness
-is the lexicographically least optimal set under the fixed coset order.
+most the optimum.  A node is a frame on an explicit stack that pushes
+itself back, without the branched orbit, under its include child.  The
+witness/count phase runs ``search.include_first``, which branches on the
+lowest candidate, include first: the reported witness is the
+lexicographically least optimal set under the fixed coset order.
 
 Torus translations act transitively on the cosets, so both phases search
 only the sets that contain vertex 0.  The lexicographically least optimum
@@ -52,10 +54,11 @@ its image through v under the node's group would agree with it below v and
 contain v, and so come first.  So a ``pack`` without a count runs the same
 stream and stops at its first set.
 
-Determinism contract: the search is one sequential depth-first pass, so
-optimum, witness, count and the node count of each phase depend only on the
-input.  The search never returns an unproven optimum: exceeding the node
-budget (one ``search.NodeBudget`` for both phases) raises instead.
+Determinism contract: each phase is one sequential depth-first loop over an
+explicit stack, so optimum, witness, count and the node count of each phase
+depend only on the input, and the depth (up to the optimum) is limited by
+memory only.  The search never returns an unproven optimum: exceeding the
+node budget (one ``search.NodeBudget`` for both phases) raises instead.
 """
 
 from __future__ import annotations
@@ -140,58 +143,46 @@ def _coset_images(q: Quotient, ops: list[SymmetryOp]) -> Images:
     return images
 
 
-def _search_optimum(
-    adj: tuple[int, ...],
-    cand: int,
-    size: int,
-    best: int,
-    group: list[int],
-    images: Images,
-    counter: NodeBudget,
-) -> int:
-    """The larger of `best` and the largest independent set that adds
-    candidates to `size` chosen vertices.
-
-    `group` holds the positions, in the columns of `images`, of a group of
-    coset permutations that fix the chosen set and map the candidates onto
-    themselves.  With the identity alone this is the plain colour-class
-    branch-and-bound of the module docstring.
-    """
-    counter.spend()
-    free = isolated(cand, adj)
-    cand ^= free
-    size += free.bit_count()
-    if not cand:
-        return max(best, size)
-    cliques = _greedy_clique_cover(cand, adj, len(adj))
-    # every vertex of cliques i+1.. has been branched on or dropped, so the
-    # candidates left lie in cliques 0..i and add at most i + 1
-    for i in range(len(cliques) - 1, -1, -1):
-        m = cliques[i] & cand
-        while m:
-            if size + i + 1 <= best:
-                return best
-            low = m & -m
-            v = low.bit_length() - 1
-            # include v under its stabiliser, then drop the whole orbit of v
-            stabiliser, orb = orbit(images, group, v)
-            best = _search_optimum(
-                adj, cand & ~adj[v] & ~low, size + 1, best, stabiliser, images, counter
-            )
-            cand &= ~orb
-            m &= cand
-    return best
-
-
 def _prove_optimum(
     graph: ExclusionGraph, images: Images, group: list[int], counter: NodeBudget
 ) -> int:
     """Phase 1: the optimum over the sets through vertex 0, branching on the
     orbits of `group`, automorphisms of the graph that fix vertex 0 (as
-    positions in the columns of `images`)."""
+    positions in the columns of `images`).
+
+    A frame (cand, size, group, cliques, i) has `size` chosen vertices, and
+    `group` maps its candidates onto themselves; `cliques is None` until the
+    frame is expanded, and then it branches next in clique i of its cover.
+    """
     adj = graph.adjacency
-    root_cand = ((1 << graph.n) - 1) & ~adj[0] & ~1
-    return _search_optimum(adj, root_cand, 1, 0, group, images, counter)
+    best = 0
+    stack = [(((1 << graph.n) - 1) & ~adj[0] & ~1, 1, group, None, 0)]
+    while stack:
+        cand, size, group, cliques, i = stack.pop()
+        if cliques is None:
+            counter.spend()
+            free = isolated(cand, adj)
+            cand ^= free
+            size += free.bit_count()
+            if not cand:
+                best = max(best, size)
+                continue
+            cliques = _greedy_clique_cover(cand, adj, len(adj))
+            i = len(cliques) - 1
+        # every vertex of cliques i+1.. has been branched on or dropped, so
+        # the candidates left lie in cliques 0..i and add at most i + 1
+        while i >= 0 and not cliques[i] & cand:
+            i -= 1
+        if i < 0 or size + i + 1 <= best:
+            continue
+        m = cliques[i] & cand
+        low = m & -m
+        v = low.bit_length() - 1
+        # include v under its stabiliser, then drop the whole orbit of v
+        stabiliser, orb = orbit(images, group, v)
+        stack.append((cand & ~orb, size, group, cliques, i))
+        stack.append((cand & ~adj[v] & ~low, size + 1, stabiliser, None, 0))
+    return best
 
 
 def _short_of(adj: tuple[int, ...], k: int) -> Cut:

@@ -1,11 +1,16 @@
 """The shared search pieces: the include-first enumerator against brute
-force, and the node budget."""
+force, the node budget, and search depth beyond the recursion limit."""
+
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hc3.lattice import quotient
 from hc3.search import BudgetExhaustedError, NodeBudget, include_first, orbit
+from hc3.solver import max_packing
+from hc3.voronoi import min_cell_search
 
 
 @st.composite
@@ -112,3 +117,20 @@ def test_rotations_of_a_cycle_weight_each_maximal_set():
     assert orbital[0][0] == plain[0][0] == 0b010101
     assert sum(mult for _, mult in orbital) == 5
     assert budget.nodes < plain_budget.nodes
+
+
+def test_search_depth_is_not_bounded_by_the_call_stack():
+    # the 8^3 FCC optimum has 256 sites, so a search that took one call
+    # frame per chosen vertex would pass a limit 60 frames above the caller
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        packing = max_packing(quotient(((8, 0, 0), (0, 8, 0), (0, 0, 8))), 2, count=True)
+        cell = min_cell_search(3, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (packing.optimum, packing.count) == (256, 2)
+    assert cell.volume == 4

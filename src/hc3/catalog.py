@@ -111,8 +111,13 @@ _SUBLATTICES: dict[tuple[int, str], Basis] = {
     (12, "main"): ((4, 0, 0), (0, 4, 0), (2, 2, 2)),
 }
 
-_DEFAULT_VARIANT = {2: "main", 3: "main", 4: "main", 5: "main", 6: "I",
-                    8: "main", 9: "1", 10: "1", 11: "main", 12: "main"}
+
+def _least_names(table) -> dict[int, str]:
+    """The default variant or family per d2: the least name stored for it."""
+    return {d2: min(n for d, n in table if d == d2) for d2, _ in table}
+
+
+_DEFAULT_VARIANT = _least_names(_SUBLATTICES)
 
 
 def known_sublattice(d2: int, variant: str | None = None) -> Basis:
@@ -221,7 +226,7 @@ _register_family(
 _register_family(9, "1", known_mesh("square-10", "1"), 2, {"S": (2, 1, 2)})
 _register_family(9, "2", known_mesh("square-10", "2"), 2, {"S": (2, 1, -2)})
 
-_DEFAULT_FAMILY = {2: "main", 3: "main", 5: "main", 6: "I", 9: "1"}
+_DEFAULT_FAMILY = _least_names(_FAMILIES)
 
 
 def layer_family(d2: int, family: str | None = None) -> LayerFamily:
@@ -404,8 +409,7 @@ class LineSelector:
         return f"line:{_fmt(self.anchor)}:{_fmt(self.direction)}"
 
     def select(self, c: Configuration) -> frozenset[Site]:
-        lat = _span(self.direction, *c.domain.period)
-        return frozenset(x for x in c.occupied if in_lattice(lat, sub(x, self.anchor)))
+        return _select_coset(c, self.anchor, self.direction)
 
 
 @dataclass(frozen=True)
@@ -446,9 +450,7 @@ class MeshSelector:
         return f"mesh:{_fmt(self.mesh.anchor)}:{_fmt(g1)}:{_fmt(g2)}"
 
     def select(self, c: Configuration) -> frozenset[Site]:
-        anchor = self.mesh.anchor
-        lat = _span(*self.mesh.generators, *c.domain.period)
-        return frozenset(x for x in c.occupied if in_lattice(lat, sub(x, anchor)))
+        return _select_coset(c, self.mesh.anchor, *self.mesh.generators)
 
 
 Selector = LineSelector | PlaneSelector | MeshSelector
@@ -458,6 +460,12 @@ Selector = LineSelector | PlaneSelector | MeshSelector
 def _span(*gens: Site) -> tuple[Site, ...]:
     """The span of a selector's generators and the period, built once."""
     return lattice_from_generators(gens)
+
+
+def _select_coset(c: Configuration, anchor: Site, *gens: Site) -> frozenset[Site]:
+    """The occupied sites of anchor + the span of gens and the period."""
+    lat = _span(*gens, *c.domain.period)
+    return frozenset(x for x in c.occupied if in_lattice(lat, sub(x, anchor)))
 
 
 def _fmt(v: Site) -> str:

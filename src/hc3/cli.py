@@ -67,12 +67,32 @@ def _fmt_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def _emit(args, text_lines: list[str], payload: dict) -> None:
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, Fraction):
+        return _fmt_fraction(value)
+    if isinstance(value, tuple):
+        return _fmt_site(value)
+    if isinstance(value, list):
+        return " ".join(map(_text, value))
+    return str(value)
+
+
+def _emit(
+    args, fields: dict, *, lines: list[str] | None = None, extra: dict | None = None
+) -> None:
+    """Print one field record.  Text is one `key value` line per field, or
+    the given ``lines``; JSON is the same fields with `_` for `-` in the
+    keys, updated by the JSON-only ``extra``.  A bool is yes/no in text, a
+    site (x,y,z) and a list space-joined; JSON keeps bools, sites and lists
+    as such.  A Fraction is "p/q" in both."""
     try:
         if args.json:
-            print(json.dumps(payload, sort_keys=True))
+            payload = {k.replace("-", "_"): v for k, v in fields.items()} | (extra or {})
+            print(json.dumps(payload, sort_keys=True, default=_fmt_fraction))
         else:
-            for line in text_lines:
+            for line in lines or [f"{k} {_text(v)}" for k, v in fields.items()]:
                 print(line)
         sys.stdout.flush()
     except BrokenPipeError:
@@ -101,10 +121,10 @@ def _load(path: str, validate: bool = True) -> Configuration:
         raise CliError(f"bad document: {exc}", EXIT_BAD_INPUT)
 
 
-def _add_violation(c: Configuration, pair, lines: list[str], payload: dict) -> None:
+def _add_violation(c: Configuration, pair, fields: dict, extra: dict) -> None:
     d = c.pair_sq_distance(*pair)
-    lines.append(f"violation {_fmt_site(pair[0])} ~ {_fmt_site(pair[1])} sq-distance {d}")
-    payload["violation"] = {"pair": [list(pair[0]), list(pair[1])], "sq_distance": d}
+    fields["violation"] = f"{_fmt_site(pair[0])} ~ {_fmt_site(pair[1])} sq-distance {d}"
+    extra["violation"] = {"pair": pair, "sq_distance": d}
 
 
 def _save(c: Configuration, path: str, metadata: dict[str, str]) -> None:
@@ -132,124 +152,82 @@ def _cmd_pack(args) -> int:
         q = Quotient(basis)
     except ValueError as exc:
         raise CliError(f"bad period: {exc}", EXIT_BAD_INPUT)
-    try:
-        result = solver.max_packing(
-            q,
-            args.d2,
-            count=args.count,
-            mod_translations=args.mod_translations,
-            node_budget=_budget(args.budget),
-        )
-    except PeriodTooShortError as exc:
-        raise CliError(str(exc), EXIT_DOMAIN)
-    except BudgetExhaustedError as exc:
-        raise CliError(str(exc), EXIT_BUDGET)
+    result = solver.max_packing(
+        q,
+        args.d2,
+        count=args.count,
+        mod_translations=args.mod_translations,
+        node_budget=_budget(args.budget),
+    )
     print(f"# nodes={result.nodes} time={result.wall_time:.3f}s", file=sys.stderr)
-    witness_sites = result.witness.sorted_sites()
-    payload = {
+    fields = {
         "optimum": result.optimum,
-        "witness": [list(s) for s in witness_sites],
-        "density": _fmt_fraction(result.witness.density()),
-        "d2": args.d2,
-        "period": [list(g) for g in q.period],
+        "witness": result.witness.sorted_sites(),
+        "density": result.witness.density(),
     }
-    lines = [f"optimum {result.optimum}"]
-    lines.append("witness " + " ".join(_fmt_site(s) for s in witness_sites))
-    lines.append(f"density {payload['density']}")
     if result.count is not None:
-        lines.append(f"count {result.count}")
-        payload["count"] = result.count
+        fields["count"] = result.count
     if args.out:
         _save(result.witness, args.out, {"source": "pack"})
-        lines.append(f"witness-file {args.out}")
-        payload["witness_file"] = args.out
-    _emit(args, lines, payload)
+        fields["witness-file"] = args.out
+    _emit(args, fields, extra={"d2": args.d2, "period": q.period})
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     c = _load(args.file, validate=False)
     ok, pair = c.is_admissible()
-    lines = [f"sites {len(c.occupied)}", f"admissible {'yes' if ok else 'no'}"]
-    payload: dict = {"sites": len(c.occupied), "admissible": ok}
+    fields: dict = {"sites": len(c.occupied), "admissible": ok}
     if not ok:
-        assert pair is not None
-        _add_violation(c, pair, lines, payload)
-        _emit(args, lines, payload)
+        extra: dict = {}
+        _add_violation(c, pair, fields, extra)
+        _emit(args, fields, extra=extra)
         return EXIT_DOMAIN
-    payload["density"] = density = _fmt_fraction(c.density())
-    lines.append(f"density {density}")
-    m = c.min_pair_sq_distance()
-    if m is not None:
-        lines.append(f"min-pair-sq-distance {m}")
-        payload["min_pair_sq_distance"] = m
+    fields["density"] = c.density()
+    if (m := c.min_pair_sq_distance()) is not None:
+        fields["min-pair-sq-distance"] = m
     if isinstance(c.domain, Quotient):
-        payload["period_min_sq_norm"] = norm = c.domain.min_period_sq_norm()
-        lines.append(f"period-min-sq-norm {norm}")
-    saturated = not c.insertion_candidates()
-    lines.append(f"saturated {'yes' if saturated else 'no'}")
-    payload["saturated"] = saturated
-    _emit(args, lines, payload)
+        fields["period-min-sq-norm"] = c.domain.min_period_sq_norm()
+    fields["saturated"] = not c.insertion_candidates()
+    _emit(args, fields)
     return EXIT_OK
 
 
 def _cmd_pc(args) -> int:
-    try:
-        basis = catalog.known_sublattice(args.d2, args.variant)
-    except catalog.UnknownCatalogEntryError as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT)
-    q = Quotient(basis)
-    c = Configuration(q, args.d2, frozenset({(0, 0, 0)}))
-    meta = {"kind": "catalog-sublattice", "d2": str(args.d2)}
-    payload = {
+    basis = catalog.known_sublattice(args.d2, args.variant)
+    c = Configuration(Quotient(basis), args.d2, frozenset({(0, 0, 0)}))
+    fields = {
         "d2": args.d2,
-        "basis": [list(g) for g in basis],
+        "basis": list(basis),
         "index": lattice_index(basis),
-        "density": _fmt_fraction(c.density()),
-        "min_sq_norm": shortest_vectors(basis)[0],
+        "density": c.density(),
+        "min-sq-norm": shortest_vectors(basis)[0],
     }
-    lines = [
-        f"d2 {args.d2}",
-        "basis " + " ".join(_fmt_site(g) for g in basis),
-        f"index {payload['index']}",
-        f"density {payload['density']}",
-        f"min-sq-norm {payload['min_sq_norm']}",
-    ]
     if args.out:
-        _save(c, args.out, meta)
-        lines.append(f"file {args.out}")
-        payload["file"] = args.out
-    _emit(args, lines, payload)
+        _save(c, args.out, {"kind": "catalog-sublattice", "d2": str(args.d2)})
+        fields["file"] = args.out
+    _emit(args, fields)
     return EXIT_OK
 
 
 def _cmd_layered(args) -> int:
     try:
         c = catalog.build_layered(args.d2, args.word, family=args.family)
-    except (catalog.UnknownCatalogEntryError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_INPUT)
     assert isinstance(c.domain, Quotient)
-    payload = {
+    fields = {
         "d2": args.d2,
         "word": args.word,
-        "period": [list(g) for g in c.domain.period],
-        "sites": [list(s) for s in c.sorted_sites()],
-        "density": _fmt_fraction(c.density()),
-        "min_pair_sq_distance": c.min_pair_sq_distance(),
+        "period": list(c.domain.period),
+        "sites": len(c.occupied),
+        "density": c.density(),
+        "min-pair-sq-distance": c.min_pair_sq_distance(),
     }
-    lines = [
-        f"d2 {args.d2}",
-        f"word {args.word}",
-        "period " + " ".join(_fmt_site(g) for g in c.domain.period),
-        f"sites {len(c.occupied)}",
-        f"density {payload['density']}",
-        f"min-pair-sq-distance {payload['min_pair_sq_distance']}",
-    ]
     if args.out:
         _save(c, args.out, {"kind": "layered", "word": args.word})
-        lines.append(f"file {args.out}")
-        payload["file"] = args.out
-    _emit(args, lines, payload)
+        fields["file"] = args.out
+    _emit(args, fields, extra={"sites": c.sorted_sites()})
     return EXIT_OK
 
 
@@ -258,28 +236,20 @@ def _cmd_voronoi(args) -> int:
     site = _parse_site(args.site, "--site")
     try:
         cell = voronoi.voronoi_cell(c, site)
-    except voronoi.SiteNotOccupiedError as exc:
-        raise CliError(str(exc), EXIT_DOMAIN)
+    except voronoi.SiteNotOccupiedError:
+        raise  # a ValueError too, but a domain violation: main's table
     except ValueError as exc:  # a window: Voronoi cells need a torus
         raise CliError(str(exc), EXIT_BAD_INPUT)
-    vol = voronoi.cell_volume(cell)
-    lines = [
-        f"site {_fmt_site(site)}",
-        f"volume {_fmt_fraction(vol)}",
-        f"facets {cell.n_facets}",
-        f"vertices {cell.n_vertices}",
-    ]
-    payload = {
-        "site": list(site),
-        "volume": _fmt_fraction(vol),
+    fields = {
+        "site": site,
+        "volume": voronoi.cell_volume(cell),
         "facets": cell.n_facets,
         "vertices": cell.n_vertices,
     }
     if args.dump_geometry:
         _write_obj(cell, args.dump_geometry)
-        lines.append(f"geometry {args.dump_geometry}")
-        payload["geometry"] = args.dump_geometry
-    _emit(args, lines, payload)
+        fields["geometry"] = args.dump_geometry
+    _emit(args, fields)
     return EXIT_OK
 
 
@@ -314,30 +284,22 @@ def _cmd_embed(args) -> int:
     if args.ell < 1:
         raise CliError("--ell must be >= 1", EXIT_BAD_INPUT)
     if args.classes:
-        classes = embeddings.embedding_classes(args.ell)
-        lines = [f"classes {len(classes)}"]
-        payload_classes = []
-        for i, cls in enumerate(classes):
-            rep = " ".join(_fmt_site(g) for g in cls.representative)
-            lines.append(f"class {i} size {cls.orbit_size} rep {rep}")
-            payload_classes.append(
-                {
-                    "representative": [list(g) for g in cls.representative],
-                    "orbit_size": cls.orbit_size,
-                    "members": [[list(g) for g in m] for m in cls.members],
-                }
-            )
-        payload = {"ell": args.ell, "classes": payload_classes}
+        classes = [
+            {"representative": cls.representative, "orbit_size": cls.orbit_size,
+             "members": cls.members}
+            for cls in embeddings.embedding_classes(args.ell)
+        ]
+        lines = [f"classes {len(classes)}"] + [
+            f"class {i} size {cls['orbit_size']} rep {_text(list(cls['representative']))}"
+            for i, cls in enumerate(classes)
+        ]
+        _emit(args, {"ell": args.ell, "classes": classes}, lines=lines)
     else:
         embs = embeddings.enumerate_fcc_embeddings(args.ell)
-        lines = [f"embeddings {len(embs)}"]
-        for i, b in enumerate(embs):
-            lines.append(f"embedding {i} hnf " + " ".join(_fmt_site(g) for g in b))
-        payload = {
-            "ell": args.ell,
-            "embeddings": [[list(g) for g in b] for b in embs],
-        }
-    _emit(args, lines, payload)
+        lines = [f"embeddings {len(embs)}"] + [
+            f"embedding {i} hnf {_text(list(b))}" for i, b in enumerate(embs)
+        ]
+        _emit(args, {"ell": args.ell, "embeddings": embs}, lines=lines)
     return EXIT_OK
 
 
@@ -349,31 +311,26 @@ def _cmd_excite(args) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_INPUT)
-    lines = [f"excitations {len(scan.excitations)}"]
-    payload_items = []
-    for e in scan.excitations:
-        added = ";".join(_fmt_site(s) for s in e.added)
-        removed = ";".join(_fmt_site(s) for s in e.removed)
-        # every listed translation class occurs once per fundamental domain
+    # every listed translation class occurs once per fundamental domain
+    items = [
+        {"order": e.order, "added": e.added, "removed": e.removed, "per_cell": 1}
+        for e in scan.excitations
+    ]
+    lines = [f"excitations {len(items)}"]
+    for e in items:
+        added = ";".join(map(_fmt_site, e["added"]))
+        removed = ";".join(map(_fmt_site, e["removed"]))
         lines.append(
-            f"excitation order={e.order} added={added} removed={removed} per-cell=1"
+            f"excitation order={e['order']} added={added} removed={removed} per-cell=1"
         )
-        payload_items.append(
-            {
-                "order": e.order,
-                "added": [list(s) for s in e.added],
-                "removed": [list(s) for s in e.removed],
-                "per_cell": 1,
-            }
-        )
-    lines.append(f"complete {'yes' if scan.complete else 'no'}")
-    payload = {
-        "excitations": payload_items,
+    lines.append(f"complete {_text(scan.complete)}")
+    fields = {
+        "excitations": items,
         "complete": scan.complete,
         "max_order": args.max_order,
         "radius": args.radius,
     }
-    _emit(args, lines, payload)
+    _emit(args, fields, lines=lines)
     return EXIT_OK if scan.complete else EXIT_BUDGET
 
 
@@ -389,8 +346,6 @@ def _parse_selector(text: str) -> catalog.Selector:
             g1, g2 = _parse_site(parts[2]), _parse_site(parts[3])
             spec = catalog.MeshSpec((g1, g2), anchor, primitive(cross(g1, g2)))
             return catalog.MeshSelector(spec)
-    except CliError:
-        raise
     except ValueError as exc:
         raise CliError(f"bad mesh spec {text!r}: {exc}", EXIT_BAD_INPUT)
     raise CliError(
@@ -405,22 +360,17 @@ def _cmd_slide(args) -> int:
         if args.max_shift_norm < 0:
             raise CliError("--max-shift-norm must be >= 0", EXIT_BAD_INPUT)
         shifts = perturbations.standard_shifts(args.max_shift_norm)
-        moves = perturbations.find_sliding(c, shifts=shifts)
-        lines = [f"moves {len(moves)}"]
-        payload_moves = []
-        for m in moves:
-            lines.append(
-                f"slide mesh={m.selector.describe()} shift={_fmt_site(m.shift)}"
-                f" min-pair-sq-distance {m.min_pair_sq_distance}"
-            )
-            payload_moves.append(
-                {
-                    "mesh": m.selector.describe(),
-                    "shift": list(m.shift),
-                    "min_pair_sq_distance": m.min_pair_sq_distance,
-                }
-            )
-        _emit(args, lines, {"moves": payload_moves})
+        moves = [
+            {"mesh": m.selector.describe(), "shift": m.shift,
+             "min_pair_sq_distance": m.min_pair_sq_distance}
+            for m in perturbations.find_sliding(c, shifts=shifts)
+        ]
+        lines = [f"moves {len(moves)}"] + [
+            f"slide mesh={m['mesh']} shift={_fmt_site(m['shift'])}"
+            f" min-pair-sq-distance {m['min_pair_sq_distance']}"
+            for m in moves
+        ]
+        _emit(args, {"moves": moves}, lines=lines)
         return EXIT_OK
     if not args.mesh or not args.shift:
         raise CliError("slide needs --scan or both --mesh and --shift", EXIT_BAD_INPUT)
@@ -429,25 +379,18 @@ def _cmd_slide(args) -> int:
     # mesh_shift only feeds the diagnostics; find_sliding gives the verdict
     try:
         shifted = catalog.mesh_shift(c, sel, t)
-    except catalog.SelectorEmptyError as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT)
     except SitesOutsideWindowError as exc:
-        lines = ["valid no", "outside-window " + " ".join(map(_fmt_site, exc.sites))]
-        payload = {"valid": False, "outside_window": [list(s) for s in exc.sites]}
-        _emit(args, lines, payload)
+        _emit(args, {"valid": False, "outside-window": exc.sites})
         return EXIT_DOMAIN
     valid = bool(perturbations.find_sliding(c, [sel], [t]))
     ok, pair = shifted.is_admissible()
-    count_preserved = len(shifted.occupied) == len(c.occupied)
-    lines = [f"valid {'yes' if valid else 'no'}"]
-    payload: dict = {"valid": valid, "count_preserved": count_preserved}
+    fields: dict = {"valid": valid}
+    extra = {"count_preserved": len(shifted.occupied) == len(c.occupied)}
     if not ok:
-        assert pair is not None
-        _add_violation(shifted, pair, lines, payload)
+        _add_violation(shifted, pair, fields, extra)
     elif (m := shifted.min_pair_sq_distance()) is not None:
-        lines.append(f"min-pair-sq-distance {m}")
-        payload["min_pair_sq_distance"] = m
-    _emit(args, lines, payload)
+        fields["min-pair-sq-distance"] = m
+    _emit(args, fields, extra=extra)
     return EXIT_OK if valid else EXIT_DOMAIN
 
 
@@ -471,19 +414,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--budget", type=int, help="node budget (hard error on exhaustion)")
     p.add_argument("--out", help="write the witness configuration to this file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_pack)
 
     p = sub.add_parser("verify", help="admissibility / density / saturation report")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("pc", help="catalog sublattice configuration")
     p.add_argument("--d2", type=int, required=True)
     p.add_argument("--variant", help='variant ("I"/"II" for d2=6, "1"/"2" for 9, 10)')
     p.add_argument("--out", help="write the configuration document here")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_pc)
 
     p = sub.add_parser("layered", help="layered configuration from a stacking word")
@@ -491,7 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", help="family name (I/II for d2=6)")
     p.add_argument("--word", required=True, help="stacking word, e.g. ST")
     p.add_argument("--out", help="write the configuration document here")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_layered)
 
     p = sub.add_parser("voronoi", help="exact Voronoi cell of an occupied site")
@@ -499,13 +438,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--site", required=True, help="occupied site x,y,z")
     p.add_argument("--dump-geometry", help="write an OBJ file (exact JSON sidecar)")
     p.add_argument("--no-validate", action="store_true", help="skip the load-time check")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_voronoi)
 
     p = sub.add_parser("embed", help="FCC embeddings at scale ell")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--classes", action="store_true", help="group into symmetry classes")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("excite", help="enumerate local excitations")
@@ -514,7 +451,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--budget", type=int, default=100_000)
     p.add_argument("--no-validate", action="store_true", help="skip the load-time check")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_excite)
 
     p = sub.add_parser("slide", help="validate or scan for sliding moves")
@@ -526,10 +462,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-shift-norm", type=int, default=2, help="max squared shift norm for --scan"
     )
     p.add_argument("--no-validate", action="store_true", help="skip the load-time check")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_slide)
 
+    # last in every subcommand's usage and --help, as a parent parser would
+    # not put it
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
+
+
+# the typed library errors the commands let through, by exit code; each
+# prints its own message after "error: "
+_EXIT_CODES = {
+    BudgetExhaustedError: EXIT_BUDGET,
+    PeriodTooShortError: EXIT_DOMAIN,
+    voronoi.SiteNotOccupiedError: EXIT_DOMAIN,
+    catalog.UnknownCatalogEntryError: EXIT_BAD_INPUT,
+    catalog.SelectorEmptyError: EXIT_BAD_INPUT,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -540,6 +490,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -171,17 +171,21 @@ def hnf(basis: Basis) -> Basis:
     ``d_i > 0`` and ``0 <= m_ij < d_j``.  Two bases generate the same lattice
     iff their HNFs are equal.
     """
-    if det(basis) == 0:
-        raise SingularBasisError(f"generators are linearly dependent: {basis}")
+    _checked_det(basis)
     return lattice_from_generators(basis)  # type: ignore[return-value]
 
 
 def lattice_index(basis: Basis) -> int:
     """Index of the sublattice in Z^3, i.e. |det| of the generator matrix."""
+    return abs(_checked_det(basis))
+
+
+def _checked_det(basis: Basis) -> int:
+    """det(basis), or SingularBasisError when it is 0."""
     d = det(basis)
     if d == 0:
         raise SingularBasisError(f"generators are linearly dependent: {basis}")
-    return abs(d)
+    return d
 
 
 def ceil_sqrt(n: int) -> int:
@@ -239,8 +243,7 @@ def reduce_basis(basis: Basis) -> Basis:
     dimension 3 this keeps the generators short and nearly orthogonal, which
     is what keeps the boxes of ``lattice_points`` small.
     """
-    if det(basis) == 0:
-        raise SingularBasisError(f"generators are linearly dependent: {basis}")
+    _checked_det(basis)
     b = list(basis)
     changed = True
     while changed:

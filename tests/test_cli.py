@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, determinism, JSON round trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -404,6 +405,129 @@ def test_slide_scan_finds_moves(tmp_path):
     assert int(first.split()[1]) > 0
 
 
+@pytest.fixture(scope="module")
+def pin_dir(tmp_path_factory):
+    """The documents the pinned invocations read."""
+    from hc3 import cli
+    from hc3.documents import save
+    from test_perturbations import sublattice_on_scaled_torus
+
+    d = tmp_path_factory.mktemp("pinned")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        assert cli.main(["pc", "--d2", "5", "--out", str(d / "pc5.json")]) == 0
+        assert cli.main(["layered", "--d2", "5", "--word", "ST", "--out", str(d / "st.json")]) == 0
+        assert cli.main(["pack", "--diag", "4", "--d2", "4", "--out", str(d / "p4.json")]) == 0
+    save(sublattice_on_scaled_torus(11), d / "bcc11.json")
+    save(sublattice_on_scaled_torus(12), d / "bcc12.json")
+    (d / "bad.json").write_text(
+        '{"d2":2,"period":[[4,0,0],[0,4,0],[0,0,4]],"sites":[[0,0,0],[1,0,0]]}'
+    )
+    (d / "window.json").write_text(json.dumps(WINDOW_DOC))
+    return d
+
+
+# (argv, exit code, text stdout, --json stdout).  Short outputs are pinned
+# literally; long ones by their first line (JSON: their sorted keys) and the
+# SHA-256 of the whole.
+PINNED = {
+    "pack": (
+        ["pack", "--diag", "6", "--d2", "8", "--count"], 0,
+        "optimum 9\nwitness (0,0,0) (0,2,2) (0,4,4) (2,0,2) (2,2,4) (2,4,0) (4,0,4)"
+        " (4,2,0) (4,4,2)\ndensity 1/24\ncount 384\n",
+        '{"count": 384, "d2": 8, "density": "1/24", "optimum": 9, "period": [[6, 0, 0],'
+        ' [0, 6, 0], [0, 0, 6]], "witness": [[0, 0, 0], [0, 2, 2], [0, 4, 4], [2, 0, 2],'
+        ' [2, 2, 4], [2, 4, 0], [4, 0, 4], [4, 2, 0], [4, 4, 2]]}\n',
+    ),
+    "verify-inadmissible": (
+        ["verify", "{d}/bad.json"], 1,
+        "sites 2\nadmissible no\nviolation (0,0,0) ~ (1,0,0) sq-distance 1\n",
+        '{"admissible": false, "sites": 2, "violation": {"pair": [[0, 0, 0], [1, 0, 0]],'
+        ' "sq_distance": 1}}\n',
+    ),
+    "pc": (
+        ["pc", "--d2", "9"], 0,
+        "d2 9\nbasis (0,3,1) (0,-1,3) (2,1,2)\nindex 20\ndensity 1/20\nmin-sq-norm 9\n",
+        '{"basis": [[0, 3, 1], [0, -1, 3], [2, 1, 2]], "d2": 9, "density": "1/20",'
+        ' "index": 20, "min_sq_norm": 9}\n',
+    ),
+    "layered": (
+        ["layered", "--d2", "5", "--word", "ST"], 0,
+        "d2 5\nword ST\nperiod (6,0,0) (3,3,0) (4,1,1)\nsites 2\ndensity 1/9\n"
+        "min-pair-sq-distance 5\n",
+        '{"d2": 5, "density": "1/9", "min_pair_sq_distance": 5, "period": [[6, 0, 0],'
+        ' [3, 3, 0], [4, 1, 1]], "sites": [[0, 0, 0], [2, 1, 0]], "word": "ST"}\n',
+    ),
+    "voronoi": (
+        ["voronoi", "{d}/pc5.json", "--site", "9,0,0"], 0,
+        "site (9,0,0)\nvolume 9\nfacets 12\nvertices 14\n",
+        '{"facets": 12, "site": [9, 0, 0], "vertices": 14, "volume": "9"}\n',
+    ),
+    "embed-classes": (
+        ["embed", "--ell", "3", "--classes"], 0,
+        "classes 2\nclass 0 size 1 rep (6,0,0) (3,3,0) (3,0,3)\n"
+        "class 1 size 4 rep (18,0,0) (3,3,0) (7,2,1)\n",
+        '{"classes": [{"members": [[[6, 0, 0], [3, 3, 0], [3, 0, 3]]], "orbit_size": 1,'
+        ' "representative": [[6, 0, 0], [3, 3, 0], [3, 0, 3]]}, {"members": [[[18, 0, 0],'
+        ' [3, 3, 0], [7, 2, 1]], [[18, 0, 0], [3, 3, 0], [14, 1, 1]], [[18, 0, 0],'
+        ' [15, 3, 0], [4, 1, 1]], [[18, 0, 0], [15, 3, 0], [11, 2, 1]]], "orbit_size": 4,'
+        ' "representative": [[18, 0, 0], [3, 3, 0], [7, 2, 1]]}], "ell": 3}\n',
+    ),
+    "excite-complete": (
+        ["excite", "{d}/st.json", "--max-order", "3", "--radius", "2"], 0,
+        ("excitations 16", "d09793912bde1f456de2264fa683dc5655d746ce450a1b305fb837971ea5c6f5"),
+        (["complete", "excitations", "max_order", "radius"],
+         "491c12e68d0fe3b61be16b9e2036b5129290dccf560a6dfc481e1102a35c8a6a"),
+    ),
+    "excite-incomplete": (
+        ["excite", "{d}/st.json", "--max-order", "3", "--radius", "3", "--budget", "500"], 3,
+        ("excitations 14", "9b6f2f5d287d11e7abebc7687eeda8b1da928f506c7f6027f8e1444767462a30"),
+        (["complete", "excitations", "max_order", "radius"],
+         "ba467f52dc11301bf154b6df77b2d64932ae53cd9898182dcd9c3764ab419e96"),
+    ),
+    "slide-valid": (
+        ["slide", "{d}/bcc11.json", "--mesh", "line:0,0,0:1,1,1", "--shift", "1,1,1"], 0,
+        "valid yes\nmin-pair-sq-distance 11\n",
+        '{"count_preserved": true, "min_pair_sq_distance": 11, "valid": true}\n',
+    ),
+    "slide-invalid": (
+        ["slide", "{d}/bcc12.json", "--mesh", "line:0,0,0:1,1,1", "--shift", "1,1,1"], 1,
+        "valid no\nviolation (0,4,0) ~ (1,1,1) sq-distance 11\n",
+        '{"count_preserved": true, "valid": false, "violation": {"pair": [[0, 4, 0],'
+        ' [1, 1, 1]], "sq_distance": 11}}\n',
+    ),
+    "slide-outside-window": (
+        ["slide", "{d}/window.json", "--mesh", "line:0,0,0:1,0,0", "--shift", "5,0,0"], 1,
+        "valid no\noutside-window (5,0,0) (7,0,0)\n",
+        '{"outside_window": [[5, 0, 0], [7, 0, 0]], "valid": false}\n',
+    ),
+    "slide-scan": (
+        ["slide", "{d}/p4.json", "--scan"], 0,
+        ("moves 72", "3298de6c4537b3d76e5c731d76230d52ccef1ccf8d89c3b36063e5c836e569da"),
+        (["moves"], "d687d7aad1a7d22b73bb275a74c31ca98aa459a4b8d5b0921870fc8489bcbdf2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_stdout(pin_dir, name, as_json):
+    from hc3 import cli
+
+    argv, code, text, payload = PINNED[name]
+    argv = [a.format(d=pin_dir) for a in argv] + (["--json"] if as_json else [])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == code
+    stdout, expected = out.getvalue(), payload if as_json else text
+    if isinstance(expected, str):
+        assert stdout == expected
+    else:
+        head = sorted(json.loads(stdout)) if as_json else stdout.splitlines()[0]
+        assert (head, hashlib.sha256(stdout.encode()).hexdigest()) == expected
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [(["slide", "{p4}", "--scan"], 0), (["verify", "{bad}"], 1)],
@@ -528,11 +652,22 @@ def test_cli_exit_codes_are_bounded(fuzz_dir, data):
     from hc3 import cli
 
     argv = data.draw(cli_argvs(fuzz_dir))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
-        io.StringIO()
-    ):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejects the argv
-            code = exc.code
+        except SystemExit as exc:  # argparse rejects the argv, with its usage
+            assert exc.code in (0, 1, 2, 3), argv
+            return
     assert code in (0, 1, 2, 3), argv
+    # the stream contract: stderr holds pack's "# nodes=" line, and one
+    # "error: " line on a failure that printed no verdict
+    errors = err.getvalue().splitlines()
+    if errors[:1] and errors[0].startswith("# nodes="):
+        errors = errors[1:]
+    if code == 0:
+        assert errors == [], argv
+    elif out.getvalue():  # a verdict: inadmissible, an invalid slide, incomplete
+        assert err.getvalue() == "", argv
+    else:
+        assert len(errors) == 1 and errors[0].startswith("error: "), argv

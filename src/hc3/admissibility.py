@@ -17,11 +17,12 @@ one lattice ball, in a set or dict: the conflicting pairs and with them
 no two sites are farther apart than its diagonal, so the ball there is
 clipped to the diagonal's squared length.
 
-The exclusion graph looks up the offsets for one block of n/h0 rows only,
-where h0 is the first HNF diagonal entry.  Translations are automorphisms
-of the graph, so each later block is the first one with its row bitmasks
-rotated (`build_exclusion_graph`).  The period vector (h0, 0, 0) is no
-shorter than the exclusion distance, so h0 >= sqrt(d2).
+The exclusion graph looks up the offsets for row 0 only: a torus is a
+group and u, v conflict exactly when u - v is an offset, so row a is row 0
+translated by a, a few shifts of its bitmask (`Quotient.translate`).  The
+first block of n/h0 rows is built so, h0 the first HNF diagonal entry, and
+each later block is the first one with its row bitmasks rotated
+(`build_exclusion_graph`).
 """
 
 from __future__ import annotations
@@ -188,24 +189,20 @@ def build_exclusion_graph(q: Quotient, d2: int) -> ExclusionGraph:
     The neighbors of a are the cosets of a + v over the conflict offsets v.
     None of them is a itself, because no period vector is shorter than d2.
 
-    Only the first step = h1*h2 rows (HNF diagonal (h0, h1, h2)) are built
-    from the offsets.  The translation by (1, 0, 0) maps vertex i to
-    i + step mod n, because the representatives are the HNF box in
-    lexicographic order and (h0, 0, 0) is a period vector.  It is an
-    automorphism of the graph, so row i + k*step is row i rotated left by
-    k*step bits.  That vector is no shorter than the exclusion distance, so
-    h0 >= sqrt(d2) and the offset lookups drop by at least that factor.
+    Only row 0 is built from the offsets, by `Quotient.index_of`.  The
+    graph is a Cayley graph of the torus, so row a is row 0 translated by a
+    (`Quotient.translate`), and the first step = h1*h2 rows (HNF diagonal
+    (h0, h1, h2)) are built so.  The translation by (1, 0, 0) maps vertex i
+    to i + step mod n, because the representatives are the HNF box in
+    lexicographic order and (h0, 0, 0) is a period vector, so row
+    i + k*step is row i rotated left by k*step bits.
     """
     _check_period(q, d2)
-    offsets = offsets_closer_than(d2)
-    index = q.rep_index
-    reduce = q.reduce
+    index_of, translate = q.index_of, q.translate
+    row0 = sum(1 << j for j in {index_of(v) for v in offsets_closer_than(d2)})
     n = q.index
     step = n // q.period[0][0]
-    block = []
-    for a in q.reps[:step]:
-        neighbors = {index[reduce(add(a, v))] for v in offsets}
-        block.append(sum(1 << j for j in neighbors))
+    block = [translate(row0, a) for a in q.reps[:step]]
     full = (1 << n) - 1
     adj = tuple(
         ((m << s) | (m >> (n - s))) & full for s in range(0, n, step) for m in block

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
+from functools import cached_property
 from math import gcd, isqrt
 
 Site = tuple[int, int, int]
@@ -284,10 +285,12 @@ class Quotient:
     """The finite torus Z^3 modulo a full-rank period sublattice.
 
     Representatives are the integer points of the HNF fundamental box
-    ``[0,d0) x [0,d1) x [0,d2)`` in lexicographic order.  Lattice points are
-    enumerated over ``reduced``, a reduced basis of the same period lattice.
-    Minimum-image squared distances are exact and memoized per difference
-    coset.
+    ``[0,d0) x [0,d1) x [0,d2)`` in lexicographic order, so the coset index
+    of the box point (x, y, z) is ``(x*d1 + y)*d2 + z`` (``index_of``), and
+    a set of cosets is an int bitmask over these indices (``translate``).
+    Lattice points are enumerated over ``reduced``, a reduced basis of the
+    same period lattice.  Minimum-image squared distances are exact and
+    memoized per difference coset.
     """
 
     def __init__(self, period: Basis):
@@ -298,7 +301,6 @@ class Quotient:
         self.reps: tuple[Site, ...] = tuple(
             itertools.product(range(d0), range(d1), range(d2))
         )
-        self.rep_index = {r: i for i, r in enumerate(self.reps)}
         self._min_norm: int | None = None
         self._dist_cache: dict[Site, int] = {(0, 0, 0): 0}
         # Babai's nearest-plane bound: every coset has a point of squared
@@ -340,6 +342,67 @@ class Quotient:
         q = x // r0[0]
         x -= q * r0[0]
         return (x, y, z)
+
+    def index_of(self, v: Site) -> int:
+        """The coset index of v, its representative's position in ``reps``:
+        back-substitution against the HNF rows, z first, then y with the
+        shear of the z row, then x mod d0."""
+        x, y, z = v
+        (d0, _, _), (a, d1, _), (b, c, d2) = self.period
+        q, z = divmod(z, d2)
+        x -= q * b
+        q, y = divmod(y - q * c, d1)
+        return (((x - q * a) % d0) * d1 + y) * d2 + z
+
+    def translate(self, mask: int, t: Site) -> int:
+        """The bitmask of S + t for the set S of coset indices in `mask`.
+
+        With t reduced into the box, z + tz < d2 moves an index by tz and the
+        rest of each block of d2 indices wraps through (0, 0, d2), which is
+        (-b, -c, 0) mod L; then y + ty < d1 moves it by ty*d2 and the rest of
+        each block of d1*d2 wraps through (0, d1, 0), which is (-a, 0, 0);
+        x is a rotation of the whole mask by tx*d1*d2 bits, as (d0, 0, 0) is
+        a period vector.  So S + t is a few shifts and masks.
+        """
+        tx, ty, tz = self.reduce(t)
+        b, c, d2 = self.period[2]
+        if not tz:
+            return self._translate_xy(mask, tx, ty)
+        keep = self._repunits[0] * ((1 << (d2 - tz)) - 1)  # z < d2 - tz
+        low = mask & keep
+        return self._translate_xy(low << tz, tx, ty) | self._translate_xy(
+            (mask ^ low) >> (d2 - tz), tx - b, ty - c
+        )
+
+    @cached_property
+    def _repunits(self) -> tuple[int, int]:
+        """The masks with one bit at the start of each block of d2 indices
+        (one z row) and of each block of d1*d2 (one x slab)."""
+        full = (1 << self.index) - 1
+        d1, d2 = self.period[1][1], self.period[2][2]
+        return full // ((1 << d2) - 1), full // ((1 << d1 * d2) - 1)
+
+    def _translate_xy(self, mask: int, tx: int, ty: int) -> int:
+        """`translate` by (tx, ty, 0), for -d1 < ty < d1."""
+        a, d1, _ = self.period[1]
+        d2 = self.period[2][2]
+        if ty < 0:
+            tx, ty = tx + a, ty + d1  # add the period vector (a, d1, 0)
+        if not ty:
+            return self._rotate(mask, tx)
+        keep = self._repunits[1] * ((1 << ((d1 - ty) * d2)) - 1)  # y < d1 - ty
+        low = mask & keep
+        return self._rotate(low << (ty * d2), tx) | self._rotate(
+            (mask ^ low) >> ((d1 - ty) * d2), tx - a
+        )
+
+    def _rotate(self, mask: int, tx: int) -> int:
+        """`translate` by (tx, 0, 0): a rotation by tx*d1*d2 bits."""
+        n, d0 = self.index, self.period[0][0]
+        s = (tx % d0) * (n // d0)
+        if not s:
+            return mask
+        return ((mask << s) | (mask >> (n - s))) & ((1 << n) - 1)
 
     def pair_sq_distance(self, a: Site, b: Site) -> int:
         """Exact minimum-image squared distance between the cosets of a and b."""

@@ -117,27 +117,38 @@ def _point_group(q: Quotient) -> list[SymmetryOp]:
     exactly when op maps each period generator into L.  Each such op fixes
     vertex 0, permutes the cosets and keeps minimum-image distances: it is an
     automorphism of every exclusion graph of q."""
-    reduce = q.reduce
+    index_of = q.index_of
     return [
         op
         for op in _SIGNED_PERMUTATIONS
-        if all(reduce(apply_symmetry(op, g)) == (0, 0, 0) for g in q.period)
+        if not any(index_of(apply_symmetry(op, g)) for g in q.period)
     ]
 
 
 def _coset_images(q: Quotient, ops: list[SymmetryOp]) -> Images:
     """v -> the coset indices of op(v) over `ops`: column v of each coset
     permutation.  A column is built on first use, so a search pays only for
-    the vertices it branches on."""
-    reduce, index, reps = q.reduce, q.rep_index, q.reps
+    the vertices it branches on.  Each op is kept as (perm, signs), op(v)_i =
+    signs_i * v[perm_i], and its image is indexed by the back-substitution
+    of `Quotient.index_of`, inline."""
+    (d0, _, _), (a, d1, _), (b, c, d2) = q.period
+    reps = q.reps
+    signed = [
+        tuple((j, row[j]) for row in op for j in range(3) if row[j]) for op in ops
+    ]
     columns: dict[int, tuple[int, ...]] = {}
 
     def images(v: int) -> tuple[int, ...]:
         col = columns.get(v)
         if col is None:
-            col = columns[v] = tuple(
-                index[reduce(apply_symmetry(op, reps[v]))] for op in ops
-            )
+            r = reps[v]
+            out = []
+            for (i, si), (j, sj), (k, sk) in signed:
+                qz, z = divmod(sk * r[k], d2)
+                qy, y = divmod(sj * r[j] - qz * c, d1)
+                x = (si * r[i] - qz * b - qy * a) % d0
+                out.append((x * d1 + y) * d2 + z)
+            col = columns[v] = tuple(out)
         return col
 
     return images

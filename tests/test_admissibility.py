@@ -1,5 +1,6 @@
 """Configurations, the exclusion constraint, and exclusion graphs."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,11 @@ from hc3.admissibility import (
     SitesOutsideWindowError,
     build_exclusion_graph,
     conflict_masks,
+    offsets_closer_than,
 )
 from hc3.catalog import known_sublattice
-from hc3.lattice import Window, quotient, sq_norm, sub
+from hc3.lattice import Window, add, quotient, sq_norm, sub
+from test_lattice import sheared_periods
 from test_solver import periods_and_d2
 
 DIAG2 = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
@@ -112,21 +115,65 @@ def test_insertion_preserves_admissibility():
         assert c.is_admissible()[0]
 
 
-def test_exclusion_graph_degrees_match_bruteforce():
-    skew = ((12, 0, 0), (7, 2, 0), (9, 1, 1))  # HNF, shortest squared norm 5
-    for period, d2 in [(DIAG2, d2) for d2 in (1, 2, 3, 4)] + [(skew, 5)]:
+@st.composite
+def sheared_periods_and_d2(draw):
+    """An HNF period with nonzero shear and a d2 up to min(13, its shortest
+    squared norm)."""
+    period = draw(sheared_periods())
+    return period, draw(st.integers(1, min(13, quotient(period).min_period_sq_norm())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sheared_periods_and_d2())
+@example((DIAG2, 1))
+@example((DIAG2, 2))
+@example((DIAG2, 3))
+@example((DIAG2, 4))
+@example((((12, 0, 0), (7, 2, 0), (9, 1, 1)), 5))  # shortest squared norm 5
+def test_exclusion_graph_degrees_match_bruteforce(case):
+    period, d2 = case
+    q = quotient(period)
+    g = build_exclusion_graph(q, d2)
+    for i, a in enumerate(q.reps):
+        brute = {
+            j
+            for j, b in enumerate(q.reps)
+            if j != i and 0 < q.pair_sq_distance(a, b) < d2
+        }
+        assert g.adjacency[i] == sum(1 << j for j in brute)
+    # vertex transitivity: constant degree
+    assert len({m.bit_count() for m in g.adjacency}) == 1
+
+
+def hnf_periods(max_index):
+    """Every HNF period ((d0,0,0), (a,d1,0), (b,c,d2)) of index <= max_index."""
+    for d0, d1, d2 in itertools.product(range(1, max_index + 1), repeat=3):
+        if d0 * d1 * d2 <= max_index:
+            for a, b, c in itertools.product(range(d0), range(d0), range(d1)):
+                yield ((d0, 0, 0), (a, d1, 0), (b, c, d2))
+
+
+def per_offset_graph(q, d2):
+    """Reference build: every row from the conflict offsets, each neighbour
+    by the position of its reduced coset in `reps`."""
+    index = {r: i for i, r in enumerate(q.reps)}
+    offsets = offsets_closer_than(d2)
+    return tuple(
+        sum(1 << j for j in {index[q.reduce(add(a, v))] for v in offsets})
+        for a in q.reps
+    )
+
+
+def test_exclusion_graph_matches_per_offset_build_on_small_periods():
+    # row 0 from the offsets and every other row by translation, against
+    # every row from the offsets, on every HNF period of index <= 16
+    cases = 0
+    for period in hnf_periods(16):
         q = quotient(period)
-        g = build_exclusion_graph(q, d2)
-        for i, a in enumerate(q.reps):
-            brute = {
-                j
-                for j, b in enumerate(q.reps)
-                if j != i and 0 < q.pair_sq_distance(a, b) < d2
-            }
-            assert g.adjacency[i] == sum(1 << j for j in brute)
-        # vertex transitivity: constant degree
-        assert len({m.bit_count() for m in g.adjacency}) == 1
-    assert build_exclusion_graph(quotient(DIAG2), 1).adjacency == (0,) * 8
+        for d2 in range(1, min(13, q.min_period_sq_norm()) + 1):
+            assert build_exclusion_graph(q, d2).adjacency == per_offset_graph(q, d2)
+            cases += 1
+    assert cases > 1000
 
 
 @settings(max_examples=80, deadline=None)
@@ -189,8 +236,9 @@ def test_admissible_iff_independent(occupied, d2):
     q = quotient(DIAG2)
     g = build_exclusion_graph(q, d2)
     c = Configuration(q, d2, frozenset(occupied))
-    mask = sum(1 << q.rep_index[x] for x in occupied)
-    independent = all(not g.adjacency[q.rep_index[x]] & mask for x in occupied)
+    index = {r: i for i, r in enumerate(q.reps)}
+    mask = sum(1 << index[x] for x in occupied)
+    independent = all(not g.adjacency[index[x]] & mask for x in occupied)
     assert c.is_admissible()[0] == independent
 
 

@@ -194,6 +194,45 @@ def test_quotient_reduce_is_canonical():
             assert q.reduce(moved) == rep
 
 
+@st.composite
+def sheared_periods(draw, max_index=60):
+    """An HNF period of index <= max_index whose shear entries a, b, c of
+    ((d0,0,0), (a,d1,0), (b,c,d2)) are all nonzero, so every wrap of a
+    translation crosses the shear."""
+    d0 = draw(st.integers(2, max_index // 2))
+    d1 = draw(st.integers(2, max_index // d0))
+    d2 = draw(st.integers(1, max_index // (d0 * d1)))
+    a, b = draw(st.integers(1, d0 - 1)), draw(st.integers(1, d0 - 1))
+    c = draw(st.integers(1, d1 - 1))
+    return ((d0, 0, 0), (a, d1, 0), (b, c, d2))
+
+
+far_sites = st.tuples(*[st.integers(-200, 200)] * 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sheared_periods(), far_sites)
+@example(((4, 0, 0), (1, 4, 0), (2, 1, 5)), (-1, -1, -1))
+def test_index_of_is_position_of_reduced_coset(period, v):
+    q = quotient(period)
+    assert q.index_of(v) == q.reps.index(q.reduce(v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sheared_periods(), st.integers(0, 2**60), far_sites)
+@example(((4, 0, 0), (1, 4, 0), (2, 1, 5)), 0b1011 | 1 << 79, (-5, 7, -3))
+def test_translate_matches_per_bit_images(period, bits, t):
+    # t may lie far outside the box; the empty and the full mask included
+    q = quotient(period)
+    full = (1 << q.index) - 1
+    for mask in (0, full, bits & full):
+        want = 0
+        for i, r in enumerate(q.reps):
+            if mask >> i & 1:
+                want |= 1 << q.reps.index(q.reduce(add(r, t)))
+        assert q.translate(mask, t) == want
+
+
 def test_min_image_examples():
     q4 = quotient(((4, 0, 0), (0, 4, 0), (0, 0, 4)))
     assert q4.pair_sq_distance((0, 0, 0), (0, 0, 3)) == 1

@@ -57,7 +57,8 @@ def brute_force_orbit_count(q, masks):
     """Translation orbits of the given sets, each canonicalised over all n
     translations of the torus."""
     reps = q.reps
-    perms = [[q.rep_index[q.reduce(add(r, t))] for r in reps] for t in reps]
+    index = {r: i for i, r in enumerate(reps)}
+    perms = [[index[q.reduce(add(r, t))] for r in reps] for t in reps]
     canon = set()
     for mask in masks:
         verts = [v for v in range(len(reps)) if mask >> v & 1]
@@ -128,7 +129,8 @@ def test_random_periods_match_bruteforce(case):
     got = max_packing(q, d2, count=True)
     assert (got.optimum, got.count) == (want_opt, len(optima))
     # the witness is the least optimum in lexicographic order of indices
-    assert tuple(sorted(q.rep_index[s] for s in got.witness.occupied)) == min(
+    index = {r: i for i, r in enumerate(q.reps)}
+    assert tuple(sorted(index[s] for s in got.witness.occupied)) == min(
         tuple(v for v in range(q.index) if m >> v & 1) for m in optima
     )
     assert max_packing(q, d2, mod_translations=True).count == brute_force_orbit_count(

@@ -28,6 +28,8 @@ from collections.abc import Iterable
 from functools import cached_property
 from math import gcd, isqrt
 
+from .search import members
+
 Site = tuple[int, int, int]
 Basis = tuple[Site, Site, Site]
 
@@ -332,16 +334,7 @@ class Quotient:
         r0, r1, r2 = self.period
         if 0 <= x < r0[0] and 0 <= y < r1[1] and 0 <= z < r2[2]:
             return (x, y, z)  # already in the HNF box
-        q = z // r2[2]
-        x -= q * r2[0]
-        y -= q * r2[1]
-        z -= q * r2[2]
-        q = y // r1[1]
-        x -= q * r1[0]
-        y -= q * r1[1]
-        q = x // r0[0]
-        x -= q * r0[0]
-        return (x, y, z)
+        return self.reps[self.index_of(v)]
 
     def index_of(self, v: Site) -> int:
         """The coset index of v, its representative's position in ``reps``:
@@ -416,16 +409,15 @@ class Quotient:
     def sites(self) -> tuple[Site, ...]:
         return self.reps
 
-    def stabiliser(self, sites: frozenset[Site]) -> list[Site]:
+    def stabiliser(self, mask: int) -> list[Site]:
         """The torus translations t (as coset representatives) with S + t = S
-        for a set S of coset representatives.  Each maps min S into S, so
+        for the set S of coset indices in `mask`.  Each maps min S into S, so
         they are among the y - min S, y in S; every t fixes the empty set."""
-        if not sites:
+        if not mask:
             return list(self.reps)
-        reduce = self.reduce
-        low = min(sites)
-        shifts = (reduce(sub(y, low)) for y in sites)
-        return [t for t in shifts if all(reduce(add(x, t)) in sites for x in sites)]
+        low = self.reps[(mask & -mask).bit_length() - 1]
+        shifts = (self.reduce(sub(y, low)) for y in members(self.reps, mask))
+        return [t for t in shifts if self.translate(mask, t) == mask]
 
 
 def quotient(period: Basis) -> Quotient:

@@ -114,7 +114,7 @@ def _stabilizer_lattice(c: Configuration) -> Quotient:
     torus period extended by every torus translation fixing the occupied
     set)."""
     assert isinstance(c.domain, Quotient)
-    stab = c.domain.stabiliser(c.occupied)
+    stab = c.domain.stabiliser(sum(1 << c.domain.index_of(x) for x in c.occupied))
     return Quotient(lattice_from_generators([*c.domain.period, *stab]))
 
 

@@ -28,17 +28,21 @@ weighted sum  sum_S w(S) / k  over all the optima through vertex 0, where k
 is the optimum and the sum must divide exactly.  With w = n it is the
 number of optima (each vertex lies in as many optima as vertex 0, so
 n * c0 = count * k).  With w(S) = |Stab(S)|, the number of translations
-that map S onto itself (``Quotient.stabiliser``), it is the number of
-translation orbits: an orbit whose stabiliser is T has n/|T| sets, meets
-vertex 0 in k/|T| of them, and so adds exactly k to the sum.
+that map S onto itself (``Quotient.stabiliser`` on the bitmask of S, as the
+stream yields it), it is the number of translation orbits: an orbit whose
+stabiliser is T has n/|T| sets, meets vertex 0 in k/|T| of them, and so
+adds exactly k to the sum.
 
 Both phases also use the point group of the torus: the signed permutations
 that map the period lattice onto itself fix vertex 0, map the root
 candidates onto themselves and are automorphisms of the exclusion graph.
-They branch on orbits (orbital branching, Ostrowski, Linderoth, Rossi &
-Smriglio 2011; ``search.orbit``): each node carries the subgroup that maps
-its candidates onto themselves; the child that includes v takes the
-stabiliser of v, and the node then drops the whole orbit of v from its
+Each is kept in signed form, op(v)_i = sign_i * v[perm_i], and one inline
+back-substitution indexes its images: of the period generators, all 0 for
+an op of the group, and of the cosets, the columns the search branches on.
+The phases branch on orbits (orbital branching, Ostrowski, Linderoth,
+Rossi & Smriglio 2011; ``search.orbit``): each node carries the subgroup
+that maps its candidates onto themselves; the child that includes v takes
+the stabiliser of v, and the node then drops the whole orbit of v from its
 candidates and keeps the group.  Any optimum that meets the orbit has an
 image through v, so the optimum is the same as without symmetry, in far
 fewer nodes.  In phase 2 each optimum S of the stream comes with the
@@ -65,10 +69,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
+from typing import Callable
 
 from .admissibility import Configuration, ExclusionGraph, build_exclusion_graph
-from .lattice import Quotient, SymmetryOp, apply_symmetry, symmetry_group
+from .lattice import Quotient, Site, symmetry_group
 from .search import Cut, Images, NodeBudget, include_first, isolated, members, orbit
 
 __all__ = ["PackingResult", "max_packing"]
@@ -108,50 +114,49 @@ def _greedy_clique_cover(cand: int, adj: tuple[int, ...], cap: int) -> list[int]
     return cliques
 
 
-_SIGNED_PERMUTATIONS = symmetry_group()
+# the 48 signed permutations in ``symmetry_group()`` order, each as the
+# (perm, sign) pairs of its rows: op(v)_i = sign_i * v[perm_i]
+SignedOp = tuple[tuple[int, int], ...]
+_SIGNED_PERMUTATIONS: list[SignedOp] = [
+    tuple((j, r[j]) for r in op for j in range(3) if r[j]) for op in symmetry_group()
+]
 
 
-def _point_group(q: Quotient) -> list[SymmetryOp]:
-    """The signed permutations op with op . L == L for the period lattice L
-    (hnf(op . period) == period).  op . L has the index of L, so it is L
-    exactly when op maps each period generator into L.  Each such op fixes
-    vertex 0, permutes the cosets and keeps minimum-image distances: it is an
+def _image_indices(
+    q: Quotient, ops: list[SignedOp]
+) -> Callable[[Site], tuple[int, ...]]:
+    """r -> the coset indices of op(r) over `ops`, by the back-substitution
+    of `Quotient.index_of`, inline (one `index_of` call per op is slower)."""
+    (d0, _, _), (a, d1, _), (b, c, d2) = q.period
+
+    def indices(r: Site) -> tuple[int, ...]:
+        out = []
+        for (i, si), (j, sj), (k, sk) in ops:
+            qz, z = divmod(sk * r[k], d2)
+            qy, y = divmod(sj * r[j] - qz * c, d1)
+            x = (si * r[i] - qz * b - qy * a) % d0
+            out.append((x * d1 + y) * d2 + z)
+        return tuple(out)
+
+    return indices
+
+
+def _point_group(q: Quotient) -> list[SignedOp]:
+    """The signed permutations op with op . L == L for the period lattice L.
+    op . L has the index of L, so it is L exactly when op maps each period
+    generator into L, to coset index 0.  Each such op fixes vertex 0,
+    permutes the cosets and keeps minimum-image distances: it is an
     automorphism of every exclusion graph of q."""
-    index_of = q.index_of
-    return [
-        op
-        for op in _SIGNED_PERMUTATIONS
-        if not any(index_of(apply_symmetry(op, g)) for g in q.period)
-    ]
+    columns = map(_image_indices(q, _SIGNED_PERMUTATIONS), q.period)
+    return [op for op, *g in zip(_SIGNED_PERMUTATIONS, *columns) if not any(g)]
 
 
-def _coset_images(q: Quotient, ops: list[SymmetryOp]) -> Images:
+def _coset_images(q: Quotient, ops: list[SignedOp]) -> Images:
     """v -> the coset indices of op(v) over `ops`: column v of each coset
     permutation.  A column is built on first use, so a search pays only for
-    the vertices it branches on.  Each op is kept as (perm, signs), op(v)_i =
-    signs_i * v[perm_i], and its image is indexed by the back-substitution
-    of `Quotient.index_of`, inline."""
-    (d0, _, _), (a, d1, _), (b, c, d2) = q.period
-    reps = q.reps
-    signed = [
-        tuple((j, row[j]) for row in op for j in range(3) if row[j]) for op in ops
-    ]
-    columns: dict[int, tuple[int, ...]] = {}
-
-    def images(v: int) -> tuple[int, ...]:
-        col = columns.get(v)
-        if col is None:
-            r = reps[v]
-            out = []
-            for (i, si), (j, sj), (k, sk) in signed:
-                qz, z = divmod(sk * r[k], d2)
-                qy, y = divmod(sj * r[j] - qz * c, d1)
-                x = (si * r[i] - qz * b - qy * a) % d0
-                out.append((x * d1 + y) * d2 + z)
-            col = columns[v] = tuple(out)
-        return col
-
-    return images
+    the vertices it branches on."""
+    indices, reps = _image_indices(q, ops), q.reps
+    return cache(lambda v: indices(reps[v]))
 
 
 def _prove_optimum(
@@ -247,7 +252,7 @@ def max_packing(
         def weight(mask: int) -> int:
             if not mod_translations:
                 return n
-            return len(q.stabiliser(frozenset(members(q.reps, mask))))
+            return len(q.stabiliser(mask))
 
         total = sum(weight(mask) * mult for mask, mult in chain([first], optima))
         if total % optimum:

@@ -26,6 +26,7 @@ from hc3.lattice import (
     scale,
     shortest_vectors,
     sq_norm,
+    sub,
     symmetry_group,
 )
 from hc3.catalog import known_sublattice, known_sublattice_keys
@@ -216,6 +217,17 @@ far_sites = st.tuples(*[st.integers(-200, 200)] * 3)
 def test_index_of_is_position_of_reduced_coset(period, v):
     q = quotient(period)
     assert q.index_of(v) == q.reps.index(q.reduce(v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sheared_periods(), far_sites)
+@example(((4, 0, 0), (1, 4, 0), (2, 1, 5)), (-1, -1, -1))
+def test_reduce_lands_in_the_box_and_the_coset(period, v):
+    # the row reduction of `in_lattice` shares no code with `index_of`
+    q = quotient(period)
+    r = q.reduce(v)
+    assert all(0 <= r[i] < q.period[i][i] for i in range(3))
+    assert in_lattice(q.period, sub(v, r))
 
 
 @settings(max_examples=200, deadline=None)
@@ -485,5 +497,5 @@ def periods_and_site_sets(draw):
 def test_stabiliser_matches_every_translation(case):
     q, sites = case
     want = {t for t in q.reps if {q.reduce(add(x, t)) for x in sites} == sites}
-    got = q.stabiliser(sites)
+    got = q.stabiliser(sum(1 << q.index_of(x) for x in sites))
     assert len(got) == len(want) and set(got) == want

@@ -258,7 +258,8 @@ def reference_excitations(c, max_order, radius, budget=100_000):
     candidates.sort(key=lambda x: (sq_norm(x), x))
     conflict = conflict_masks(candidates, c.d2)
     conflict_points = {x: frozenset(insertion_conflicts(c, x)) for x in candidates}
-    stab_q = Quotient(lattice_from_generators([*dom.period, *dom.stabiliser(c.occupied)]))
+    mask = sum(1 << dom.index_of(x) for x in c.occupied)
+    stab_q = Quotient(lattice_from_generators([*dom.period, *dom.stabiliser(mask)]))
     found = {}
     counter = NodeBudget(budget)
 

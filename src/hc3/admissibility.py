@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations
 
-from .lattice import IDENTITY_OP, Quotient, Site, Window, add, lattice_points
+from .lattice import UNIT_BASIS, Quotient, Site, Window, add, lattice_points
 
 Domain = Quotient | Window
 
@@ -62,7 +62,7 @@ def offsets_closer_than(d2: int) -> tuple[Site, ...]:
     """All offsets v with 0 < |v|^2 < d2.  Two distinct sites conflict
     exactly when their difference is congruent to one of these offsets.
     Built once per d2 and shared by every caller."""
-    return tuple(v for v in lattice_points(IDENTITY_OP, (0, 0, 0), d2 - 1) if any(v))
+    return tuple(v for v in lattice_points(UNIT_BASIS, (0, 0, 0), d2 - 1) if any(v))
 
 
 def conflict_masks(points: list[Site], d2: int) -> list[int]:
@@ -109,11 +109,9 @@ class Configuration:
 
     def conflict_offsets(self) -> tuple[Site, ...]:
         """The conflict offsets that can join two sites of the domain."""
-        d2 = self.d2
-        if isinstance(self.domain, Window):
-            # no two sites of a window are farther apart than its diagonal
-            w = self.domain
-            d2 = min(d2, sum((h - lo) ** 2 for lo, h in zip(w.lo, w.hi)) + 1)
+        d2, w = self.d2, self.domain
+        if isinstance(w, Window):  # lo and hi are its farthest-apart sites
+            d2 = min(d2, w.farthest_sq(w.lo) + 1)
         return offsets_closer_than(d2)
 
     def conflicting_pairs(self) -> Iterator[tuple[Site, Site]]:

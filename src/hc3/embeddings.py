@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .lattice import (
-    IDENTITY_OP,
+    UNIT_BASIS,
     Basis,
     Site,
     add,
@@ -183,7 +183,7 @@ def admits_layered(basis: Basis) -> tuple[bool, dict | None]:
     # Every coset of a triangular layer lattice of minimum norm d2 in its
     # plane has a point within the covering radius sqrt(d2/3) (Conway &
     # Sloane, SPLAG ch. 4), so this ball meets every candidate shift coset.
-    ball = lattice_points(IDENTITY_OP, (0, 0, 0), -(-d2 // 3))
+    ball = lattice_points(UNIT_BASIS, (0, 0, 0), -(-d2 // 3))
 
     for n in normals:
         sextet = [w for w in mins if dot(n, w) == 0]

@@ -1,10 +1,10 @@
 """Exact integer lattice geometry on Z^3.
 
 Everything in this module is arbitrary-precision integer (or exact rational)
-arithmetic: squared norms, the 48 signed coordinate permutations, echelon
-bases and membership for sublattices of any rank, finite quotients (tori)
-and certified minimum-image distances.  No floating point is used anywhere;
-all distance comparisons are made on squared values.
+arithmetic: squared norms, the 48 signed coordinate permutations in their one
+(perm, sign) form, echelon bases and membership for sublattices of any rank,
+finite quotients (tori) and certified minimum-image distances.  No floating
+point is used anywhere; all distance comparisons are made on squared values.
 
 Conventions
 -----------
@@ -84,30 +84,30 @@ def primitive(v: Site) -> Site:
 # ---------------------------------------------------------------------------
 # the point symmetry group of Z^3 (48 signed permutations)
 
-SymmetryOp = tuple[Site, Site, Site]  # rows of a signed permutation matrix
+# each row's (perm_i, sign_i) pair: op(v)_i = sign_i * v[perm_i]
+SymmetryOp = tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
 
 
 def apply_symmetry(op: SymmetryOp, v: Site) -> Site:
-    """Matrix-vector product; preserves sq_norm."""
-    return (dot(op[0], v), dot(op[1], v), dot(op[2], v))
+    """The signed coordinate permutation op(v); preserves sq_norm."""
+    (i, si), (j, sj), (k, sk) = op
+    return (si * v[i], sj * v[j], sk * v[k])
 
 
 def symmetry_group() -> list[SymmetryOp]:
-    """All 48 signed permutation matrices, in a fixed deterministic order."""
-    ops = []
-    for perm in itertools.permutations(range(3)):
-        for signs in itertools.product((1, -1), repeat=3):
-            rows = []
-            for i in range(3):
-                row = [0, 0, 0]
-                row[perm[i]] = signs[i]
-                rows.append(tuple(row))
-            ops.append(tuple(rows))
-    ops.sort()
+    """All 48 signed permutations, in the lexicographic order of their
+    matrices: a row with sign s in column j sorts as j if s < 0 else 5 - j."""
+    ops = [
+        tuple(zip(perm, signs))
+        for perm in itertools.permutations(range(3))
+        for signs in itertools.product((1, -1), repeat=3)
+    ]
+    ops.sort(key=lambda op: [j if s < 0 else 5 - j for j, s in op])
     return ops  # type: ignore[return-value]
 
 
-IDENTITY_OP: SymmetryOp = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+IDENTITY_OP: SymmetryOp = ((0, 1), (1, 1), (2, 1))
+UNIT_BASIS: Basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # balls about the origin
 
 
 class SingularBasisError(ValueError):
@@ -461,6 +461,9 @@ class Window:
 
     def contains(self, v: Site) -> bool:
         return all(self.lo[i] <= v[i] <= self.hi[i] for i in range(3))
+
+    def farthest_sq(self, x: Site) -> int:
+        return sum(max(a - lo, hi - a) ** 2 for a, lo, hi in zip(x, self.lo, self.hi))
 
     def reduce(self, v: Site) -> Site:
         return v

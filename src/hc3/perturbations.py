@@ -28,7 +28,7 @@ from .admissibility import (
 )
 from .catalog import LineSelector, PlaneSelector, Selector
 from .lattice import (
-    IDENTITY_OP,
+    UNIT_BASIS,
     Quotient,
     Site,
     add,
@@ -69,7 +69,10 @@ def insertion_conflicts(c: Configuration, x: Site) -> list[Site]:
     reduce = c.domain.reduce
     if reduce(x) in c.occupied:
         raise ValueError(f"site {x} is occupied")
-    near = (add(x, v) for v in offsets_closer_than(c.d2))
+    # no site of a window lies farther from x than its farthest corner
+    w = c.domain
+    d2 = c.d2 if isinstance(w, Quotient) else min(c.d2, w.farthest_sq(x) + 1)
+    near = (add(x, v) for v in offsets_closer_than(d2))
     return sorted(p for p in near if reduce(p) in c.occupied)
 
 
@@ -137,7 +140,7 @@ def enumerate_excitations(
         raise ValueError("excitation enumeration requires a periodic configuration")
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    ball = lattice_points(IDENTITY_OP, (0, 0, 0), radius * radius)
+    ball = lattice_points(UNIT_BASIS, (0, 0, 0), radius * radius)
     candidates = sorted(
         (x for x in ball if c.domain.reduce(x) not in c.occupied),
         key=lambda x: (sq_norm(x), x),
@@ -199,9 +202,8 @@ class SlidingMove:
 
 
 def standard_shifts(max_sq_norm: int = 2) -> list[Site]:
-    """All nonzero integer shifts up to the given squared norm."""
-    ball = lattice_points(IDENTITY_OP, (0, 0, 0), max_sq_norm)
-    return sorted(v for v in ball if any(v))
+    """All nonzero integer shifts of squared norm <= max_sq_norm, sorted."""
+    return list(offsets_closer_than(max_sq_norm + 1))
 
 
 def standard_selectors(c: Configuration) -> list[Selector]:

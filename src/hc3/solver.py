@@ -36,7 +36,7 @@ adds exactly k to the sum.
 Both phases also use the point group of the torus: the signed permutations
 that map the period lattice onto itself fix vertex 0, map the root
 candidates onto themselves and are automorphisms of the exclusion graph.
-Each is kept in signed form, op(v)_i = sign_i * v[perm_i], and one inline
+Each is a ``lattice.SymmetryOp``, op(v)_i = sign_i * v[perm_i], and one inline
 back-substitution indexes its images: of the period generators, all 0 for
 an op of the group, and of the cosets, the columns the search branches on.
 The phases branch on orbits (orbital branching, Ostrowski, Linderoth,
@@ -74,7 +74,7 @@ from itertools import chain
 from typing import Callable
 
 from .admissibility import Configuration, ExclusionGraph, build_exclusion_graph
-from .lattice import Quotient, Site, symmetry_group
+from .lattice import Quotient, Site, SymmetryOp, symmetry_group
 from .search import Cut, Images, NodeBudget, include_first, isolated, members, orbit
 
 __all__ = ["PackingResult", "max_packing"]
@@ -114,16 +114,12 @@ def _greedy_clique_cover(cand: int, adj: tuple[int, ...], cap: int) -> list[int]
     return cliques
 
 
-# the 48 signed permutations in ``symmetry_group()`` order, each as the
-# (perm, sign) pairs of its rows: op(v)_i = sign_i * v[perm_i]
-SignedOp = tuple[tuple[int, int], ...]
-_SIGNED_PERMUTATIONS: list[SignedOp] = [
-    tuple((j, r[j]) for r in op for j in range(3) if r[j]) for op in symmetry_group()
-]
+# the 48 signed permutations of Z^3, whose positions fix the orbit order
+_ALL_OPS = symmetry_group()
 
 
 def _image_indices(
-    q: Quotient, ops: list[SignedOp]
+    q: Quotient, ops: list[SymmetryOp]
 ) -> Callable[[Site], tuple[int, ...]]:
     """r -> the coset indices of op(r) over `ops`, by the back-substitution
     of `Quotient.index_of`, inline (one `index_of` call per op is slower)."""
@@ -141,17 +137,17 @@ def _image_indices(
     return indices
 
 
-def _point_group(q: Quotient) -> list[SignedOp]:
+def _point_group(q: Quotient) -> list[SymmetryOp]:
     """The signed permutations op with op . L == L for the period lattice L.
     op . L has the index of L, so it is L exactly when op maps each period
     generator into L, to coset index 0.  Each such op fixes vertex 0,
     permutes the cosets and keeps minimum-image distances: it is an
     automorphism of every exclusion graph of q."""
-    columns = map(_image_indices(q, _SIGNED_PERMUTATIONS), q.period)
-    return [op for op, *g in zip(_SIGNED_PERMUTATIONS, *columns) if not any(g)]
+    columns = map(_image_indices(q, _ALL_OPS), q.period)
+    return [op for op, *g in zip(_ALL_OPS, *columns) if not any(g)]
 
 
-def _coset_images(q: Quotient, ops: list[SignedOp]) -> Images:
+def _coset_images(q: Quotient, ops: list[SymmetryOp]) -> Images:
     """v -> the coset indices of op(v) over `ops`: column v of each coset
     permutation.  A column is built on first use, so a search pays only for
     the vertices it branches on."""

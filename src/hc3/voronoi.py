@@ -42,7 +42,7 @@ from math import gcd, lcm
 
 from .admissibility import Configuration, conflict_masks
 from .lattice import (
-    IDENTITY_OP,
+    UNIT_BASIS,
     Quotient,
     Site,
     add,
@@ -362,7 +362,7 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
         raise ValueError(f"radius {radius} below exclusion distance for d2={d2}")
     pairs = sorted(
         (sq_norm(v), v)
-        for v in lattice_points(IDENTITY_OP, (0, 0, 0), radius * radius)
+        for v in lattice_points(UNIT_BASIS, (0, 0, 0), radius * radius)
         if v != (0, 0, 0) and d2 <= sq_norm(v)
     )
     cands = [v for _, v in pairs]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hc3.lattice import (
     IDENTITY_OP,
+    UNIT_BASIS,
     Quotient,
     SingularBasisError,
     add,
@@ -52,9 +53,9 @@ def test_sq_norm_examples():
 
 def test_apply_symmetry_examples():
     assert apply_symmetry(IDENTITY_OP, (1, 2, 3)) == (1, 2, 3)
-    swap_xy = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    swap_xy = ((1, 1), (0, 1), (2, 1))
     assert apply_symmetry(swap_xy, (1, 2, 3)) == (2, 1, 3)
-    negate_x = ((-1, 0, 0), (0, 1, 0), (0, 0, 1))
+    negate_x = ((0, -1), (1, 1), (2, 1))
     assert apply_symmetry(negate_x, (1, 2, 3)) == (-1, 2, 3)
 
 
@@ -63,14 +64,16 @@ def test_symmetry_group_size_and_closure():
     assert len(ops) == 48
     assert len(set(ops)) == 48
     assert IDENTITY_OP in ops
-    op_set = set(ops)
+    # a signed permutation is fixed by its image of (1, 2, 3)
+    probe = (1, 2, 3)
+    images = {apply_symmetry(op, probe) for op in ops}
+    assert len(images) == 48
     for a in ops[:8]:
         for b in ops:
-            # the columns of the product a . b are the images a(b(e_i))
-            columns = [apply_symmetry(a, apply_symmetry(b, e)) for e in IDENTITY_OP]
-            assert tuple(zip(*columns)) in op_set
+            assert apply_symmetry(a, apply_symmetry(b, probe)) in images
     for op in ops:
-        d = det(op)
+        # the rows of the transposed matrix are the images of the unit vectors
+        d = det(tuple(apply_symmetry(op, e) for e in UNIT_BASIS))
         assert d in (-1, 1)
 
 

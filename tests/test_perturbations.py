@@ -19,7 +19,7 @@ from hc3.catalog import (
     scaled_basis,
 )
 from hc3.lattice import (
-    IDENTITY_OP,
+    UNIT_BASIS,
     Quotient,
     Window,
     add,
@@ -152,8 +152,17 @@ def configurations_and_sites(draw):
     return Configuration(w, d2, frozenset(occupied)), x
 
 
+# a large d2 in a small window: the offsets reach no farther than the
+# farthest window corner from x, inside the window or outside it
+WIDE = Configuration(
+    Window((0, 0, 0), (3, 0, 0)), 10**6, frozenset({(0, 0, 0), (3, 0, 0)})
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(configurations_and_sites())
+@example((WIDE, (1, 0, 0)))
+@example((WIDE, (5, 1, -1)))
 def test_insertion_conflicts_match_image_loop(case):
     c, x = case
     assert insertion_conflicts(c, x) == reference_insertion_conflicts(c, x)
@@ -252,7 +261,7 @@ def reference_excitations(c, max_order, radius, budget=100_000):
     dom = c.domain
     candidates = [
         x
-        for x in lattice_points(IDENTITY_OP, (0, 0, 0), radius * radius)
+        for x in lattice_points(UNIT_BASIS, (0, 0, 0), radius * radius)
         if dom.reduce(x) not in c.occupied
     ]
     candidates.sort(key=lambda x: (sq_norm(x), x))
@@ -307,7 +316,7 @@ def admissible_added_sets(c, radius):
     distance >= d2, each extended point by point in ball order."""
     ball = [
         x
-        for x in lattice_points(IDENTITY_OP, (0, 0, 0), radius * radius)
+        for x in lattice_points(UNIT_BASIS, (0, 0, 0), radius * radius)
         if c.domain.reduce(x) not in c.occupied
     ]
     sets = []
@@ -327,7 +336,7 @@ def test_excitations_of_the_empty_torus():
     are the nonempty admissible added sets up to every translation, with
     nothing removed.  A complete scan spends one node per such set."""
     c = Configuration(quotient(((3, 0, 0), (0, 3, 0), (0, 0, 3))), 2)
-    ball = lattice_points(IDENTITY_OP, (0, 0, 0), 1)
+    ball = lattice_points(UNIT_BASIS, (0, 0, 0), 1)
     sets = [
         added
         for k in range(1, len(ball) + 1)
@@ -458,6 +467,7 @@ def test_standard_shifts():
     assert len(shifts) == 18
     assert all(0 < sq_norm(t) <= 2 for t in shifts)
     assert (0, 0, 0) not in shifts
+    assert shifts == sorted(shifts)
 
 
 def reference_sliding(c, selectors, shifts):

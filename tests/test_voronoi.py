@@ -98,14 +98,7 @@ def test_cell_respects_stabilizer_symmetries():
         verts = set(cell.vertices)
         for op in symmetry_group():
             if all(in_lattice(lat, apply_symmetry(op, g)) for g in basis):
-                mapped = {
-                    tuple(
-                        sum(Fraction(op[i][j]) * v[j] for j in range(3))
-                        for i in range(3)
-                    )
-                    for v in verts
-                }
-                assert mapped == verts
+                assert {apply_symmetry(op, v) for v in verts} == verts
 
 
 def test_doubling_cutoff_idempotent():

@@ -69,10 +69,9 @@ def insertion_conflicts(c: Configuration, x: Site) -> list[Site]:
     reduce = c.domain.reduce
     if reduce(x) in c.occupied:
         raise ValueError(f"site {x} is occupied")
-    # no site of a window lies farther from x than its farthest corner
-    w = c.domain
-    d2 = c.d2 if isinstance(w, Quotient) else min(c.d2, w.farthest_sq(x) + 1)
-    near = (add(x, v) for v in offsets_closer_than(d2))
+    if not isinstance(c.domain, Quotient):  # a window has no images
+        return sorted(p for p in c.occupied if sq_norm(sub(p, x)) < c.d2)
+    near = (add(x, v) for v in offsets_closer_than(c.d2))
     return sorted(p for p in near if reduce(p) in c.occupied)
 
 

@@ -1,7 +1,8 @@
 """What the exhaustive searches share: the node budget, the isolated-candidate
-step, the orbit step, the include-first enumerator and the bitmask decoder.
+scan, the orbit step, the include-first enumerator and the bitmask decoder.
 Vertex sets are int bitmasks over a conflict graph, `adj[v]` the mask of the
-vertices that conflict with v.
+vertices that conflict with v.  A search's cut both prunes a node and hands
+back its isolated candidates, so a node walks its candidates once.
 
 A symmetry group of the graph is given as `images`, v -> the images of v
 under a fixed list of automorphisms, and a group, the positions in that list
@@ -42,8 +43,9 @@ __all__ = [
     "members",
 ]
 
-# cut(chosen, cand): whether a node's subtree can be dropped
-Cut = Callable[[int, int], bool]
+# cut(chosen, cand): None to drop a node's subtree, else the mask of its
+# candidates with no remaining conflict, which move into the chosen set
+Cut = Callable[[int, int], int | None]
 # v -> the images of vertex v under a fixed list of graph automorphisms
 Images = Callable[[int], Sequence[int]]
 T = TypeVar("T")
@@ -118,11 +120,12 @@ def include_first(
     the independent set `chosen` by the candidates `cand`, in lexicographic
     order of their sorted index tuples, each once, with their orbit
     multiplicities (module docstring; 1 under the identity group).  A node
-    spends one node, moves its isolated candidates into `chosen` and is
-    dropped when cut(chosen, cand) holds; otherwise it yields `chosen` if no
-    candidates are left, or branches on the lowest candidate v, include
-    first, then excludes the orbit of v.  `group` must map `chosen` and
-    `cand` onto themselves.  Uncut and under the identity, the leaves contain
+    spends one node and is dropped when cut(chosen, cand) is None; otherwise
+    the cut's mask, which must be ``isolated(cand, adj)``, moves into
+    `chosen`, and the node yields `chosen` if no candidates are left, or
+    branches on the lowest candidate v, include first, then excludes the
+    orbit of v.  `group` must map `chosen` and `cand` onto themselves.  With
+    a cut that drops nothing and under the identity, the leaves contain
     every maximal independent extension, but not only those: an excluded
     vertex can end up with no chosen neighbour.  `cut` may read state the
     consumer changes between yields; a generator that is not resumed
@@ -137,11 +140,11 @@ def include_first(
     while stack:
         chosen, cand, group, path = stack.pop()
         budget.spend()
-        free = isolated(cand, adj)
+        free = cut(chosen, cand)
+        if free is None:
+            continue
         chosen |= free
         cand ^= free
-        if cut(chosen, cand):
-            continue
         if not cand:
             mult = _ONE
             while path:

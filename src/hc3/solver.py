@@ -4,7 +4,8 @@ The optimum packing is the maximum independent set (MIS) of the exclusion
 graph.  The search is a bitmask branch-and-bound: candidates are Python-int
 bitmasks (arbitrary width) and the upper bound is a greedy clique cover of
 the candidate subgraph.  Both phases move the candidates with no remaining
-conflict into the chosen set.
+conflict into the chosen set, and the cover finds them: such a candidate is
+always a clique of its own, so each node walks its candidates once.
 
 The optimum phase branches by the colour-class rule of MCQ/BBMC (Tomita &
 Seki 2003; San Segundo, Rodriguez-Losada & Jimenez 2011), with the cover's
@@ -75,7 +76,7 @@ from typing import Callable
 
 from .admissibility import Configuration, ExclusionGraph, build_exclusion_graph
 from .lattice import Quotient, Site, SymmetryOp, symmetry_group
-from .search import Cut, Images, NodeBudget, include_first, isolated, members, orbit
+from .search import Cut, Images, NodeBudget, include_first, members, orbit
 
 __all__ = ["PackingResult", "max_packing"]
 
@@ -89,29 +90,31 @@ class PackingResult:
     wall_time: float
 
 
-def _greedy_clique_cover(cand: int, adj: tuple[int, ...], cap: int) -> list[int]:
+def _greedy_clique_cover(cand: int, adj: tuple[int, ...]) -> tuple[list[int], int]:
     """The cliques, as vertex masks, of a greedy cover of the candidate
-    subgraph.
+    subgraph less its isolated candidates, and the mask of those.
 
     Clique i is the chain of lowest bits in the common neighborhood of what
     cliques 0..i-1 left, which is the partition a scan of the candidates in
     index order makes when it puts each one into the first clique it extends.
     An independent set picks at most one vertex per clique, so the number of
-    cliques is an upper bound on the MIS size of the candidates.  The cover
-    stops as soon as it has more than `cap` cliques: its length is
-    min(cover, max(cap, 0) + 1).
+    cliques plus the isolated candidates bounds the MIS size of `cand`.  An
+    isolated v is a clique {v} of the cover: it starts one as the lowest bit
+    left, and joins none that another u starts: its members lie in adj[u].
     """
-    rest = cand
-    cap = max(cap, 0)
+    rest, free = cand, 0
     cliques: list[int] = []
-    while rest and len(cliques) <= cap:
+    while rest:
         common = left = rest
         while common:
             low = common & -common
             rest ^= low
             common &= adj[low.bit_length() - 1]
-        cliques.append(left ^ rest)
-    return cliques
+        if left ^ rest == low and not adj[low.bit_length() - 1] & cand:
+            free |= low
+        else:
+            cliques.append(left ^ rest)
+    return cliques, free
 
 
 # the 48 signed permutations of Z^3, whose positions fix the orbit order
@@ -173,13 +176,12 @@ def _prove_optimum(
         cand, size, group, cliques, i = stack.pop()
         if cliques is None:
             counter.spend()
-            free = isolated(cand, adj)
+            cliques, free = _greedy_clique_cover(cand, adj)
             cand ^= free
             size += free.bit_count()
             if not cand:
                 best = max(best, size)
                 continue
-            cliques = _greedy_clique_cover(cand, adj, len(adj))
             i = len(cliques) - 1
         # every vertex of cliques i+1.. has been branched on or dropped, so
         # the candidates left lie in cliques 0..i and add at most i + 1
@@ -198,12 +200,14 @@ def _prove_optimum(
 
 
 def _short_of(adj: tuple[int, ...], k: int) -> Cut:
-    """The phase 2 cut: the chosen set plus a clique cover of the candidates
-    falls short of k.  At a leaf it keeps exactly the sets of size k."""
+    """The phase 2 cut: drop a node when the chosen set plus a clique cover
+    of the candidates falls short of k, else hand back the isolated
+    candidates.  At a leaf it keeps exactly the sets of size k."""
 
-    def cut(chosen: int, cand: int) -> bool:
-        size = chosen.bit_count()
-        return size + len(_greedy_clique_cover(cand, adj, k - size)) < k
+    def cut(chosen: int, cand: int) -> int | None:
+        cliques, free = _greedy_clique_cover(cand, adj)
+        short = chosen.bit_count() + len(cliques) + free.bit_count() < k
+        return None if short else free
 
     return cut
 

@@ -53,7 +53,7 @@ from .lattice import (
     sq_norm,
     sub,
 )
-from .search import BudgetExhaustedError, NodeBudget, include_first, members
+from .search import BudgetExhaustedError, NodeBudget, include_first, isolated, members
 
 __all__ = [
     "RationalPolytope",
@@ -373,12 +373,14 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
     uncertified = False
     poly = vol = None
 
-    def cut(chosen: int, cand: int) -> bool:
+    def cut(chosen: int, cand: int) -> int | None:
         # the cell of chosen | cand bounds the leaves below; a leaf reuses it
         nonlocal poly, vol
         poly = _cut_cell((0, 0, 0), radius, members(pairs, chosen | cand))
         vol = poly.volume()
-        return best_volume is not None and vol >= best_volume
+        if best_volume is not None and vol >= best_volume:
+            return None
+        return isolated(cand, conflict)
 
     completed = True
     try:

@@ -152,8 +152,9 @@ def configurations_and_sites(draw):
     return Configuration(w, d2, frozenset(occupied)), x
 
 
-# a large d2 in a small window: the offsets reach no farther than the
-# farthest window corner from x, inside the window or outside it
+# a large d2 in a small window, with x inside the window, just outside it
+# and 999 sites away: a window has no images, so the conflicts are found
+# among its occupied sites, in no time at any distance
 WIDE = Configuration(
     Window((0, 0, 0), (3, 0, 0)), 10**6, frozenset({(0, 0, 0), (3, 0, 0)})
 )
@@ -163,6 +164,8 @@ WIDE = Configuration(
 @given(configurations_and_sites())
 @example((WIDE, (1, 0, 0)))
 @example((WIDE, (5, 1, -1)))
+@example((WIDE, (999, 0, 0)))
+@example((WIDE, (0, -1001, 0)))
 def test_insertion_conflicts_match_image_loop(case):
     c, x = case
     assert insertion_conflicts(c, x) == reference_insertion_conflicts(c, x)

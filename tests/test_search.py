@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hc3.lattice import quotient
-from hc3.search import BudgetExhaustedError, NodeBudget, include_first, orbit
+from hc3.search import BudgetExhaustedError, NodeBudget, include_first, isolated, orbit
 from hc3.solver import max_packing
 from hc3.voronoi import min_cell_search
 
@@ -43,8 +43,9 @@ def brute_force_maximal_sets(adj):
     return out
 
 
-def never(chosen, cand):
-    return False
+def never(adj):
+    """The cut that drops no node: it hands back the isolated candidates."""
+    return lambda chosen, cand: isolated(cand, adj)
 
 
 def indices(mask):
@@ -60,7 +61,7 @@ def identity(v):
 def test_include_first_matches_bruteforce(adj, data):
     n = len(adj)
     budget = NodeBudget(None)
-    pairs = list(include_first(adj, 0, (1 << n) - 1, never, budget, identity, [0]))
+    pairs = list(include_first(adj, 0, (1 << n) - 1, never(adj), budget, identity, [0]))
     # under the identity group every leaf has multiplicity 1
     assert all(mult == 1 for _, mult in pairs)
     leaves = [mask for mask, _ in pairs]
@@ -74,7 +75,7 @@ def test_include_first_matches_bruteforce(adj, data):
     # a budget below the full search stops it after exactly that many nodes
     limit = data.draw(st.integers(0, budget.nodes))
     stopped = NodeBudget(limit)
-    search = include_first(adj, 0, (1 << n) - 1, never, stopped, identity, [0])
+    search = include_first(adj, 0, (1 << n) - 1, never(adj), stopped, identity, [0])
     if limit < budget.nodes:
         with pytest.raises(BudgetExhaustedError):
             list(search)
@@ -101,10 +102,11 @@ def test_rotations_of_a_cycle_weight_each_maximal_set():
     adj = tuple((1 << (v + 1) % 6) | (1 << (v - 1) % 6) for v in range(6))
 
     def not_maximal(chosen, cand):
-        blocked = chosen
-        for v in indices(chosen):
+        free = isolated(cand, adj)
+        blocked = chosen | free
+        for v in indices(blocked):
             blocked |= adj[v]
-        return not cand and blocked != 63
+        return None if cand == free and blocked != 63 else free
 
     def leaves(budget, images, group):
         return list(include_first(adj, 0, 63, not_maximal, budget, images, group))

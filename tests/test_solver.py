@@ -17,7 +17,7 @@ from hc3.lattice import (
     quotient,
     symmetry_group,
 )
-from hc3.search import BudgetExhaustedError, NodeBudget, include_first
+from hc3.search import BudgetExhaustedError, NodeBudget, include_first, isolated
 from hc3.solver import (
     _coset_images,
     _greedy_clique_cover,
@@ -26,6 +26,7 @@ from hc3.solver import (
     _short_of,
     max_packing,
 )
+from test_search import graphs, indices
 
 DIAG2 = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
 DIAG4 = ((4, 0, 0), (0, 4, 0), (0, 0, 4))
@@ -228,7 +229,8 @@ def test_phase1_optimum_matches_phase2_search(case):
         return _stream(graph, [IDENTITY_OP], target, NodeBudget(None))
 
     assert next(optima(k), None) is not None
-    bound = 1 + len(_greedy_clique_cover(root, adj, graph.n))
+    cliques, free = _greedy_clique_cover(root, adj)
+    bound = 1 + len(cliques) + free.bit_count()
     for target in range(k + 1, bound + 1):
         assert next(optima(target), None) is None
 
@@ -336,15 +338,74 @@ COVER_GRAPHS = [
 ]
 
 
+def candidates(data, adj):
+    """A random candidate mask over the graph, the AND of one to four
+    uniform masks, so that sparse ones with isolated candidates are common."""
+    cand = (1 << len(adj)) - 1
+    for _ in range(data.draw(st.integers(1, 4))):
+        cand &= data.draw(st.integers(0, (1 << len(adj)) - 1))
+    return cand
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(COVER_GRAPHS), st.data())
 def test_clique_cover_matches_list_scan(adj, data):
-    cand = data.draw(st.integers(0, (1 << len(adj)) - 1))
-    cap = data.draw(st.integers(-2, len(adj)))
+    cand = candidates(data, adj)
+    cliques, free = _greedy_clique_cover(cand, adj)
+    # the scan's cover of all the candidates is the cliques, in order, with
+    # the isolated candidates as singletons among them
     cover = list_scan_clique_cover(cand, adj)
-    assert _greedy_clique_cover(cand, adj, len(adj)) == cover
-    # a negative cap is exceeded by the first clique
-    assert _greedy_clique_cover(cand, adj, cap) == cover[: max(cap, 0) + 1]
+    assert [c for c in cover if not c & free] == cliques
+    assert [c for c in cover if c & free] == [1 << v for v in indices(free)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(COVER_GRAPHS), graphs(max_n=12)), st.data())
+def test_clique_cover_hands_back_the_isolated_candidates(adj, data):
+    # the identity the solver rests on: an isolated candidate is a clique of
+    # its own in the greedy cover, so the cover of the candidates is the
+    # cover without them plus one singleton each
+    cand = candidates(data, adj)
+    cliques, free = _greedy_clique_cover(cand, adj)
+    assert free == isolated(cand, adj)
+    assert cliques == list_scan_clique_cover(cand & ~free, adj)
+
+
+def reference_short_of(adj, k):
+    """Phase 2's cut as a scan for the isolated candidates followed by the
+    cover of the rest: the chosen set with them plus that cover falls short
+    of k."""
+
+    def cut(chosen, cand):
+        free = isolated(cand, adj)
+        size = (chosen | free).bit_count()
+        if size + len(list_scan_clique_cover(cand & ~free, adj)) < k:
+            return None
+        return free
+
+    return cut
+
+
+@settings(max_examples=100, deadline=None)
+@given(periods_and_d2())
+@example((((4, 0, 0), (0, 4, 0), (0, 0, 5)), 5))
+def test_short_of_matches_isolated_then_cover(case):
+    # one cover per node keeps the leaves, their multiplicities and the node
+    # count of the count stream under the point group
+    period, d2 = case
+    q = quotient(period)
+    graph = build_exclusion_graph(q, d2)
+    adj = graph.adjacency
+    ops = _point_group(q)
+    k = _phase1(graph, ops)[0]
+    root = ((1 << graph.n) - 1) & ~adj[0] & ~1
+    images, group = _coset_images(q, ops), list(range(len(ops)))
+    runs = []
+    for cut in (_short_of(adj, k), reference_short_of(adj, k)):
+        budget = NodeBudget(None)
+        leaves = list(include_first(adj, 1, root, cut, budget, images, group))
+        runs.append((leaves, budget.nodes))
+    assert runs[0] == runs[1]
 
 
 def test_density_cardinality_table_small():

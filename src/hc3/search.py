@@ -4,27 +4,31 @@ Vertex sets are int bitmasks over a conflict graph, `adj[v]` the mask of the
 vertices that conflict with v.  A search's cut both prunes a node and hands
 back its isolated candidates, so a node walks its candidates once.
 
-A symmetry group of the graph is given as `images`, v -> the images of v
-under a fixed list of automorphisms, and a group, the positions in that list
-of the automorphisms in use.  ``include_first`` branches on orbits under it
-(orbital branching, Ostrowski, Linderoth, Rossi & Smriglio 2011): each node
-carries a group that maps its chosen set and its candidates onto themselves;
-the child that includes the lowest candidate v takes the stabiliser of v, and
-the exclude child drops the whole orbit O of v and keeps the group.  A leaf S
-comes with the multiplicity  mult(S) = prod |O| / |S & O|  over the include
-edges on its path.
+A symmetry group of the graph is a list of automorphisms, in any form its
+`images` function reads: images(v, group) is the list of the images of v
+under the automorphisms of `group`, in order, so a node computes the images
+under its own group only, and none under a group of one element.
+``include_first`` branches on orbits under it (orbital branching,
+Ostrowski, Linderoth, Rossi & Smriglio 2011): each node carries a group that
+maps its chosen set and its candidates onto themselves; the child that
+includes the highest candidate v takes the stabiliser of v, and the exclude
+child drops the whole orbit O of v and keeps the group.  A leaf S comes with
+the multiplicity  mult(S) = prod |O| / |S & O|  over the include edges on
+its path.
 
-Let F be a family of maximal independent sets that the group maps onto
-itself, and let the cut drop only nodes with no set of F below them and keep
-exactly the leaves in F (phase 2 of the solver: the maximum sets).  Then for
-any weight w that the group leaves invariant, sum w(S) * mult(S) over the
-leaves is sum w(S) over the sets of F that extend the root: the group maps
-the sets through v onto the sets through each u of O, so the sets that meet
-O carry |O| times the weight of the sets through v, each divided by
-|S & O|.  The first leaf is the least set of F in lexicographic order, as
-without symmetry: had it met a dropped orbit at u != v, its image through v
-under the node's group would agree with it below v and contain v, and so
-come first.
+Leaves come in top-down order: S before T when the highest vertex in which
+they differ lies in S (the lexicographic order of the sorted labels
+n - 1 - v).  Let F be a family of maximal independent sets that the group
+maps onto itself, and let the cut drop only nodes with no set of F below
+them and keep exactly the leaves in F (phase 2 of the solver: the maximum
+sets).  Then for any weight w that the group leaves invariant,
+sum w(S) * mult(S) over the leaves is sum w(S) over the sets of F that
+extend the root: the group maps the sets through v onto the sets through
+each u of O, so the sets that meet O carry |O| times the weight of the sets
+through v, each divided by |S & O|.  The first leaf is the first set of F
+in top-down order, as without symmetry: had it met a dropped orbit at
+u != v, its image through v under the node's group would agree with it
+above v and contain v, and so come first.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ __all__ = [
 # cut(chosen, cand): None to drop a node's subtree, else the mask of its
 # candidates with no remaining conflict, which move into the chosen set
 Cut = Callable[[int, int], int | None]
-# v -> the images of vertex v under a fixed list of graph automorphisms
-Images = Callable[[int], Sequence[int]]
+# (v, group) -> the images of vertex v under the graph automorphisms in group
+Images = Callable[[int, list], Sequence[int]]
 T = TypeVar("T")
 
 
@@ -93,14 +97,16 @@ def isolated(cand: int, adj: tuple[int, ...]) -> int:
     return found
 
 
-def orbit(images: Images, group: list[int], v: int) -> tuple[list[int], int]:
-    """The stabiliser of v in the group, as positions in the columns of
-    `images`, and the mask of the orbit of v."""
-    col = images(v)
-    stabiliser = [p for p in group if col[p] == v]
+def orbit(images: Images, group: list, v: int) -> tuple[list, int]:
+    """The stabiliser of v in the group, as a sublist, and the mask of the
+    orbit of v."""
+    if len(group) == 1:  # the identity: v is its own orbit
+        return group, 1 << v
+    col = images(v, group)
+    stabiliser = [op for op, u in zip(group, col) if u == v]
     mask = 0
-    for p in group:
-        mask |= 1 << col[p]
+    for u in col:
+        mask |= 1 << u
     return stabiliser, mask
 
 
@@ -114,22 +120,21 @@ def include_first(
     cut: Cut,
     budget: NodeBudget,
     images: Images,
-    group: list[int],
+    group: list,
 ) -> Iterator[tuple[int, Fraction]]:
     """The chosen masks at the leaves of the include/exclude tree extending
-    the independent set `chosen` by the candidates `cand`, in lexicographic
-    order of their sorted index tuples, each once, with their orbit
-    multiplicities (module docstring; 1 under the identity group).  A node
-    spends one node and is dropped when cut(chosen, cand) is None; otherwise
-    the cut's mask, which must be ``isolated(cand, adj)``, moves into
-    `chosen`, and the node yields `chosen` if no candidates are left, or
-    branches on the lowest candidate v, include first, then excludes the
-    orbit of v.  `group` must map `chosen` and `cand` onto themselves.  With
-    a cut that drops nothing and under the identity, the leaves contain
-    every maximal independent extension, but not only those: an excluded
-    vertex can end up with no chosen neighbour.  `cut` may read state the
-    consumer changes between yields; a generator that is not resumed
-    searches no further.
+    the independent set `chosen` by the candidates `cand`, in top-down
+    order, each once, with their orbit multiplicities (module docstring; 1
+    under the identity group).  A node spends one node and is dropped when
+    cut(chosen, cand) is None; otherwise the cut's mask, which must be
+    ``isolated(cand, adj)``, moves into `chosen`, and the node yields
+    `chosen` if no candidates are left, or branches on the highest
+    candidate v, include first, then excludes the orbit of v.  `group` must
+    map `chosen` and `cand` onto themselves.  With a cut that drops nothing
+    and under the identity, the leaves contain every maximal independent
+    extension, but not only those: an excluded vertex can end up with no
+    chosen neighbour.  `cut` may read state the consumer changes between
+    yields; a generator that is not resumed searches no further.
 
     Nodes are frames (chosen, cand, group, path) on an explicit stack, so
     the depth is limited by memory only.  `path` links (orb, parent) the
@@ -152,11 +157,11 @@ def include_first(
                 mult *= Fraction(orb.bit_count(), (chosen & orb).bit_count())
             yield chosen, mult
             continue
-        low = cand & -cand
-        v = low.bit_length() - 1
+        v = cand.bit_length() - 1
+        top = 1 << v
         stabiliser, orb = orbit(images, group, v)
         # exclude below include: the include subtree runs first
         stack.append((chosen, cand & ~orb, group, path))
-        if orb != low:
+        if orb != top:
             path = (orb, path)
-        stack.append((chosen | low, cand & ~adj[v] & ~low, stabiliser, path))
+        stack.append((chosen | top, (cand & ~adj[v]) ^ top, stabiliser, path))

@@ -18,8 +18,18 @@ A set larger than `best` must take a vertex from a clique with index
 most the optimum.  A node is a frame on an explicit stack that pushes
 itself back, without the branched orbit, under its include child.  The
 witness/count phase runs ``search.include_first``, which branches on the
-lowest candidate, include first: the reported witness is the
-lexicographically least optimal set under the fixed coset order.
+lowest candidate (the highest label, below), include first: the reported
+witness is the lexicographically least optimal set under the fixed coset
+order.
+
+Both phases search the reflected torus, label v for coset n - 1 - v: the
+box reflection r -> c - r, c = (d0 - 1, d1 - 1, d2 - 1), sends coset i to
+n - 1 - i and is an automorphism of every exclusion graph (a negation and a
+translation), so the adjacency reads the same over labels, and a search
+that takes the highest label makes the same steps as one that takes the
+lowest coset; the witness is decoded through reps[n - 1 - v].  The rest of
+this docstring speaks of cosets.  ``int.bit_length()`` finds the highest
+bit in one call, where the lowest needs ``x & -x``, two new ints.
 
 Torus translations act transitively on the cosets, so both phases search
 only the sets that contain vertex 0.  The lexicographically least optimum
@@ -37,15 +47,17 @@ adds exactly k to the sum.
 Both phases also use the point group of the torus: the signed permutations
 that map the period lattice onto itself fix vertex 0, map the root
 candidates onto themselves and are automorphisms of the exclusion graph.
-Each is a ``lattice.SymmetryOp``, op(v)_i = sign_i * v[perm_i], and one inline
-back-substitution indexes its images: of the period generators, all 0 for
-an op of the group, and of the cosets, the columns the search branches on.
-The phases branch on orbits (orbital branching, Ostrowski, Linderoth,
-Rossi & Smriglio 2011; ``search.orbit``): each node carries the subgroup
-that maps its candidates onto themselves; the child that includes v takes
-the stabiliser of v, and the node then drops the whole orbit of v from its
-candidates and keeps the group.  Any optimum that meets the orbit has an
-image through v, so the optimum is the same as without symmetry, in far
+Each is a ``lattice.SymmetryOp``, op(v)_i = sign_i * v[perm_i], and one
+inline back-substitution labels its images: of the period generators, all
+coset 0 for an op of the group, and of a branched vertex, under the ops of
+the node's own group only (``search.Images``).  Most groups below the root
+are small, and a node under the trivial group computes no image.  The
+phases branch on orbits (orbital branching, Ostrowski, Linderoth, Rossi &
+Smriglio 2011; ``search.orbit``): each node carries the subgroup, as a list
+of ops, that maps its candidates onto themselves; the child that includes v
+takes the stabiliser of v, and the node then drops the whole orbit of v from
+its candidates and keeps the group.  Any optimum that meets the orbit has
+an image through v, so the optimum is the same as without symmetry, in far
 fewer nodes.  In phase 2 each optimum S of the stream comes with the
 multiplicity  mult(S) = prod |O| / |S & O|  over the include edges on its
 path, O the orbit dropped after that edge, and a count is the exact sum
@@ -70,7 +82,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain
 from typing import Callable
 
@@ -94,84 +105,86 @@ def _greedy_clique_cover(cand: int, adj: tuple[int, ...]) -> tuple[list[int], in
     """The cliques, as vertex masks, of a greedy cover of the candidate
     subgraph less its isolated candidates, and the mask of those.
 
-    Clique i is the chain of lowest bits in the common neighborhood of what
-    cliques 0..i-1 left, which is the partition a scan of the candidates in
-    index order makes when it puts each one into the first clique it extends.
-    An independent set picks at most one vertex per clique, so the number of
+    Clique i is the chain of highest bits in the common neighborhood of what
+    cliques 0..i-1 left: the partition a scan of the candidates from the top
+    makes when it puts each one into the first clique it extends.  An
+    independent set picks at most one vertex per clique, so the number of
     cliques plus the isolated candidates bounds the MIS size of `cand`.  An
-    isolated v is a clique {v} of the cover: it starts one as the lowest bit
+    isolated v is a clique {v} of the cover: it starts one as the highest bit
     left, and joins none that another u starts: its members lie in adj[u].
     """
     rest, free = cand, 0
     cliques: list[int] = []
     while rest:
-        common = left = rest
+        v = rest.bit_length() - 1
+        clique = top = 1 << v
+        common = rest & adj[v]
         while common:
-            low = common & -common
-            rest ^= low
-            common &= adj[low.bit_length() - 1]
-        if left ^ rest == low and not adj[low.bit_length() - 1] & cand:
-            free |= low
+            u = common.bit_length() - 1
+            clique |= 1 << u
+            common &= adj[u]
+        rest ^= clique
+        if clique == top and not adj[v] & cand:
+            free |= top
         else:
-            cliques.append(left ^ rest)
+            cliques.append(clique)
     return cliques, free
 
 
-# the 48 signed permutations of Z^3, whose positions fix the orbit order
+# the 48 signed permutations of Z^3
 _ALL_OPS = symmetry_group()
 
 
-def _image_indices(
-    q: Quotient, ops: list[SymmetryOp]
-) -> Callable[[Site], tuple[int, ...]]:
-    """r -> the coset indices of op(r) over `ops`, by the back-substitution
-    of `Quotient.index_of`, inline (one `index_of` call per op is slower)."""
+def _image_labels(q: Quotient) -> Callable[[Site, list[SymmetryOp]], list[int]]:
+    """(r, ops) -> the labels n - 1 - index_of(op(r)) of the images of the
+    point r over `ops` (module docstring), by the back-substitution of
+    `Quotient.index_of`, inline (one `index_of` call per op is slower)."""
     (d0, _, _), (a, d1, _), (b, c, d2) = q.period
+    top = q.index - 1
 
-    def indices(r: Site) -> tuple[int, ...]:
+    def labels(r: Site, ops: list[SymmetryOp]) -> list[int]:
         out = []
         for (i, si), (j, sj), (k, sk) in ops:
             qz, z = divmod(sk * r[k], d2)
             qy, y = divmod(sj * r[j] - qz * c, d1)
             x = (si * r[i] - qz * b - qy * a) % d0
-            out.append((x * d1 + y) * d2 + z)
-        return tuple(out)
+            out.append(top - (x * d1 + y) * d2 - z)
+        return out
 
-    return indices
+    return labels
 
 
 def _point_group(q: Quotient) -> list[SymmetryOp]:
     """The signed permutations op with op . L == L for the period lattice L.
     op . L has the index of L, so it is L exactly when op maps each period
-    generator into L, to coset index 0.  Each such op fixes vertex 0,
-    permutes the cosets and keeps minimum-image distances: it is an
-    automorphism of every exclusion graph of q."""
-    columns = map(_image_indices(q, _ALL_OPS), q.period)
-    return [op for op, *g in zip(_ALL_OPS, *columns) if not any(g)]
+    generator into L, to label n - 1.  Each such op fixes vertex 0, permutes
+    the cosets and keeps minimum-image distances: it is an automorphism of
+    every exclusion graph of q."""
+    columns = map(_image_labels(q), q.period, [_ALL_OPS] * 3)
+    return [op for op, *g in zip(_ALL_OPS, *columns) if g == [q.index - 1] * 3]
 
 
-def _coset_images(q: Quotient, ops: list[SymmetryOp]) -> Images:
-    """v -> the coset indices of op(v) over `ops`: column v of each coset
-    permutation.  A column is built on first use, so a search pays only for
-    the vertices it branches on."""
-    indices, reps = _image_indices(q, ops), q.reps
-    return cache(lambda v: indices(reps[v]))
+def _coset_images(q: Quotient) -> Images:
+    """(v, ops) -> the labels of the images of label v over `ops`: label v
+    is the coset of reps[n - 1 - v]."""
+    labels, reps, top = _image_labels(q), q.reps, q.index - 1
+    return lambda v, ops: labels(reps[top - v], ops)
 
 
 def _prove_optimum(
-    graph: ExclusionGraph, images: Images, group: list[int], counter: NodeBudget
+    graph: ExclusionGraph, images: Images, group: list, counter: NodeBudget
 ) -> int:
-    """Phase 1: the optimum over the sets through vertex 0, branching on the
-    orbits of `group`, automorphisms of the graph that fix vertex 0 (as
-    positions in the columns of `images`).
+    """Phase 1: the optimum over the sets through vertex 0 (label n - 1),
+    branching on the orbits of `group`, automorphisms of the graph that fix
+    it (as `images` reads them).
 
     A frame (cand, size, group, cliques, i) has `size` chosen vertices, and
     `group` maps its candidates onto themselves; `cliques is None` until the
     frame is expanded, and then it branches next in clique i of its cover.
     """
-    adj = graph.adjacency
+    adj, n = graph.adjacency, graph.n
     best = 0
-    stack = [(((1 << graph.n) - 1) & ~adj[0] & ~1, 1, group, None, 0)]
+    stack = [(((1 << n - 1) - 1) & ~adj[n - 1], 1, group, None, 0)]
     while stack:
         cand, size, group, cliques, i = stack.pop()
         if cliques is None:
@@ -189,13 +202,11 @@ def _prove_optimum(
             i -= 1
         if i < 0 or size + i + 1 <= best:
             continue
-        m = cliques[i] & cand
-        low = m & -m
-        v = low.bit_length() - 1
+        v = (cliques[i] & cand).bit_length() - 1
         # include v under its stabiliser, then drop the whole orbit of v
         stabiliser, orb = orbit(images, group, v)
         stack.append((cand & ~orb, size, group, cliques, i))
-        stack.append((cand & ~adj[v] & ~low, size + 1, stabiliser, None, 0))
+        stack.append(((cand & ~adj[v]) ^ (1 << v), size + 1, stabiliser, None, 0))
     return best
 
 
@@ -233,15 +244,15 @@ def max_packing(
     counter = NodeBudget(node_budget)
     # one point group for both phases: every op fixes vertex 0 and maps the
     # root candidates onto themselves
-    ops = _point_group(q)
-    images, group = _coset_images(q, ops), list(range(len(ops)))
+    group = _point_group(q)
+    images = _coset_images(q)
     # Phase 1: the optimum value, by orbits of the point group.
     optimum = _prove_optimum(graph, images, group, counter)
-    # Phase 2: the optima through vertex 0 up to the point group (module
-    # docstring), least first.
-    root_cand = ((1 << n) - 1) & ~adj[0] & ~1
+    # Phase 2: the optima through vertex 0 (label n - 1) up to the point
+    # group (module docstring), least first.
+    root_cand = ((1 << n - 1) - 1) & ~adj[n - 1]
     optima = include_first(
-        adj, 1, root_cand, _short_of(adj, optimum), counter, images, group
+        adj, 1 << n - 1, root_cand, _short_of(adj, optimum), counter, images, group
     )
     first = next(optima, None)
     if first is None:
@@ -252,13 +263,14 @@ def max_packing(
         def weight(mask: int) -> int:
             if not mod_translations:
                 return n
+            # the reflection c - S of S has the stabiliser of S, negated
             return len(q.stabiliser(mask))
 
         total = sum(weight(mask) * mult for mask, mult in chain([first], optima))
         if total % optimum:
             raise AssertionError("the weighted sum of optima is not a multiple of k")
         counted = total // optimum
-    witness = Configuration(q, d2, frozenset(members(q.reps, first[0])))
+    witness = Configuration(q, d2, frozenset(members(q.reps[::-1], first[0])))
     return PackingResult(
         optimum=optimum,
         witness=witness,

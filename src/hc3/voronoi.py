@@ -360,10 +360,11 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
     """
     if radius < ceil_sqrt(d2):
         raise ValueError(f"radius {radius} below exclusion distance for d2={d2}")
+    ball = lattice_points(UNIT_BASIS, (0, 0, 0), radius * radius)
+    # nearest last: include_first branches on its highest candidate
     pairs = sorted(
-        (sq_norm(v), v)
-        for v in lattice_points(UNIT_BASIS, (0, 0, 0), radius * radius)
-        if v != (0, 0, 0) and d2 <= sq_norm(v)
+        ((sq_norm(v), v) for v in ball if v != (0, 0, 0) and d2 <= sq_norm(v)),
+        reverse=True,
     )
     cands = [v for _, v in pairs]
     conflict = conflict_masks(cands, d2)
@@ -385,7 +386,7 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
     completed = True
     try:
         for chosen, _ in include_first(
-            conflict, 0, (1 << len(cands)) - 1, cut, budget, lambda v: (v,), [0]
+            conflict, 0, (1 << len(cands)) - 1, cut, budget, lambda v, _: (v,), [0]
         ):
             if poly.inside((0, 0, 0), radius):
                 best_volume, best_mask = vol, chosen
@@ -395,7 +396,7 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
         completed = False
     return MinCellResult(
         volume=best_volume,
-        neighborhood=tuple(members(cands, best_mask)),
+        neighborhood=tuple(reversed(members(cands, best_mask))),
         completed=completed,
         certified=best_volume is not None and not uncertified,
         nodes=budget.nodes,

@@ -52,7 +52,13 @@ def indices(mask):
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def identity(v):
+def reflected(mask, n):
+    """The sort key of include_first's leaf order: the sorted indices of the
+    mask under the reflection v -> n - 1 - v."""
+    return tuple(sorted(n - 1 - v for v in indices(mask)))
+
+
+def identity(v, group):
     return (v,)
 
 
@@ -67,8 +73,9 @@ def test_include_first_matches_bruteforce(adj, data):
     leaves = [mask for mask, _ in pairs]
     for mask in leaves:
         assert not any(mask >> v & 1 and adj[v] & mask for v in range(n))
-    # lexicographic order of sorted index tuples, each leaf once
-    keys = [indices(m) for m in leaves]
+    # highest candidate first: lexicographic order of the reflected sorted
+    # index tuples, each leaf once
+    keys = [reflected(m, n) for m in leaves]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     # every maximal set is a leaf (a leaf need not be maximal)
     assert set(brute_force_maximal_sets(adj)) <= set(leaves)
@@ -84,15 +91,21 @@ def test_include_first_matches_bruteforce(adj, data):
     assert stopped.nodes == limit
 
 
-# the rotations of a 6-cycle, as the images of each vertex
-ROTATIONS = [[(v + r) % 6 for r in range(6)] for v in range(6)]
+def rotations(v, group):
+    """The images of a vertex of the 6-cycle under the rotations by the
+    amounts in the group."""
+    return [(v + r) % 6 for r in group]
 
 
 def test_orbit_is_stabiliser_and_orbit_mask():
-    assert orbit(ROTATIONS.__getitem__, list(range(6)), 2) == ([0], 0b111111)
+    assert orbit(rotations, list(range(6)), 2) == ([0], 0b111111)
     # the subgroup {0, 3} of the half turn: orbits are antipodal pairs
-    assert orbit(ROTATIONS.__getitem__, [0, 3], 1) == ([0], 0b010010)
+    assert orbit(rotations, [0, 3], 1) == ([0], 0b010010)
     assert orbit(identity, [0], 4) == ([0], 0b10000)
+    # only the group's own images are computed
+    asked = []
+    orbit(lambda v, group: asked.append(group) or rotations(v, group), [0, 3], 1)
+    assert asked == [[0, 3]]
 
 
 def test_rotations_of_a_cycle_weight_each_maximal_set():
@@ -115,8 +128,9 @@ def test_rotations_of_a_cycle_weight_each_maximal_set():
     plain = leaves(plain_budget, identity, [0])
     assert sorted(mask for mask, _ in plain) == brute_force_maximal_sets(adj)
     assert len(plain) == 5
-    orbital = leaves(budget, ROTATIONS.__getitem__, list(range(6)))
-    assert orbital[0][0] == plain[0][0] == 0b010101
+    orbital = leaves(budget, rotations, list(range(6)))
+    # the least in reflected order: {1, 3, 5} reflects to {0, 2, 4}
+    assert orbital[0][0] == plain[0][0] == 0b101010
     assert sum(mult for _, mult in orbital) == 5
     assert budget.nodes < plain_budget.nodes
 

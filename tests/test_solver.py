@@ -15,6 +15,7 @@ from hc3.lattice import (
     dot,
     hnf,
     quotient,
+    sub,
     symmetry_group,
 )
 from hc3.search import BudgetExhaustedError, NodeBudget, include_first, isolated
@@ -149,21 +150,24 @@ def test_random_periods_match_bruteforce(case):
     )
 
 
+def _root(graph):
+    """The root candidates of both phases: every label but n - 1 (vertex 0)
+    and its neighbours."""
+    return ((1 << graph.n - 1) - 1) & ~graph.adjacency[-1]
+
+
 def _phase1(graph, ops):
     counter = NodeBudget(None)
-    images = _coset_images(graph.quotient, ops)
-    return _prove_optimum(graph, images, list(range(len(ops))), counter), counter.nodes
+    images = _coset_images(graph.quotient)
+    return _prove_optimum(graph, images, ops, counter), counter.nodes
 
 
 def _stream(graph, ops, k, budget):
-    """Phase 2's weighted stream of the optima through vertex 0, branching
-    on the orbits of `ops`."""
-    adj = graph.adjacency
-    root = ((1 << graph.n) - 1) & ~adj[0] & ~1
-    images = _coset_images(graph.quotient, ops)
-    return include_first(
-        adj, 1, root, _short_of(adj, k), budget, images, list(range(len(ops)))
-    )
+    """Phase 2's weighted stream of the optima through vertex 0 (label
+    n - 1), branching on the orbits of `ops`."""
+    adj, top = graph.adjacency, 1 << graph.n - 1
+    images = _coset_images(graph.quotient)
+    return include_first(adj, top, _root(graph), _short_of(adj, k), budget, images, ops)
 
 
 @given(st.tuples(*[st.integers(-50, 50)] * 3))
@@ -200,14 +204,38 @@ def test_orbital_branching_matches_plain_search(case):
         for op in symmetry_group()
         if hnf(tuple(apply_symmetry(op, g) for g in q.period)) == q.period
     ]
-    images = _coset_images(q, ops)
-    for p in zip(*(images(v) for v in range(graph.n))):
-        assert p[0] == 0
-        assert sorted(p) == list(range(graph.n))
+    # label v is coset n - 1 - v, and op acts on labels as on cosets
+    images, n = _coset_images(q), graph.n
+    for v in range(n):
+        r = q.reps[n - 1 - v]
+        assert images(v, ops) == [
+            n - 1 - q.index_of(apply_symmetry(op, r)) for op in ops
+        ]
+    for p in zip(*(images(v, ops) for v in range(n))):
+        assert p[n - 1] == n - 1
+        assert sorted(p) == list(range(n))
         for v in range(graph.n):
             neighbors = (u for u in range(graph.n) if adj[v] >> u & 1)
             assert sum(1 << p[u] for u in neighbors) == adj[p[v]]
     assert _phase1(graph, ops)[0] == _phase1(graph, [IDENTITY_OP])[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(periods_and_d2())
+@example((((4, 0, 0), (1, 4, 0), (2, 1, 5)), 5))
+def test_box_reflection_reverses_labels_and_adjacency(case):
+    # the identity both phases rest on: r -> c - r, c the far corner of the
+    # HNF box, sends coset i to n - 1 - i and is an automorphism of the
+    # exclusion graph, so a search over the labels n - 1 - i that takes the
+    # highest vertex makes the same steps as one over i that takes the lowest
+    period, d2 = case
+    q = quotient(period)
+    adj, n = build_exclusion_graph(q, d2).adjacency, q.index
+    c = tuple(q.period[i][i] - 1 for i in range(3))
+    for i, r in enumerate(q.reps):
+        assert q.index_of(sub(c, r)) == n - 1 - i
+    for v in range(n):
+        assert adj[n - 1 - v] == int(format(adj[v], f"0{n}b")[::-1], 2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -223,13 +251,12 @@ def test_phase1_optimum_matches_phase2_search(case):
     graph = build_exclusion_graph(q, d2)
     adj = graph.adjacency
     k = _phase1(graph, _point_group(q))[0]
-    root = ((1 << graph.n) - 1) & ~adj[0] & ~1
 
     def optima(target):
         return _stream(graph, [IDENTITY_OP], target, NodeBudget(None))
 
     assert next(optima(k), None) is not None
-    cliques, free = _greedy_clique_cover(root, adj)
+    cliques, free = _greedy_clique_cover(_root(graph), adj)
     bound = 1 + len(cliques) + free.bit_count()
     for target in range(k + 1, bound + 1):
         assert next(optima(target), None) is None
@@ -246,10 +273,12 @@ def test_phase1_optimum_matches_phase2_search(case):
         (((6, 0, 0), (0, 6, 0), (0, 0, 6)), 6, None, 2017),
         (((4, 0, 0), (0, 4, 0), (0, 0, 5)), 5, 14000, 493),
         (((6, 0, 0), (0, 6, 0), (0, 0, 6)), 12, 23490, 76),
+        (((8, 0, 0), (0, 8, 0), (0, 0, 8)), 8, None, 5438),
     ],
     # ids without the count, so that a re-pin keeps the test names
     ids=["diag5-d2=3", "diag6-d2=8", "diag5-d2=5", "skewed-d2=5-count",
-         "diag8-d2=2", "diag6-d2=6", "diag445-d2=5-count", "diag6-d2=12-count"],
+         "diag8-d2=2", "diag6-d2=6", "diag445-d2=5-count", "diag6-d2=12-count",
+         "diag8-d2=8"],
 )
 def test_node_counts_are_pinned(period, d2, count, nodes):
     # node counts are part of the determinism contract: a change to the
@@ -315,11 +344,11 @@ def test_phase2_orbital_branching_cuts_nodes():
 
 
 def list_scan_clique_cover(cand, adj):
-    """Reference greedy cover, as vertex masks: scan candidates in index
-    order and put each into the first clique whose common neighborhood
-    holds it."""
+    """Reference greedy cover, as vertex masks: scan candidates in
+    descending index order and put each into the first clique whose common
+    neighborhood holds it."""
     cliques = []  # [members, common neighborhood]
-    for v in range(len(adj)):
+    for v in reversed(range(len(adj))):
         if not cand >> v & 1:
             continue
         for clique in cliques:
@@ -356,7 +385,7 @@ def test_clique_cover_matches_list_scan(adj, data):
     # the isolated candidates as singletons among them
     cover = list_scan_clique_cover(cand, adj)
     assert [c for c in cover if not c & free] == cliques
-    assert [c for c in cover if c & free] == [1 << v for v in indices(free)]
+    assert [c for c in cover if c & free] == [1 << v for v in indices(free)[::-1]]
 
 
 @settings(max_examples=300, deadline=None)
@@ -398,12 +427,11 @@ def test_short_of_matches_isolated_then_cover(case):
     adj = graph.adjacency
     ops = _point_group(q)
     k = _phase1(graph, ops)[0]
-    root = ((1 << graph.n) - 1) & ~adj[0] & ~1
-    images, group = _coset_images(q, ops), list(range(len(ops)))
+    root, top, images = _root(graph), 1 << graph.n - 1, _coset_images(q)
     runs = []
     for cut in (_short_of(adj, k), reference_short_of(adj, k)):
         budget = NodeBudget(None)
-        leaves = list(include_first(adj, 1, root, cut, budget, images, group))
+        leaves = list(include_first(adj, top, root, cut, budget, images, ops))
         runs.append((leaves, budget.nodes))
     assert runs[0] == runs[1]
 

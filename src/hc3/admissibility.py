@@ -111,7 +111,7 @@ class Configuration:
         """The conflict offsets that can join two sites of the domain."""
         d2, w = self.d2, self.domain
         if isinstance(w, Window):  # lo and hi are its farthest-apart sites
-            d2 = min(d2, w.farthest_sq(w.lo) + 1)
+            d2 = min(d2, sum((b - a) ** 2 for a, b in zip(w.lo, w.hi)) + 1)
         return offsets_closer_than(d2)
 
     def conflicting_pairs(self) -> Iterator[tuple[Site, Site]]:

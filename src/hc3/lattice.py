@@ -462,9 +462,6 @@ class Window:
     def contains(self, v: Site) -> bool:
         return all(self.lo[i] <= v[i] <= self.hi[i] for i in range(3))
 
-    def farthest_sq(self, x: Site) -> int:
-        return sum(max(a - lo, hi - a) ** 2 for a, lo, hi in zip(x, self.lo, self.hi))
-
     def reduce(self, v: Site) -> Site:
         return v
 

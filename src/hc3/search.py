@@ -1,8 +1,9 @@
-"""What the exhaustive searches share: the node budget, the isolated-candidate
-scan, the orbit step, the include-first enumerator and the bitmask decoder.
+"""What the exhaustive searches share: the node budget, the greedy clique
+cover, the orbit step, the include-first enumerator and the bitmask decoder.
 Vertex sets are int bitmasks over a conflict graph, `adj[v]` the mask of the
-vertices that conflict with v.  A search's cut both prunes a node and hands
-back its isolated candidates, so a node walks its candidates once.
+vertices that conflict with v.  ``include_first`` covers the candidates of
+each node once: the cover bounds what they add and hands back the isolated
+ones, and a search only says, from that bound, which nodes to drop.
 
 A symmetry group of the graph is a list of automorphisms, in any form its
 `images` function reads: images(v, group) is the list of the images of v
@@ -19,7 +20,7 @@ its path.
 Leaves come in top-down order: S before T when the highest vertex in which
 they differ lies in S (the lexicographic order of the sorted labels
 n - 1 - v).  Let F be a family of maximal independent sets that the group
-maps onto itself, and let the cut drop only nodes with no set of F below
+maps onto itself, and let `drop` drop only nodes with no set of F below
 them and keep exactly the leaves in F (phase 2 of the solver: the maximum
 sets).  Then for any weight w that the group leaves invariant,
 sum w(S) * mult(S) over the leaves is sum w(S) over the sets of F that
@@ -39,17 +40,17 @@ from typing import Callable, Iterator, Sequence, TypeVar
 __all__ = [
     "BudgetExhaustedError",
     "NodeBudget",
-    "Cut",
+    "Drop",
     "Images",
-    "isolated",
+    "clique_cover",
     "orbit",
     "include_first",
     "members",
 ]
 
-# cut(chosen, cand): None to drop a node's subtree, else the mask of its
-# candidates with no remaining conflict, which move into the chosen set
-Cut = Callable[[int, int], int | None]
+# drop(chosen, cand, bound): True to drop a node's subtree; bound is the
+# clique cover's bound on what the candidates add to the chosen set
+Drop = Callable[[int, int, int], bool]
 # (v, group) -> the images of vertex v under the graph automorphisms in group
 Images = Callable[[int, list], Sequence[int]]
 T = TypeVar("T")
@@ -85,16 +86,36 @@ def members(points: Sequence[T], mask: int) -> list[T]:
     return out
 
 
-def isolated(cand: int, adj: tuple[int, ...]) -> int:
-    """Mask of the candidates with no remaining conflicts: they belong to
-    every maximal extension, so the searches move them into the chosen set."""
-    found, m = 0, cand
-    while m:
-        low = m & -m
-        m ^= low
-        if not adj[low.bit_length() - 1] & cand:
-            found |= low
-    return found
+def clique_cover(cand: int, adj: tuple[int, ...]) -> tuple[list[int], int]:
+    """The cliques, as vertex masks, of a greedy cover of the candidate
+    subgraph less its isolated candidates, and the mask of those.
+
+    Clique i is the chain of highest bits in the common neighborhood of what
+    cliques 0..i-1 left: the partition a scan of the candidates from the top
+    makes when it puts each one into the first clique it extends.  An
+    independent set picks at most one vertex per clique, so the number of
+    cliques plus the isolated candidates bounds the MIS size of `cand` (the
+    colour-class bound of MCQ/BBMC, Tomita & Seki 2003; San Segundo et al.
+    2011).  An isolated v is a clique {v} of the cover: it starts one as the
+    highest bit left, and joins none that another u starts: its members lie
+    in adj[u].  The isolated candidates belong to every maximal extension.
+    """
+    rest, free = cand, 0
+    cliques: list[int] = []
+    while rest:
+        v = rest.bit_length() - 1
+        clique = top = 1 << v
+        common = rest & adj[v]
+        while common:
+            u = common.bit_length() - 1
+            clique |= 1 << u
+            common &= adj[u]
+        rest ^= clique
+        if clique == top and not adj[v] & cand:
+            free |= top
+        else:
+            cliques.append(clique)
+    return cliques, free
 
 
 def orbit(images: Images, group: list, v: int) -> tuple[list, int]:
@@ -117,7 +138,7 @@ def include_first(
     adj: tuple[int, ...],
     chosen: int,
     cand: int,
-    cut: Cut,
+    drop: Drop,
     budget: NodeBudget,
     images: Images,
     group: list,
@@ -125,16 +146,18 @@ def include_first(
     """The chosen masks at the leaves of the include/exclude tree extending
     the independent set `chosen` by the candidates `cand`, in top-down
     order, each once, with their orbit multiplicities (module docstring; 1
-    under the identity group).  A node spends one node and is dropped when
-    cut(chosen, cand) is None; otherwise the cut's mask, which must be
-    ``isolated(cand, adj)``, moves into `chosen`, and the node yields
-    `chosen` if no candidates are left, or branches on the highest
-    candidate v, include first, then excludes the orbit of v.  `group` must
-    map `chosen` and `cand` onto themselves.  With a cut that drops nothing
-    and under the identity, the leaves contain every maximal independent
-    extension, but not only those: an excluded vertex can end up with no
-    chosen neighbour.  `cut` may read state the consumer changes between
-    yields; a generator that is not resumed searches no further.
+    under the identity group).  A node spends one node and covers its
+    candidates (``clique_cover``); it is dropped when drop(chosen, cand,
+    bound) is true, bound the number of cliques plus isolated candidates,
+    at least the size of any independent subset of `cand`.  Otherwise the
+    isolated candidates move into `chosen`, and the node yields `chosen` if
+    no candidates are left, or branches on the highest candidate v, include
+    first, then excludes the orbit of v.  `group` must map `chosen` and
+    `cand` onto themselves.  With a drop that drops nothing and under the
+    identity, the leaves contain every maximal independent extension, but
+    not only those: an excluded vertex can end up with no chosen neighbour.
+    `drop` may read state the consumer changes between yields; a generator
+    that is not resumed searches no further.
 
     Nodes are frames (chosen, cand, group, path) on an explicit stack, so
     the depth is limited by memory only.  `path` links (orb, parent) the
@@ -145,8 +168,8 @@ def include_first(
     while stack:
         chosen, cand, group, path = stack.pop()
         budget.spend()
-        free = cut(chosen, cand)
-        if free is None:
+        cliques, free = clique_cover(cand, adj)
+        if drop(chosen, cand, len(cliques) + free.bit_count()):
             continue
         chosen |= free
         cand ^= free

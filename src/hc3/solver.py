@@ -2,10 +2,11 @@
 
 The optimum packing is the maximum independent set (MIS) of the exclusion
 graph.  The search is a bitmask branch-and-bound: candidates are Python-int
-bitmasks (arbitrary width) and the upper bound is a greedy clique cover of
-the candidate subgraph.  Both phases move the candidates with no remaining
-conflict into the chosen set, and the cover finds them: such a candidate is
-always a clique of its own, so each node walks its candidates once.
+bitmasks (arbitrary width) and the upper bound is the greedy clique cover
+of the candidate subgraph, ``search.clique_cover``.  Both phases move the
+candidates with no remaining conflict into the chosen set, and the cover
+finds them: such a candidate is always a clique of its own, so each node
+walks its candidates once.
 
 The optimum phase branches by the colour-class rule of MCQ/BBMC (Tomita &
 Seki 2003; San Segundo, Rodriguez-Losada & Jimenez 2011), with the cover's
@@ -18,9 +19,10 @@ A set larger than `best` must take a vertex from a clique with index
 most the optimum.  A node is a frame on an explicit stack that pushes
 itself back, without the branched orbit, under its include child.  The
 witness/count phase runs ``search.include_first``, which branches on the
-lowest candidate (the highest label, below), include first: the reported
-witness is the lexicographically least optimal set under the fixed coset
-order.
+lowest candidate (the highest label, below), include first, and drops a
+node whose chosen set plus the cover's bound falls short of the optimum:
+the reported witness is the lexicographically least optimal set under the
+fixed coset order.
 
 Both phases search the reflected torus, label v for coset n - 1 - v: the
 box reflection r -> c - r, c = (d0 - 1, d1 - 1, d2 - 1), sends coset i to
@@ -85,9 +87,9 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable
 
-from .admissibility import Configuration, ExclusionGraph, build_exclusion_graph
+from .admissibility import Configuration, build_exclusion_graph
 from .lattice import Quotient, Site, SymmetryOp, symmetry_group
-from .search import Cut, Images, NodeBudget, include_first, members, orbit
+from .search import Images, NodeBudget, clique_cover, include_first, members, orbit
 
 __all__ = ["PackingResult", "max_packing"]
 
@@ -99,36 +101,6 @@ class PackingResult:
     count: int | None
     nodes: int
     wall_time: float
-
-
-def _greedy_clique_cover(cand: int, adj: tuple[int, ...]) -> tuple[list[int], int]:
-    """The cliques, as vertex masks, of a greedy cover of the candidate
-    subgraph less its isolated candidates, and the mask of those.
-
-    Clique i is the chain of highest bits in the common neighborhood of what
-    cliques 0..i-1 left: the partition a scan of the candidates from the top
-    makes when it puts each one into the first clique it extends.  An
-    independent set picks at most one vertex per clique, so the number of
-    cliques plus the isolated candidates bounds the MIS size of `cand`.  An
-    isolated v is a clique {v} of the cover: it starts one as the highest bit
-    left, and joins none that another u starts: its members lie in adj[u].
-    """
-    rest, free = cand, 0
-    cliques: list[int] = []
-    while rest:
-        v = rest.bit_length() - 1
-        clique = top = 1 << v
-        common = rest & adj[v]
-        while common:
-            u = common.bit_length() - 1
-            clique |= 1 << u
-            common &= adj[u]
-        rest ^= clique
-        if clique == top and not adj[v] & cand:
-            free |= top
-        else:
-            cliques.append(clique)
-    return cliques, free
 
 
 # the 48 signed permutations of Z^3
@@ -172,24 +144,24 @@ def _coset_images(q: Quotient) -> Images:
 
 
 def _prove_optimum(
-    graph: ExclusionGraph, images: Images, group: list, counter: NodeBudget
+    adj: tuple[int, ...], cand: int, images: Images, group: list, counter: NodeBudget
 ) -> int:
     """Phase 1: the optimum over the sets through vertex 0 (label n - 1),
-    branching on the orbits of `group`, automorphisms of the graph that fix
-    it (as `images` reads them).
+    whose other vertices lie in the candidates `cand`, branching on the
+    orbits of `group`, automorphisms of the graph that fix vertex 0 and map
+    `cand` onto itself (as `images` reads them).
 
     A frame (cand, size, group, cliques, i) has `size` chosen vertices, and
     `group` maps its candidates onto themselves; `cliques is None` until the
     frame is expanded, and then it branches next in clique i of its cover.
     """
-    adj, n = graph.adjacency, graph.n
     best = 0
-    stack = [(((1 << n - 1) - 1) & ~adj[n - 1], 1, group, None, 0)]
+    stack = [(cand, 1, group, None, 0)]
     while stack:
         cand, size, group, cliques, i = stack.pop()
         if cliques is None:
             counter.spend()
-            cliques, free = _greedy_clique_cover(cand, adj)
+            cliques, free = clique_cover(cand, adj)
             cand ^= free
             size += free.bit_count()
             if not cand:
@@ -208,19 +180,6 @@ def _prove_optimum(
         stack.append((cand & ~orb, size, group, cliques, i))
         stack.append(((cand & ~adj[v]) ^ (1 << v), size + 1, stabiliser, None, 0))
     return best
-
-
-def _short_of(adj: tuple[int, ...], k: int) -> Cut:
-    """The phase 2 cut: drop a node when the chosen set plus a clique cover
-    of the candidates falls short of k, else hand back the isolated
-    candidates.  At a leaf it keeps exactly the sets of size k."""
-
-    def cut(chosen: int, cand: int) -> int | None:
-        cliques, free = _greedy_clique_cover(cand, adj)
-        short = chosen.bit_count() + len(cliques) + free.bit_count() < k
-        return None if short else free
-
-    return cut
 
 
 def max_packing(
@@ -246,14 +205,17 @@ def max_packing(
     # root candidates onto themselves
     group = _point_group(q)
     images = _coset_images(q)
-    # Phase 1: the optimum value, by orbits of the point group.
-    optimum = _prove_optimum(graph, images, group, counter)
-    # Phase 2: the optima through vertex 0 (label n - 1) up to the point
-    # group (module docstring), least first.
+    # both phases search the sets through vertex 0 (label n - 1)
     root_cand = ((1 << n - 1) - 1) & ~adj[n - 1]
-    optima = include_first(
-        adj, 1 << n - 1, root_cand, _short_of(adj, optimum), counter, images, group
-    )
+    # Phase 1: the optimum value, by orbits of the point group.
+    optimum = _prove_optimum(adj, root_cand, images, group, counter)
+
+    # Phase 2: the optima up to the point group (module docstring), least
+    # first; a node whose chosen set cannot reach the optimum is dropped.
+    def short(chosen: int, cand: int, bound: int) -> bool:
+        return chosen.bit_count() + bound < optimum
+
+    optima = include_first(adj, 1 << n - 1, root_cand, short, counter, images, group)
     first = next(optima, None)
     if first is None:
         raise AssertionError("optimum proven but no witness enumerated")

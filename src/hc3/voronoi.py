@@ -28,9 +28,9 @@ triangulation of the facet cycles, summed in integers over a common
 denominator.
 
 The minimal-cell search runs ``search.include_first``, under the identity
-group, over the admissible neighbourhoods of the origin in a ball; it cuts a
-node whose chosen and candidate points leave a cell no smaller than the
-best, and a leaf reuses it.
+group, over the admissible neighbourhoods of the origin in a ball; it drops
+a node whose chosen and candidate points leave a cell no smaller than the
+best, and a leaf reuses that cell.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .lattice import (
     sq_norm,
     sub,
 )
-from .search import BudgetExhaustedError, NodeBudget, include_first, isolated, members
+from .search import BudgetExhaustedError, NodeBudget, include_first, members
 
 __all__ = [
     "RationalPolytope",
@@ -374,19 +374,17 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
     uncertified = False
     poly = vol = None
 
-    def cut(chosen: int, cand: int) -> int | None:
+    def drop(chosen: int, cand: int, bound: int) -> bool:
         # the cell of chosen | cand bounds the leaves below; a leaf reuses it
         nonlocal poly, vol
         poly = _cut_cell((0, 0, 0), radius, members(pairs, chosen | cand))
         vol = poly.volume()
-        if best_volume is not None and vol >= best_volume:
-            return None
-        return isolated(cand, conflict)
+        return best_volume is not None and vol >= best_volume
 
     completed = True
     try:
         for chosen, _ in include_first(
-            conflict, 0, (1 << len(cands)) - 1, cut, budget, lambda v, _: (v,), [0]
+            conflict, 0, (1 << len(cands)) - 1, drop, budget, lambda v, _: (v,), [0]
         ):
             if poly.inside((0, 0, 0), radius):
                 best_volume, best_mask = vol, chosen

@@ -1,5 +1,6 @@
 """The shared search pieces: the include-first enumerator against brute
-force, the node budget, and search depth beyond the recursion limit."""
+force, its node bound and isolated candidates against reference scans, the
+node budget, and search depth beyond the recursion limit."""
 
 import sys
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hc3.lattice import quotient
-from hc3.search import BudgetExhaustedError, NodeBudget, include_first, isolated, orbit
+from hc3.search import BudgetExhaustedError, NodeBudget, include_first, orbit
 from hc3.solver import max_packing
 from hc3.voronoi import min_cell_search
 
@@ -43,9 +44,32 @@ def brute_force_maximal_sets(adj):
     return out
 
 
-def never(adj):
-    """The cut that drops no node: it hands back the isolated candidates."""
-    return lambda chosen, cand: isolated(cand, adj)
+def isolated(cand, adj):
+    """Reference scan: the mask of the candidates with no remaining
+    conflict."""
+    found, m = 0, cand
+    while m:
+        low = m & -m
+        m ^= low
+        if not adj[low.bit_length() - 1] & cand:
+            found |= low
+    return found
+
+
+def max_independent_size(cand, adj):
+    """The size of the largest independent subset of the candidates, from a
+    scan of all their subsets."""
+    best, sub = 0, cand
+    while sub:
+        if sub.bit_count() > best and not any(adj[v] & sub for v in indices(sub)):
+            best = sub.bit_count()
+        sub = (sub - 1) & cand
+    return best
+
+
+def never(chosen, cand, bound):
+    """The drop that drops no node."""
+    return False
 
 
 def indices(mask):
@@ -67,7 +91,7 @@ def identity(v, group):
 def test_include_first_matches_bruteforce(adj, data):
     n = len(adj)
     budget = NodeBudget(None)
-    pairs = list(include_first(adj, 0, (1 << n) - 1, never(adj), budget, identity, [0]))
+    pairs = list(include_first(adj, 0, (1 << n) - 1, never, budget, identity, [0]))
     # under the identity group every leaf has multiplicity 1
     assert all(mult == 1 for _, mult in pairs)
     leaves = [mask for mask, _ in pairs]
@@ -82,13 +106,39 @@ def test_include_first_matches_bruteforce(adj, data):
     # a budget below the full search stops it after exactly that many nodes
     limit = data.draw(st.integers(0, budget.nodes))
     stopped = NodeBudget(limit)
-    search = include_first(adj, 0, (1 << n) - 1, never(adj), stopped, identity, [0])
+    search = include_first(adj, 0, (1 << n) - 1, never, stopped, identity, [0])
     if limit < budget.nodes:
         with pytest.raises(BudgetExhaustedError):
             list(search)
     else:
         assert list(search) == pairs
     assert stopped.nodes == limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=10), st.data())
+def test_include_first_bound_and_isolated_candidates(adj, data):
+    # at every node the bound is at least the MIS size of the candidates,
+    # and exactly the reference scan's isolated candidates move into the
+    # chosen set: the include child, which runs next, or the leaf carries them
+    n = len(adj)
+    expected = []
+
+    def drop(chosen, cand, bound):
+        if expected:
+            assert chosen == expected.pop()
+        assert bound >= max_independent_size(cand, adj)
+        if data.draw(st.booleans()):
+            return True
+        free = isolated(cand, adj)
+        top = 1 << (cand ^ free).bit_length() >> 1  # 0 if no candidate is left
+        expected.append(chosen | free | top)
+        return False
+
+    budget = NodeBudget(None)
+    for mask, _ in include_first(adj, 0, (1 << n) - 1, drop, budget, identity, [0]):
+        assert mask == expected.pop()
+    assert not expected
 
 
 def rotations(v, group):
@@ -114,12 +164,12 @@ def test_rotations_of_a_cycle_weight_each_maximal_set():
     # orbital leaves add up to their number, and the first leaf is the same
     adj = tuple((1 << (v + 1) % 6) | (1 << (v - 1) % 6) for v in range(6))
 
-    def not_maximal(chosen, cand):
+    def not_maximal(chosen, cand, bound):
         free = isolated(cand, adj)
         blocked = chosen | free
         for v in indices(blocked):
             blocked |= adj[v]
-        return None if cand == free and blocked != 63 else free
+        return cand == free and blocked != 63
 
     def leaves(budget, images, group):
         return list(include_first(adj, 0, 63, not_maximal, budget, images, group))

@@ -18,16 +18,9 @@ from hc3.lattice import (
     sub,
     symmetry_group,
 )
-from hc3.search import BudgetExhaustedError, NodeBudget, include_first, isolated
-from hc3.solver import (
-    _coset_images,
-    _greedy_clique_cover,
-    _point_group,
-    _prove_optimum,
-    _short_of,
-    max_packing,
-)
-from test_search import graphs, indices
+from hc3.search import BudgetExhaustedError, NodeBudget, clique_cover, include_first
+from hc3.solver import _coset_images, _point_group, _prove_optimum, max_packing
+from test_search import graphs, indices, isolated
 
 DIAG2 = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
 DIAG4 = ((4, 0, 0), (0, 4, 0), (0, 0, 4))
@@ -159,15 +152,21 @@ def _root(graph):
 def _phase1(graph, ops):
     counter = NodeBudget(None)
     images = _coset_images(graph.quotient)
-    return _prove_optimum(graph, images, ops, counter), counter.nodes
+    optimum = _prove_optimum(graph.adjacency, _root(graph), images, ops, counter)
+    return optimum, counter.nodes
 
 
-def _stream(graph, ops, k, budget):
-    """Phase 2's weighted stream of the optima through vertex 0 (label
-    n - 1), branching on the orbits of `ops`."""
+def short_of(k):
+    """Phase 2's drop: the chosen set plus the bound falls short of k."""
+    return lambda chosen, cand, bound: chosen.bit_count() + bound < k
+
+
+def _stream(graph, ops, drop, budget):
+    """Phase 2's weighted stream of the sets through vertex 0 (label n - 1)
+    that `drop` keeps, branching on the orbits of `ops`."""
     adj, top = graph.adjacency, 1 << graph.n - 1
     images = _coset_images(graph.quotient)
-    return include_first(adj, top, _root(graph), _short_of(adj, k), budget, images, ops)
+    return include_first(adj, top, _root(graph), drop, budget, images, ops)
 
 
 @given(st.tuples(*[st.integers(-50, 50)] * 3))
@@ -253,10 +252,10 @@ def test_phase1_optimum_matches_phase2_search(case):
     k = _phase1(graph, _point_group(q))[0]
 
     def optima(target):
-        return _stream(graph, [IDENTITY_OP], target, NodeBudget(None))
+        return _stream(graph, [IDENTITY_OP], short_of(target), NodeBudget(None))
 
     assert next(optima(k), None) is not None
-    cliques, free = _greedy_clique_cover(_root(graph), adj)
+    cliques, free = clique_cover(_root(graph), adj)
     bound = 1 + len(cliques) + free.bit_count()
     for target in range(k + 1, bound + 1):
         assert next(optima(target), None) is None
@@ -312,10 +311,10 @@ def test_orbital_stream_matches_plain_stream(case):
     # ((3,0,0),(2,1,0),(2,0,21)) at d2=2 have 699,051 optima through vertex
     # 0, which it cannot list in test time
     try:
-        plain = list(_stream(graph, [IDENTITY_OP], k, NodeBudget(20_000)))
+        plain = list(_stream(graph, [IDENTITY_OP], short_of(k), NodeBudget(20_000)))
     except BudgetExhaustedError:
         assume(False)
-    orbital = list(_stream(graph, _point_group(q), k, NodeBudget(None)))
+    orbital = list(_stream(graph, _point_group(q), short_of(k), NodeBudget(None)))
     assert orbital[0][0] == plain[0][0]
     assert all(mult == 1 for _, mult in plain)
     assert sum(mult for _, mult in orbital) == len(plain)
@@ -337,7 +336,7 @@ def test_phase2_orbital_branching_cuts_nodes():
     nodes = {}
     for name, ops in (("point group", _point_group(q)), ("identity", [IDENTITY_OP])):
         budget = NodeBudget(None)
-        for _ in _stream(graph, ops, k, budget):
+        for _ in _stream(graph, ops, short_of(k), budget):
             pass
         nodes[name] = budget.nodes
     assert 4 * nodes["point group"] <= nodes["identity"]
@@ -380,7 +379,7 @@ def candidates(data, adj):
 @given(st.sampled_from(COVER_GRAPHS), st.data())
 def test_clique_cover_matches_list_scan(adj, data):
     cand = candidates(data, adj)
-    cliques, free = _greedy_clique_cover(cand, adj)
+    cliques, free = clique_cover(cand, adj)
     # the scan's cover of all the candidates is the cliques, in order, with
     # the isolated candidates as singletons among them
     cover = list_scan_clique_cover(cand, adj)
@@ -395,45 +394,41 @@ def test_clique_cover_hands_back_the_isolated_candidates(adj, data):
     # its own in the greedy cover, so the cover of the candidates is the
     # cover without them plus one singleton each
     cand = candidates(data, adj)
-    cliques, free = _greedy_clique_cover(cand, adj)
+    cliques, free = clique_cover(cand, adj)
     assert free == isolated(cand, adj)
     assert cliques == list_scan_clique_cover(cand & ~free, adj)
 
 
-def reference_short_of(adj, k):
-    """Phase 2's cut as a scan for the isolated candidates followed by the
-    cover of the rest: the chosen set with them plus that cover falls short
-    of k."""
+def checked_short_of(adj, k):
+    """Phase 2's drop, checking that the bound it is given is the isolated
+    candidates of a reference scan plus the list-scan cover of the rest."""
 
-    def cut(chosen, cand):
+    def drop(chosen, cand, bound):
         free = isolated(cand, adj)
-        size = (chosen | free).bit_count()
-        if size + len(list_scan_clique_cover(cand & ~free, adj)) < k:
-            return None
-        return free
+        rest = cand & ~free
+        assert bound == free.bit_count() + len(list_scan_clique_cover(rest, adj))
+        return chosen.bit_count() + bound < k
 
-    return cut
+    return drop
 
 
 @settings(max_examples=100, deadline=None)
 @given(periods_and_d2())
 @example((((4, 0, 0), (0, 4, 0), (0, 0, 5)), 5))
 def test_short_of_matches_isolated_then_cover(case):
-    # one cover per node keeps the leaves, their multiplicities and the node
-    # count of the count stream under the point group
+    # every node of the count stream under the point group is bounded by
+    # its isolated candidates plus the list-scan cover of the rest, and the
+    # stream cut by that bound spends the solver's nodes and gives its count
     period, d2 = case
     q = quotient(period)
     graph = build_exclusion_graph(q, d2)
-    adj = graph.adjacency
     ops = _point_group(q)
-    k = _phase1(graph, ops)[0]
-    root, top, images = _root(graph), 1 << graph.n - 1, _coset_images(q)
-    runs = []
-    for cut in (_short_of(adj, k), reference_short_of(adj, k)):
-        budget = NodeBudget(None)
-        leaves = list(include_first(adj, top, root, cut, budget, images, ops))
-        runs.append((leaves, budget.nodes))
-    assert runs[0] == runs[1]
+    k, phase1_nodes = _phase1(graph, ops)
+    budget = NodeBudget(None)
+    leaves = list(_stream(graph, ops, checked_short_of(graph.adjacency, k), budget))
+    got = max_packing(q, d2, count=True)
+    assert graph.n * sum(mult for _, mult in leaves) == got.count * k
+    assert phase1_nodes + budget.nodes == got.nodes
 
 
 def test_density_cardinality_table_small():

@@ -202,23 +202,25 @@ def test_voronoi_requires_occupied_site():
         voronoi_cell(c, (1, 0, 0))
 
 
-def test_min_cell_search_rediscovers_fcc():
-    result = min_cell_search(2, 3, node_budget=50_000)
+@pytest.mark.parametrize("radius,nodes", [(3, 69), (4, 109)], ids=["r=3", "r=4"])
+def test_min_cell_search_rediscovers_fcc(radius, nodes):
+    result = min_cell_search(2, radius, node_budget=50_000)
     assert result.completed
     assert result.certified
     assert result.volume == 2
-    assert result.nodes == 69
+    assert result.nodes == nodes
     # the witness neighborhood contains the full first FCC shell
     shell = {v for v in result.neighborhood if sum(x * x for x in v) == 2}
     assert len(shell) == 12
 
 
-def test_min_cell_search_rediscovers_bcc():
-    result = min_cell_search(3, 3, node_budget=50_000)
+@pytest.mark.parametrize("radius,nodes", [(3, 29), (4, 53)], ids=["r=3", "r=4"])
+def test_min_cell_search_rediscovers_bcc(radius, nodes):
+    result = min_cell_search(3, radius, node_budget=50_000)
     assert result.completed
     assert result.certified
     assert result.volume == 4
-    assert result.nodes == 29
+    assert result.nodes == nodes
 
 
 def test_min_cell_search_partial_flag():

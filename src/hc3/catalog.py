@@ -16,6 +16,13 @@ layer, line or mesh is a coset of the lattice spanned by its generators
 and the domain's ``period`` (empty on a window), built once with
 ``lattice_from_generators`` and tested with ``in_lattice``; planes n.x = v
 are equal modulo gcd(n.p over the periods p), which is 0 on a window.
+
+One rule states which sites a stacking word's layers hold: ``_stack``, the
+periodic stack on a torus whose period the word closes on, or the layers
+0..len(word) clipped to a window.  ``build_layered`` returns it, and
+``classify_stacking`` reads a word off the least site of each layer and
+accepts the configuration iff, moved so that its first anchor is the
+origin, it is that word's stack.
 """
 
 from __future__ import annotations
@@ -112,12 +119,16 @@ _SUBLATTICES: dict[tuple[int, str], Basis] = {
 }
 
 
-def _least_names(table) -> dict[int, str]:
-    """The default variant or family per d2: the least name stored for it."""
-    return {d2: min(n for d, n in table if d == d2) for d2, _ in table}
-
-
-_DEFAULT_VARIANT = _least_names(_SUBLATTICES)
+def _entry(table, d2: int, name: str | None, kind: str, label: str):
+    """The table's entry for (d2, name), where name None picks the least
+    name stored for d2: a sublattice variant or a layer family."""
+    names = [n for d, n in table if d == d2]
+    if not names:
+        raise UnknownCatalogEntryError(f"no {kind} for d2={d2}")
+    key = (d2, min(names) if name is None else name)
+    if key not in table:
+        raise UnknownCatalogEntryError(f"unknown {label} {name!r} for d2={d2}")
+    return table[key]
 
 
 def known_sublattice(d2: int, variant: str | None = None) -> Basis:
@@ -125,12 +136,7 @@ def known_sublattice(d2: int, variant: str | None = None) -> Basis:
 
     Variants: "I"/"II" for d2=6, "1"/"2" for d2=9 and d2=10.
     """
-    if d2 not in _DEFAULT_VARIANT:
-        raise UnknownCatalogEntryError(f"no catalog sublattice for d2={d2}")
-    key = (d2, variant if variant is not None else _DEFAULT_VARIANT[d2])
-    if key not in _SUBLATTICES:
-        raise UnknownCatalogEntryError(f"unknown variant {variant!r} for d2={d2}")
-    return _SUBLATTICES[key]
+    return _entry(_SUBLATTICES, d2, variant, "catalog sublattice", "variant")
 
 
 def known_sublattice_keys() -> list[tuple[int, str]]:
@@ -184,6 +190,11 @@ class LayerFamily:
     plane_step: int
     steps: dict[str, Site]
 
+    def __post_init__(self):
+        for vec in self.steps.values():
+            if dot(vec, self.normal) != self.plane_step:
+                raise ValueError(f"bad step table for d2={self.d2} family {self.name}")
+
     @property
     def normal(self) -> Site:
         return self.mesh.normal
@@ -193,52 +204,43 @@ class LayerFamily:
         return "".join(sorted(self.steps))
 
 
-_FAMILIES: dict[tuple[int, str], LayerFamily] = {}
-
-
-def _register_family(d2, name, mesh, plane_step, steps):
-    fam = LayerFamily(d2, name, mesh, plane_step, steps)
-    for vec in steps.values():
-        if dot(vec, mesh.normal) != plane_step:
-            raise AssertionError(f"bad step table for d2={d2} family {name}")
-    _FAMILIES[(d2, name)] = fam
-
-
-_register_family(2, "main", known_mesh("triangular-2"), 2, {"S": (1, 1, 0)})
-_register_family(3, "main", known_mesh("square-4"), 1, {"S": (1, 1, 1)})
-_register_family(
-    5, "main", known_mesh("triangular-6"), 3, {"S": (2, 1, 0), "T": (0, 1, 2)}
-)
-_register_family(
-    6,
-    "I",
-    known_mesh("triangular-6"),
-    4,
-    {"S": (2, 1, 1), "T": (1, 2, 1), "U": (1, 1, 2)},
-)
-_register_family(
-    6,
-    "II",
-    known_mesh("rhombic-8-16"),
-    3,
-    {"S": (2, -1, 1), "T": (1, -2, 1)},
-)
-_register_family(9, "1", known_mesh("square-10", "1"), 2, {"S": (2, 1, 2)})
-_register_family(9, "2", known_mesh("square-10", "2"), 2, {"S": (2, 1, -2)})
-
-_DEFAULT_FAMILY = _least_names(_FAMILIES)
+_FAMILIES: dict[tuple[int, str], LayerFamily] = {
+    (f.d2, f.name): f
+    for f in (
+        LayerFamily(2, "main", known_mesh("triangular-2"), 2, {"S": (1, 1, 0)}),
+        LayerFamily(3, "main", known_mesh("square-4"), 1, {"S": (1, 1, 1)}),
+        LayerFamily(
+            5, "main", known_mesh("triangular-6"), 3, {"S": (2, 1, 0), "T": (0, 1, 2)}
+        ),
+        LayerFamily(
+            6,
+            "I",
+            known_mesh("triangular-6"),
+            4,
+            {"S": (2, 1, 1), "T": (1, 2, 1), "U": (1, 1, 2)},
+        ),
+        LayerFamily(
+            6,
+            "II",
+            known_mesh("rhombic-8-16"),
+            3,
+            {"S": (2, -1, 1), "T": (1, -2, 1)},
+        ),
+        LayerFamily(9, "1", known_mesh("square-10", "1"), 2, {"S": (2, 1, 2)}),
+        LayerFamily(9, "2", known_mesh("square-10", "2"), 2, {"S": (2, 1, -2)}),
+    )
+}
 
 
 def layer_family(d2: int, family: str | None = None) -> LayerFamily:
-    if d2 not in _DEFAULT_FAMILY:
-        raise UnknownCatalogEntryError(f"no layered family for d2={d2}")
-    key = (d2, family if family is not None else _DEFAULT_FAMILY[d2])
-    if key not in _FAMILIES:
-        raise UnknownCatalogEntryError(f"unknown family {family!r} for d2={d2}")
-    return _FAMILIES[key]
+    return _entry(_FAMILIES, d2, family, "layered family", "family")
 
 
-def _word_offsets(fam: LayerFamily, word: str) -> list[Site]:
+def _closure(fam: LayerFamily, word: str) -> tuple[list[Site], tuple[Site, ...]]:
+    """The word's layer offsets (offsets[k] is the sum of its first k steps)
+    and its closure: the lattice spanned by the layer mesh and the total
+    offset.  Layer k of the periodic stack is offsets[k mod len(word)] plus
+    the closure, cut by its plane."""
     if not word:
         raise ValueError("stacking word must be nonempty")
     offsets = [(0, 0, 0)]
@@ -249,15 +251,33 @@ def _word_offsets(fam: LayerFamily, word: str) -> list[Site]:
                 f" of d2={fam.d2} family {fam.name}"
             )
         offsets.append(add(offsets[-1], fam.steps[letter]))
-    return offsets
+    return offsets, lattice_from_generators([*fam.mesh.generators, offsets[-1]])
+
+
+def _stack(fam: LayerFamily, word: str, on: Quotient | Window) -> frozenset[Site]:
+    """The sites of ``on`` that the word's layers hold: the periodic stack on
+    a quotient, whose period the closure must contain, and the layers
+    0..len(word) clipped to the box on a window."""
+    offsets, closure = _closure(fam, word)
+    for p in on.period:
+        if not in_lattice(closure, p):
+            raise WordClosureError(f"word {word!r} does not close on period {on.period}")
+    n, h, length = fam.normal, fam.plane_step, len(word)
+
+    def member(x: Site) -> bool:
+        p = dot(n, x)
+        return p % h == 0 and in_lattice(closure, sub(x, offsets[p // h % length]))
+
+    sites = on.sites()
+    if not on.period:  # a window holds the layers 0..len(word) only
+        sites = [x for x in sites if 0 <= dot(n, x) <= h * length]
+    return frozenset(filter(member, sites))
 
 
 def layered_quotient(d2: int, word: str, family: str | None = None) -> Quotient:
     """The natural period of the layered configuration with this word:
     the lattice spanned by the layer mesh and the total word offset."""
-    fam = layer_family(d2, family)
-    offsets = _word_offsets(fam, word)
-    return Quotient(lattice_from_generators([*fam.mesh.generators, offsets[-1]]))
+    return Quotient(_closure(layer_family(d2, family), word)[1])
 
 
 def build_layered(
@@ -273,33 +293,9 @@ def build_layered(
     ``on=None`` the natural quotient of the word is used.  On a window the
     word produces len(word)+1 stacked layers clipped to the box.
     """
-    fam = layer_family(d2, family)
-    offsets = _word_offsets(fam, word)
-    n = fam.normal
-    h = fam.plane_step
-    length = len(word)
-
-    # the layer mesh plus the total word offset: layer k of the periodic
-    # stack is offsets[k mod len(word)] + closure, cut by its plane
-    closure = lattice_from_generators([*fam.mesh.generators, offsets[-1]])
     if on is None:
-        on = Quotient(closure)
-    for p in on.period:
-        if not in_lattice(closure, p):
-            raise WordClosureError(
-                f"word {word!r} does not close on period {on.period}"
-            )
-
-    def member(x: Site) -> bool:
-        p = dot(n, x)
-        return p % h == 0 and in_lattice(closure, sub(x, offsets[p // h % length]))
-
-    sites = on.sites()
-    if not on.period:  # a window holds the layers 0..len(word) only
-        sites = [x for x in sites if 0 <= dot(n, x) <= h * length]
-    occupied = frozenset(filter(member, sites))
-
-    config = Configuration(on, d2, occupied)
+        on = layered_quotient(d2, word, family)
+    config = Configuration(on, d2, _stack(layer_family(d2, family), word, on))
     ok, pair = config.is_admissible()
     if not ok:
         raise AssertionError(f"layered build violated admissibility at {pair}")
@@ -309,9 +305,10 @@ def build_layered(
 def classify_stacking(c: Configuration, normal: Site) -> str:
     """Recover the stacking word of a layered configuration.
 
-    Inverse of build_layered for configurations anchored at the origin layer:
-    layers are identified as translates of the bottom layer and each step is
-    matched against the family's shift cosets.
+    Inverse of build_layered, up to translation: the least site of each
+    layer anchors it, each anchor step is matched against the family's shift
+    cosets, and the configuration, moved by minus the first anchor, must be
+    the stack that build_layered makes of the word on the moved domain.
     """
     fams = [f for (d, _), f in sorted(_FAMILIES.items()) if d == c.d2 and f.normal == normal]
     if not fams:
@@ -337,10 +334,10 @@ def _classify_with(c: Configuration, fam: LayerFamily) -> str:
     if g % h:
         raise NotLayeredError(f"period incompatible with plane step {h}")
 
-    def plane(x: Site) -> int:
-        return dot(n, x) % g if g else dot(n, x)
-
-    values = sorted({plane(x) for x in c.occupied})
+    least: dict[int, Site] = {}  # plane value -> the layer's anchor, its least site
+    for x in sorted(c.occupied):
+        least.setdefault(dot(n, x) % g if g else dot(n, x), x)
+    values = sorted(least)
     length = g // h if g else len(values) - 1
     if g and len(values) != length:
         raise NotLayeredError(
@@ -354,24 +351,8 @@ def _classify_with(c: Configuration, fam: LayerFamily) -> str:
     if values != [v0 + k * h for k in range(len(values))]:
         raise NotLayeredError(f"layer planes {values} are not spaced by {h}")
 
-    # each layer must be a full mesh translate (clipped by the window, when
-    # there is one), with the anchor any of its members
-    anchors = []
-    for v in values:
-        layer = {x for x in c.occupied if plane(x) == v}
-        anchor = min(layer)
-        footprint = {
-            x
-            for x in domain.sites()
-            if plane(x) == v and in_lattice(mesh, sub(x, anchor))
-        }
-        if layer != footprint:
-            raise NotLayeredError(
-                f"layer at plane value {v} is not a full mesh translate"
-            )
-        anchors.append(anchor)
-
-    word = []
+    anchors = [least[v] for v in values]
+    word = ""
     for k in range(length):
         a = anchors[k]
         b = anchors[(k + 1) % len(anchors)]
@@ -385,8 +366,20 @@ def _classify_with(c: Configuration, fam: LayerFamily) -> str:
             raise NotLayeredError(
                 f"step {step} matches {len(letters)} shift cosets"
             )
-        word.append(letters[0])
-    return "".join(word)
+        word += letters[0]
+
+    # the word names the sites iff, moved by -anchor, they are its stack
+    t = anchors[0]
+    moved = frozenset(domain.reduce(sub(x, t)) for x in c.occupied)
+    if isinstance(domain, Window):
+        domain = Window(sub(domain.lo, t), sub(domain.hi, t))
+    try:
+        stack = _stack(fam, word, domain)
+    except WordClosureError as exc:
+        raise NotLayeredError(str(exc)) from None
+    if moved != stack:
+        raise NotLayeredError(f"sites are not the stack of word {word!r}")
+    return word
 
 
 # --- mesh selectors and sliding-style shifts --------------------------------

@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt
+from typing import ClassVar
 
 from .search import members
 
@@ -425,6 +427,7 @@ def quotient(period: Basis) -> Quotient:
     return Quotient(period)
 
 
+@dataclass(frozen=True)
 class Window:
     """A finite box of Z^3 with free boundary, lo..hi inclusive per axis.
 
@@ -433,23 +436,13 @@ class Window:
     ``period`` is empty: a window identifies no translates.
     """
 
-    period: tuple[Site, ...] = ()
+    lo: Site
+    hi: Site
+    period: ClassVar[tuple[Site, ...]] = ()
 
-    def __init__(self, lo: Site, hi: Site):
-        if any(lo[i] > hi[i] for i in range(3)):
-            raise ValueError(f"empty window: lo={lo} hi={hi}")
-        self.lo = lo
-        self.hi = hi
-        self._sites: tuple[Site, ...] | None = None
-
-    def __repr__(self) -> str:
-        return f"Window(lo={self.lo}, hi={self.hi})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Window) and (self.lo, self.hi) == (other.lo, other.hi)
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
+    def __post_init__(self):
+        if any(self.lo[i] > self.hi[i] for i in range(3)):
+            raise ValueError(f"empty window: lo={self.lo} hi={self.hi}")
 
     @property
     def size(self) -> int:
@@ -468,13 +461,15 @@ class Window:
     def pair_sq_distance(self, a: Site, b: Site) -> int:
         return sq_norm(sub(a, b))
 
-    def sites(self) -> tuple[Site, ...]:
-        if self._sites is None:
-            self._sites = tuple(
-                itertools.product(
-                    range(self.lo[0], self.hi[0] + 1),
-                    range(self.lo[1], self.hi[1] + 1),
-                    range(self.lo[2], self.hi[2] + 1),
-                )
+    @cached_property
+    def _sites(self) -> tuple[Site, ...]:
+        return tuple(
+            itertools.product(
+                range(self.lo[0], self.hi[0] + 1),
+                range(self.lo[1], self.hi[1] + 1),
+                range(self.lo[2], self.hi[2] + 1),
             )
+        )
+
+    def sites(self) -> tuple[Site, ...]:
         return self._sites

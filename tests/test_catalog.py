@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from hc3.admissibility import Configuration
 from hc3.catalog import (
+    _FAMILIES,
     LineSelector,
     MeshSelector,
     MeshSpec,
@@ -16,12 +18,15 @@ from hc3.catalog import (
     PlaneSelector,
     SelectorEmptyError,
     UnknownCatalogEntryError,
+    WordClosureError,
     build_layered,
     classify_stacking,
     known_mesh,
     known_sublattice,
     layer_family,
+    layered_quotient,
     mesh_shift,
+    scaled_basis,
 )
 from hc3.lattice import (
     Window,
@@ -330,8 +335,6 @@ def test_classify_rejections(config, normal, prefix):
 
 def test_word_closure_on_quotient():
     # an ST word on the pure-sublattice period does not close
-    from hc3.catalog import WordClosureError
-
     q_s = quotient(known_sublattice(5))
     with pytest.raises(WordClosureError):
         build_layered(5, "ST", on=q_s)
@@ -472,10 +475,10 @@ _LAYERED_FAMILIES = [
 
 
 @st.composite
-def family_words(draw):
+def family_words(draw, max_size=6):
     d2, family = draw(st.sampled_from(_LAYERED_FAMILIES))
     alphabet = layer_family(d2, family).alphabet
-    word = draw(st.text(alphabet=alphabet, min_size=1, max_size=6))
+    word = draw(st.text(alphabet=alphabet, min_size=1, max_size=max_size))
     return d2, family, word
 
 
@@ -490,3 +493,136 @@ def test_build_classify_round_trip_every_family(case):
     for on in (None, Window((-r, -r, -r), (r, r, r))):
         c = build_layered(d2, word, on=on, family=family)
         assert classify_stacking(c, n) == word
+
+
+def footprint_classify(c, normal):
+    """Reference classifier: each layer must equal the footprint of its least
+    site's mesh coset (the span of the mesh and the period) among the
+    domain's sites in its plane, and each anchor step must match one shift
+    coset of the family."""
+    fams = [f for (d, _), f in sorted(_FAMILIES.items()) if d == c.d2 and f.normal == normal]
+    if not fams:
+        raise NotLayeredError(f"no layered family for d2={c.d2} with normal {normal}")
+    errors = []
+    for fam in fams:
+        try:
+            return _footprint_classify_with(c, fam)
+        except NotLayeredError as exc:
+            errors.append(str(exc))
+    raise NotLayeredError("; ".join(errors))
+
+
+def _footprint_classify_with(c, fam):
+    n, h = fam.normal, fam.plane_step
+    if not c.occupied:
+        raise NotLayeredError("empty configuration")
+    domain = c.domain
+    g = gcd(*(dot(n, p) for p in domain.period))
+    if g % h:
+        raise NotLayeredError(f"period incompatible with plane step {h}")
+
+    def plane(x):
+        return dot(n, x) % g if g else dot(n, x)
+
+    values = sorted({plane(x) for x in c.occupied})
+    length = g // h if g else len(values) - 1
+    if g and len(values) != length:
+        raise NotLayeredError(f"{len(values)} layers present, period demands {length}")
+    if length < 1:
+        raise NotLayeredError("fewer than two layers in window")
+    mesh = lattice_from_generators([*fam.mesh.generators, *domain.period])
+    if values != [values[0] + k * h for k in range(len(values))]:
+        raise NotLayeredError(f"layer planes {values} are not spaced by {h}")
+    anchors = []
+    for v in values:
+        layer = {x for x in c.occupied if plane(x) == v}
+        anchor = min(layer)
+        footprint = {
+            x for x in domain.sites() if plane(x) == v and in_lattice(mesh, sub(x, anchor))
+        }
+        if layer != footprint:
+            raise NotLayeredError(f"layer at plane value {v} is not a full mesh translate")
+        anchors.append(anchor)
+    word = ""
+    for k in range(length):
+        step = sub(anchors[(k + 1) % len(anchors)], anchors[k])
+        letters = [
+            letter
+            for letter, vec in sorted(fam.steps.items())
+            if in_lattice(mesh, sub(step, vec))
+        ]
+        if len(letters) != 1:
+            raise NotLayeredError(f"step {step} matches {len(letters)} shift cosets")
+        word += letters[0]
+    return word
+
+
+def _word_or_refusal(classify, c, normal):
+    try:
+        return classify(c, normal)
+    except NotLayeredError:
+        return NotLayeredError
+
+
+@st.composite
+def stacked_configurations(draw):
+    """A random word of a random family, built on its natural period, on
+    that period doubled (as the doubled word) or in a random window about
+    the origin, then translated, with one site dropped or added, or cut
+    to a random subset."""
+    d2, family, word = draw(family_words(max_size=4))
+    fam = layer_family(d2, family)
+    n = fam.normal
+    where = draw(st.sampled_from(["natural", "doubled", "window"]))
+    if where == "natural":
+        c = build_layered(d2, word, family=family)
+    elif where == "doubled":
+        q = quotient(scaled_basis(layered_quotient(d2, word, family).period, 2))
+        c = build_layered(d2, word * 2, on=q, family=family)
+    else:
+        r = -(-fam.plane_step * len(word) // sum(map(abs, n))) + 1
+        corner = st.tuples(*[st.integers(0, r)] * 3)
+        lo, hi = draw(corner), draw(corner)
+        c = build_layered(d2, word, on=Window(scale(-1, lo), hi), family=family)
+    sites = c.domain.sites()
+    change = draw(st.sampled_from(["translate", "drop", "add", "subset"]))
+    if change == "translate":
+        t = draw(st.tuples(*[st.integers(-3, 3)] * 3))
+        domain = c.domain
+        if isinstance(domain, Window):
+            domain = Window(add(domain.lo, t), add(domain.hi, t))
+        c = Configuration(domain, d2, frozenset(add(x, t) for x in c.occupied))
+    elif change == "drop" and c.occupied:
+        c = c.with_sites(c.occupied - {draw(st.sampled_from(sorted(c.occupied)))})
+    elif change == "add":
+        c = c.with_sites(c.occupied | {draw(st.sampled_from(sites))})
+    elif change == "subset":
+        c = c.with_sites(frozenset(draw(st.lists(st.sampled_from(sorted(c.occupied))))))
+    return c, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_configurations())
+def test_classify_matches_the_footprint_reference(case):
+    # the footprint reference and classify_stacking agree on every input
+    # here, admissible or not: these periods meet each layer plane in the
+    # layer mesh only, which is where the two rules coincide
+    c, n = case
+    assert _word_or_refusal(classify_stacking, c, n) == _word_or_refusal(
+        footprint_classify, c, n
+    )
+
+
+def test_classify_refuses_a_word_the_period_does_not_close():
+    # the period holds (0, 3, 0), an in-plane vector outside the square-4
+    # mesh, so the three sites of the line x = z = 0 fill their layer's
+    # footprint in the span of the mesh and the period; but the word S read
+    # off them does not close on this period (and the sites, at squared
+    # distance 1, are not admissible at d2 = 3)
+    q = quotient(((2, 0, 0), (0, 3, 0), (1, 1, 1)))
+    c = Configuration(q, 3, frozenset({(0, 0, 0), (0, 1, 0), (0, 2, 0)}))
+    assert footprint_classify(c, (0, 0, 1)) == "S"
+    with pytest.raises(NotLayeredError):
+        classify_stacking(c, (0, 0, 1))
+    with pytest.raises(WordClosureError):
+        build_layered(3, "S", on=q)

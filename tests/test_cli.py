@@ -252,6 +252,10 @@ def test_catalog_errors_print_the_bare_message():
     assert (r.returncode, r.stderr) == (2, "error: unknown variant 'X' for d2=6\n")
     r = run_cli("layered", "--d2", "7", "--word", "S")
     assert (r.returncode, r.stderr) == (2, "error: no layered family for d2=7\n")
+    r = run_cli("pc", "--d2", "7")
+    assert (r.returncode, r.stderr) == (2, "error: no catalog sublattice for d2=7\n")
+    r = run_cli("layered", "--d2", "5", "--family", "X", "--word", "S")
+    assert (r.returncode, r.stderr) == (2, "error: unknown family 'X' for d2=5\n")
 
 
 def test_verify_reports_and_exit_codes(tmp_path):

@@ -10,18 +10,20 @@ A quotient too small for d2 (some nonzero period vector shorter than the
 exclusion distance) is rejected at construction time: on such a torus a
 particle would conflict with its own periodic images.
 
-Every conflict test looks up the conflict offsets {v : 0 < |v|^2 < d2},
-one lattice ball, in a set or dict: the conflicting pairs and with them
-`is_admissible`, insertion candidates, the exclusion graph and
-`conflict_masks` (the conflict bitmasks of a list of points).  In a window
-no two sites are farther apart than its diagonal, so the ball there is
-clipped to the diagonal's squared length.
+Every conflict test rests on the conflict offsets {v : 0 < |v|^2 < d2},
+one lattice ball: the conflicting pairs and with them `is_admissible`,
+insertion candidates, the exclusion graph and `conflict_masks` (the
+conflict bitmasks of a list of points).  In a window no two sites are
+farther apart than its diagonal, so the ball there is clipped to the
+diagonal's squared length.
 
-The exclusion graph looks up the offsets for row 0 only: a torus is a
-group and u, v conflict exactly when u - v is an offset, so row a is row 0
-translated by a, a few shifts of its bitmask (`Quotient.translate`).  The
-first block of n/h0 rows is built so, h0 the first HNF diagonal entry, and
-each later block is the first one with its row bitmasks rotated
+On a torus the offsets are looked up for row 0 only, the cosets that
+conflict with coset 0: a torus is a group and u, v conflict exactly when
+u - v is an offset, so row a is row 0 translated by a, a few shifts of its
+bitmask (`Quotient.translate`).  The conflicting pairs translate row 0 by
+each occupied site and mask it with the occupied cosets.  The exclusion
+graph builds its first block of n/h0 rows so, h0 the first HNF diagonal
+entry, and each later block is the first one with its row bitmasks rotated
 (`build_exclusion_graph`).
 """
 
@@ -34,6 +36,7 @@ from functools import cache
 from itertools import chain, combinations
 
 from .lattice import UNIT_BASIS, Quotient, Site, Window, add, lattice_points
+from .search import members
 
 Domain = Quotient | Window
 
@@ -63,6 +66,13 @@ def offsets_closer_than(d2: int) -> tuple[Site, ...]:
     exactly when their difference is congruent to one of these offsets.
     Built once per d2 and shared by every caller."""
     return tuple(v for v in lattice_points(UNIT_BASIS, (0, 0, 0), d2 - 1) if any(v))
+
+
+def _offset_row(q: Quotient, d2: int) -> int:
+    """The mask of the cosets of the conflict offsets: the sites that
+    conflict with coset 0, row 0 of the exclusion graph."""
+    index_of = q.index_of
+    return sum(1 << j for j in {index_of(v) for v in offsets_closer_than(d2)})
 
 
 def conflict_masks(points: list[Site], d2: int) -> list[int]:
@@ -116,14 +126,24 @@ class Configuration:
 
     def conflicting_pairs(self) -> Iterator[tuple[Site, Site]]:
         """Every pair a < b of occupied sites closer than the exclusion
-        distance, in sorted order: b is the coset of a + v, v an offset."""
-        reduce = self.domain.reduce
-        occupied = self.occupied
+        distance, in sorted order.  On a torus the sites conflicting with a
+        are the offset row of coset 0 translated by a (``_offset_row``), and
+        the reps are in sorted order, so the partners b > a are the occupied
+        bits above a's index; in a window b is a + v, v an offset."""
+        w = self.domain
+        if isinstance(w, Quotient):
+            row0, reps = _offset_row(w, self.d2), w.reps
+            rest = sum(1 << w.index_of(a) for a in self.occupied)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                a = reps[low.bit_length() - 1]
+                yield from ((a, b) for b in members(reps, w.translate(row0, a) & rest))
+            return
         offsets = self.conflict_offsets()
         for a in self.sorted_sites():
-            x, y, z = a
-            near = {reduce((x + u, y + v, z + w)) for u, v, w in offsets}
-            yield from ((a, b) for b in sorted(near & occupied) if b > a)
+            near = {add(a, v) for v in offsets} & self.occupied
+            yield from ((a, b) for b in sorted(near) if b > a)
 
     def is_admissible(self) -> tuple[bool, tuple[Site, Site] | None]:
         """No conflicting pair; on failure also the first one in sorted
@@ -196,11 +216,9 @@ def build_exclusion_graph(q: Quotient, d2: int) -> ExclusionGraph:
     i + k*step is row i rotated left by k*step bits.
     """
     _check_period(q, d2)
-    index_of, translate = q.index_of, q.translate
-    row0 = sum(1 << j for j in {index_of(v) for v in offsets_closer_than(d2)})
-    n = q.index
+    row0, n = _offset_row(q, d2), q.index
     step = n // q.period[0][0]
-    block = [translate(row0, a) for a in q.reps[:step]]
+    block = [q.translate(row0, a) for a in q.reps[:step]]
     full = (1 << n) - 1
     adj = tuple(
         ((m << s) | (m >> (n - s))) & full for s in range(0, n, step) for m in block

@@ -8,21 +8,23 @@ candidates with no remaining conflict into the chosen set, and the cover
 finds them: such a candidate is always a clique of its own, so each node
 walks its candidates once.
 
-The optimum phase branches by the colour-class rule of MCQ/BBMC (Tomita &
-Seki 2003; San Segundo, Rodriguez-Losada & Jimenez 2011), with the cover's
-cliques in place of colour classes (a clique cover of the graph is a
-colouring of its complement).  A node takes the cliques from the last one
-down and branches on their vertices in turn, each child including one
-vertex, and stops once the cliques left could not beat the best set found.
-A set larger than `best` must take a vertex from a clique with index
->= best - size, so only those cliques are branched on, and the depth is at
-most the optimum.  A node is a frame on an explicit stack that pushes
-itself back, without the branched orbit, under its include child.  The
-witness/count phase runs ``search.include_first``, which branches on the
-lowest candidate (the highest label, below), include first, and drops a
-node whose chosen set plus the cover's bound falls short of the optimum:
-the reported witness is the lexicographically least optimal set under the
-fixed coset order.
+Phase 1 finds the optimum, and phase 2 the witness and, when asked, the
+count.  Phase 1 and the count both run ``search.colour_classes``, the
+colour-class rule of MCQ/BBMC (Tomita & Seki 2003; San Segundo,
+Rodriguez-Losada & Jimenez 2011), with the cover's cliques in place of
+colour classes (a clique cover of the graph is a colouring of its
+complement).  A node takes the cliques from the last one down and branches
+on their vertices in turn, each child including one vertex, and stops once
+the cliques left could not lift the chosen set above a floor.  A set larger
+than the floor must take a vertex from a clique with index >= floor - size,
+so only those cliques are branched on, and the depth is at most the
+optimum.  Phase 1 raises the floor to each set the loop finds, so its last
+set is an optimum; the count holds the floor at k - 1, k the optimum, and
+gets the optima.  The witness runs ``search.include_first``, which
+branches on the lowest candidate (the highest label, below), include
+first, and drops a node whose chosen set plus the cover's bound falls short
+of the optimum: the reported witness is its first set, the
+lexicographically least optimal set under the fixed coset order.
 
 Both phases search the reflected torus, label v for coset n - 1 - v: the
 box reflection r -> c - r, c = (d0 - 1, d1 - 1, d2 - 1), sends coset i to
@@ -35,14 +37,12 @@ bit in one call, where the lowest needs ``x & -x``, two new ints.
 
 Torus translations act transitively on the cosets, so both phases search
 only the sets that contain vertex 0.  The lexicographically least optimum
-contains vertex 0.  Phase 2 is one stream of optima through vertex 0 in
-lexicographic order: the witness is its first set, and a count is the
-weighted sum  sum_S w(S) / k  over all the optima through vertex 0, where k
-is the optimum and the sum must divide exactly.  With w = n it is the
-number of optima (each vertex lies in as many optima as vertex 0, so
-n * c0 = count * k).  With w(S) = |Stab(S)|, the number of translations
+contains vertex 0.  A count is the weighted sum  sum_S w(S) / k  over the
+optima through vertex 0, where the sum must divide exactly.  With w = n it
+is the number of optima (each vertex lies in as many optima as vertex 0,
+so n * c0 = count * k).  With w(S) = |Stab(S)|, the number of translations
 that map S onto itself (``Quotient.stabiliser`` on the bitmask of S, as the
-stream yields it), it is the number of translation orbits: an orbit whose
+count finds it), it is the number of translation orbits: an orbit whose
 stabiliser is T has n/|T| sets, meets vertex 0 in k/|T| of them, and so
 adds exactly k to the sum.
 
@@ -60,36 +60,42 @@ of ops, that maps its candidates onto themselves; the child that includes v
 takes the stabiliser of v, and the node then drops the whole orbit of v from
 its candidates and keeps the group.  Any optimum that meets the orbit has
 an image through v, so the optimum is the same as without symmetry, in far
-fewer nodes.  In phase 2 each optimum S of the stream comes with the
+fewer nodes.  In the count each optimum S the loop finds comes with the
 multiplicity  mult(S) = prod |O| / |S & O|  over the include edges on its
-path, O the orbit dropped after that edge, and a count is the exact sum
-sum_S w(S) * mult(S) / k: the group maps the optima through v onto the
-optima through each u of O, so the optima that meet O carry |O| times the
-weight of those through v, each divided by |S & O|.  Both weights are
-invariant under the group: w = n trivially, and w = |Stab(S)| because the
-point group normalises the translations.  The first optimum of the stream
-is still the lexicographically least: had it met a dropped orbit at u != v,
-its image through v under the node's group would agree with it below v and
-contain v, and so come first.  So a ``pack`` without a count runs the same
-stream and stops at its first set.
+path, O the orbit dropped after that edge (``search.multiplicity``), and a
+count is the exact sum  sum_S w(S) * mult(S) / k: the group maps the optima
+through v onto the optima through each u of O, so the optima that meet O
+carry |O| times the weight of those through v, each divided by |S & O|.
+Both weights are invariant under the group: w = n trivially, and w =
+|Stab(S)| because the point group normalises the translations.  The first
+set of the witness stream is still the lexicographically least optimum: had
+it met a dropped orbit at u != v, its image through v under the node's
+group would agree with it below v and contain v, and so come first.
 
-Determinism contract: each phase is one sequential depth-first loop over an
-explicit stack, so optimum, witness, count and the node count of each phase
-depend only on the input, and the depth (up to the optimum) is limited by
-memory only.  The search never returns an unproven optimum: exceeding the
-node budget (one ``search.NodeBudget`` for both phases) raises instead.
+Determinism contract: phase 1, the witness and the count are each one
+sequential depth-first loop over an explicit stack, so optimum, witness,
+count and the node count of each depend only on the input, and the depth
+(up to the optimum) is limited by memory only.  The search never returns an
+unproven optimum: exceeding the node budget (one ``search.NodeBudget`` for
+all three, whose nodes add up) raises instead.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable
 
 from .admissibility import Configuration, build_exclusion_graph
 from .lattice import Quotient, Site, SymmetryOp, symmetry_group
-from .search import Images, NodeBudget, clique_cover, include_first, members, orbit
+from .search import (
+    Images,
+    NodeBudget,
+    colour_classes,
+    include_first,
+    members,
+    multiplicity,
+)
 
 __all__ = ["PackingResult", "max_packing"]
 
@@ -149,36 +155,12 @@ def _prove_optimum(
     """Phase 1: the optimum over the sets through vertex 0 (label n - 1),
     whose other vertices lie in the candidates `cand`, branching on the
     orbits of `group`, automorphisms of the graph that fix vertex 0 and map
-    `cand` onto itself (as `images` reads them).
-
-    A frame (cand, size, group, cliques, i) has `size` chosen vertices, and
-    `group` maps its candidates onto themselves; `cliques is None` until the
-    frame is expanded, and then it branches next in clique i of its cover.
-    """
-    best = 0
-    stack = [(cand, 1, group, None, 0)]
-    while stack:
-        cand, size, group, cliques, i = stack.pop()
-        if cliques is None:
-            counter.spend()
-            cliques, free = clique_cover(cand, adj)
-            cand ^= free
-            size += free.bit_count()
-            if not cand:
-                best = max(best, size)
-                continue
-            i = len(cliques) - 1
-        # every vertex of cliques i+1.. has been branched on or dropped, so
-        # the candidates left lie in cliques 0..i and add at most i + 1
-        while i >= 0 and not cliques[i] & cand:
-            i -= 1
-        if i < 0 or size + i + 1 <= best:
-            continue
-        v = (cliques[i] & cand).bit_length() - 1
-        # include v under its stabiliser, then drop the whole orbit of v
-        stabiliser, orb = orbit(images, group, v)
-        stack.append((cand & ~orb, size, group, cliques, i))
-        stack.append(((cand & ~adj[v]) ^ (1 << v), size + 1, stabiliser, None, 0))
+    `cand` onto itself (as `images` reads them).  The colour-class loop
+    yields only sets larger than its floor, the best set found so far."""
+    best, root = 0, 1 << len(adj) - 1
+    leaves = colour_classes(adj, root, cand, lambda: best, counter, images, group)
+    for chosen, _ in leaves:
+        best = chosen.bit_count()
     return best
 
 
@@ -210,13 +192,15 @@ def max_packing(
     # Phase 1: the optimum value, by orbits of the point group.
     optimum = _prove_optimum(adj, root_cand, images, group, counter)
 
-    # Phase 2: the optima up to the point group (module docstring), least
-    # first; a node whose chosen set cannot reach the optimum is dropped.
+    # Phase 2: the least optimum is the first set of the include-first
+    # stream; a node whose chosen set cannot reach the optimum is dropped.
     def short(chosen: int, cand: int, bound: int) -> bool:
         return chosen.bit_count() + bound < optimum
 
-    optima = include_first(adj, 1 << n - 1, root_cand, short, counter, images, group)
-    first = next(optima, None)
+    root = 1 << n - 1
+    first = next(
+        include_first(adj, root, root_cand, short, counter, images, group), None
+    )
     if first is None:
         raise AssertionError("optimum proven but no witness enumerated")
     counted: int | None = None
@@ -228,11 +212,16 @@ def max_packing(
             # the reflection c - S of S has the stabiliser of S, negated
             return len(q.stabiliser(mask))
 
-        total = sum(weight(mask) * mult for mask, mult in chain([first], optima))
+        # the optima through vertex 0 up to the point group, by phase 1's
+        # loop held at the floor optimum - 1 (module docstring)
+        optima = colour_classes(
+            adj, root, root_cand, lambda: optimum - 1, counter, images, group
+        )
+        total = sum(weight(mask) * multiplicity(mask, path) for mask, path in optima)
         if total % optimum:
             raise AssertionError("the weighted sum of optima is not a multiple of k")
         counted = total // optimum
-    witness = Configuration(q, d2, frozenset(members(q.reps[::-1], first[0])))
+    witness = Configuration(q, d2, frozenset(members(q.reps[::-1], first)))
     return PackingResult(
         optimum=optimum,
         witness=witness,

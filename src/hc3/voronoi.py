@@ -383,7 +383,7 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
 
     completed = True
     try:
-        for chosen, _ in include_first(
+        for chosen in include_first(
             conflict, 0, (1 << len(cands)) - 1, drop, budget, lambda v, _: (v,), [0]
         ):
             if poly.inside((0, 0, 0), radius):

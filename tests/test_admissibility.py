@@ -1,6 +1,5 @@
 """Configurations, the exclusion constraint, and exclusion graphs."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,7 @@ from hc3.admissibility import (
 )
 from hc3.catalog import known_sublattice
 from hc3.lattice import Window, add, quotient, sq_norm, sub
-from test_lattice import sheared_periods
+from test_lattice import hnf_periods, sheared_periods
 from test_solver import periods_and_d2
 
 DIAG2 = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
@@ -143,14 +142,6 @@ def test_exclusion_graph_degrees_match_bruteforce(case):
         assert g.adjacency[i] == sum(1 << j for j in brute)
     # vertex transitivity: constant degree
     assert len({m.bit_count() for m in g.adjacency}) == 1
-
-
-def hnf_periods(max_index):
-    """Every HNF period ((d0,0,0), (a,d1,0), (b,c,d2)) of index <= max_index."""
-    for d0, d1, d2 in itertools.product(range(1, max_index + 1), repeat=3):
-        if d0 * d1 * d2 <= max_index:
-            for a, b, c in itertools.product(range(d0), range(d0), range(d1)):
-                yield ((d0, 0, 0), (a, d1, 0), (b, c, d2))
 
 
 def per_offset_graph(q, d2):
@@ -283,6 +274,24 @@ def test_conflicting_pairs_match_pairwise_oracle(c):
         if c.pair_sq_distance(a, b) < c.d2
     ]
     assert c.is_admissible() == pairwise_admissible(c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sheared_periods(), st.data())
+def test_torus_conflicting_pairs_match_pairwise_on_sheared_periods(period, data):
+    # the torus pairs come from one translated offset row per site, whose
+    # wraps all cross the shear here
+    q = quotient(period)
+    d2 = data.draw(st.integers(1, q.min_period_sq_norm()))
+    occupied = data.draw(st.sets(st.sampled_from(q.reps), max_size=16))
+    c = Configuration(q, d2, frozenset(occupied))
+    sites = c.sorted_sites()
+    assert list(c.conflicting_pairs()) == [
+        (a, b)
+        for i, a in enumerate(sites)
+        for b in sites[i + 1 :]
+        if q.pair_sq_distance(a, b) < d2
+    ]
 
 
 def test_window_admissibility_is_free_boundary():

@@ -211,6 +211,14 @@ def sheared_periods(draw, max_index=60):
     return ((d0, 0, 0), (a, d1, 0), (b, c, d2))
 
 
+def hnf_periods(max_index):
+    """Every HNF period ((d0,0,0), (a,d1,0), (b,c,d2)) of index <= max_index."""
+    for d0, d1, d2 in itertools.product(range(1, max_index + 1), repeat=3):
+        if d0 * d1 * d2 <= max_index:
+            for a, b, c in itertools.product(range(d0), range(d0), range(d1)):
+                yield ((d0, 0, 0), (a, d1, 0), (b, c, d2))
+
+
 far_sites = st.tuples(*[st.integers(-200, 200)] * 3)
 
 

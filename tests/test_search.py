@@ -1,6 +1,7 @@
-"""The shared search pieces: the include-first enumerator against brute
-force, its node bound and isolated candidates against reference scans, the
-node budget, and search depth beyond the recursion limit."""
+"""The shared search pieces: both enumerators against brute force, the
+include-first node bound and isolated candidates against reference scans,
+orbit multiplicities, the node budget, and search depth beyond the recursion
+limit."""
 
 import sys
 
@@ -9,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hc3.lattice import quotient
-from hc3.search import BudgetExhaustedError, NodeBudget, include_first, orbit
+from hc3.search import (
+    BudgetExhaustedError,
+    NodeBudget,
+    colour_classes,
+    include_first,
+    multiplicity,
+    orbit,
+)
 from hc3.solver import max_packing
 from hc3.voronoi import min_cell_search
 
@@ -91,10 +99,7 @@ def identity(v, group):
 def test_include_first_matches_bruteforce(adj, data):
     n = len(adj)
     budget = NodeBudget(None)
-    pairs = list(include_first(adj, 0, (1 << n) - 1, never, budget, identity, [0]))
-    # under the identity group every leaf has multiplicity 1
-    assert all(mult == 1 for _, mult in pairs)
-    leaves = [mask for mask, _ in pairs]
+    leaves = list(include_first(adj, 0, (1 << n) - 1, never, budget, identity, [0]))
     for mask in leaves:
         assert not any(mask >> v & 1 and adj[v] & mask for v in range(n))
     # highest candidate first: lexicographic order of the reflected sorted
@@ -111,7 +116,7 @@ def test_include_first_matches_bruteforce(adj, data):
         with pytest.raises(BudgetExhaustedError):
             list(search)
     else:
-        assert list(search) == pairs
+        assert list(search) == leaves
     assert stopped.nodes == limit
 
 
@@ -136,7 +141,7 @@ def test_include_first_bound_and_isolated_candidates(adj, data):
         return False
 
     budget = NodeBudget(None)
-    for mask, _ in include_first(adj, 0, (1 << n) - 1, drop, budget, identity, [0]):
+    for mask in include_first(adj, 0, (1 << n) - 1, drop, budget, identity, [0]):
         assert mask == expected.pop()
     assert not expected
 
@@ -158,10 +163,44 @@ def test_orbit_is_stabiliser_and_orbit_mask():
     assert asked == [[0, 3]]
 
 
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=10), st.data())
+def test_colour_classes_match_bruteforce(adj, data):
+    # under the identity, a floor that rises to each leaf finds the maximum
+    # size k, and the floor k - 1 yields every maximum set once, each with
+    # multiplicity 1
+    everything = (1 << len(adj)) - 1
+    k = max(map(int.bit_count, brute_force_maximal_sets(adj)))
+    best, budget = 0, NodeBudget(None)
+    rising = colour_classes(adj, 0, everything, lambda: best, budget, identity, [0])
+    for mask, _ in rising:
+        assert mask.bit_count() > best
+        best = mask.bit_count()
+    assert best == k
+    full = NodeBudget(None)
+    pairs = list(colour_classes(adj, 0, everything, lambda: k - 1, full, identity, [0]))
+    leaves = [mask for mask, _ in pairs]
+    assert len(set(leaves)) == len(leaves)
+    maximum = {m for m in brute_force_maximal_sets(adj) if m.bit_count() == k}
+    assert set(leaves) == maximum
+    assert all(multiplicity(mask, path) == 1 for mask, path in pairs)
+    # a budget below the full search stops it after exactly that many nodes
+    limit = data.draw(st.integers(0, full.nodes))
+    stopped = NodeBudget(limit)
+    search = colour_classes(adj, 0, everything, lambda: k - 1, stopped, identity, [0])
+    if limit < full.nodes:
+        with pytest.raises(BudgetExhaustedError):
+            list(search)
+    else:
+        assert list(search) == pairs
+    assert stopped.nodes == limit
+
+
 def test_rotations_of_a_cycle_weight_each_maximal_set():
-    # the 6-cycle under its rotations, cut to the maximal independent sets
-    # {0,2,4}, {1,3,5}, {0,3}, {1,4} and {2,5}: the multiplicities of the
-    # orbital leaves add up to their number, and the first leaf is the same
+    # the 6-cycle under its rotations: include_first cut to the maximal
+    # independent sets {0,2,4}, {1,3,5}, {0,3}, {1,4} and {2,5} keeps its
+    # first leaf, and the colour-class leaves of the maximum size 3 carry
+    # multiplicities that add up to the 2 maximum sets
     adj = tuple((1 << (v + 1) % 6) | (1 << (v - 1) % 6) for v in range(6))
 
     def not_maximal(chosen, cand, bound):
@@ -171,17 +210,25 @@ def test_rotations_of_a_cycle_weight_each_maximal_set():
             blocked |= adj[v]
         return cand == free and blocked != 63
 
-    def leaves(budget, images, group):
+    def leaves(images, group):
+        budget = NodeBudget(None)
         return list(include_first(adj, 0, 63, not_maximal, budget, images, group))
 
-    plain_budget, budget = NodeBudget(None), NodeBudget(None)
-    plain = leaves(plain_budget, identity, [0])
-    assert sorted(mask for mask, _ in plain) == brute_force_maximal_sets(adj)
-    assert len(plain) == 5
-    orbital = leaves(budget, rotations, list(range(6)))
+    plain = leaves(identity, [0])
+    assert sorted(plain) == brute_force_maximal_sets(adj)
     # the least in reflected order: {1, 3, 5} reflects to {0, 2, 4}
-    assert orbital[0][0] == plain[0][0] == 0b101010
-    assert sum(mult for _, mult in orbital) == 5
+    assert leaves(rotations, list(range(6)))[0] == plain[0] == 0b101010
+
+    def maximum(budget, images, group):
+        return list(colour_classes(adj, 0, 63, lambda: 2, budget, images, group))
+
+    plain_budget, budget = NodeBudget(None), NodeBudget(None)
+    assert sorted(mask for mask, _ in maximum(plain_budget, identity, [0])) == [
+        0b010101,
+        0b101010,
+    ]
+    orbital = maximum(budget, rotations, list(range(6)))
+    assert sum(multiplicity(mask, path) for mask, path in orbital) == 2
     assert budget.nodes < plain_budget.nodes
 
 

@@ -18,8 +18,17 @@ from hc3.lattice import (
     sub,
     symmetry_group,
 )
-from hc3.search import BudgetExhaustedError, NodeBudget, clique_cover, include_first
+from hc3.search import (
+    BudgetExhaustedError,
+    NodeBudget,
+    bit_rows,
+    clique_cover,
+    colour_classes,
+    include_first,
+    multiplicity,
+)
 from hc3.solver import _coset_images, _point_group, _prove_optimum, max_packing
+from test_lattice import hnf_periods
 from test_search import graphs, indices, isolated
 
 DIAG2 = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
@@ -162,11 +171,20 @@ def short_of(k):
 
 
 def _stream(graph, ops, drop, budget):
-    """Phase 2's weighted stream of the sets through vertex 0 (label n - 1)
-    that `drop` keeps, branching on the orbits of `ops`."""
+    """The include-first stream of the sets through vertex 0 (label n - 1)
+    that `drop` keeps, branching on the orbits of `ops`: the witness phase."""
     adj, top = graph.adjacency, 1 << graph.n - 1
     images = _coset_images(graph.quotient)
     return include_first(adj, top, _root(graph), drop, budget, images, ops)
+
+
+def _count_leaves(graph, ops, k, budget):
+    """The count phase: the colour-class leaves of size k through vertex 0,
+    branching on the orbits of `ops`, as (mask, multiplicity)."""
+    adj, top = graph.adjacency, 1 << graph.n - 1
+    images = _coset_images(graph.quotient)
+    leaves = colour_classes(adj, top, _root(graph), lambda: k - 1, budget, images, ops)
+    return [(mask, multiplicity(mask, path)) for mask, path in leaves]
 
 
 @given(st.tuples(*[st.integers(-50, 50)] * 3))
@@ -255,7 +273,7 @@ def test_phase1_optimum_matches_phase2_search(case):
         return _stream(graph, [IDENTITY_OP], short_of(target), NodeBudget(None))
 
     assert next(optima(k), None) is not None
-    cliques, free = clique_cover(_root(graph), adj)
+    cliques, free = clique_cover(_root(graph), bit_rows(adj))
     bound = 1 + len(cliques) + free.bit_count()
     for target in range(k + 1, bound + 1):
         assert next(optima(target), None) is None
@@ -267,11 +285,11 @@ def test_phase1_optimum_matches_phase2_search(case):
         (((5, 0, 0), (0, 5, 0), (0, 0, 5)), 3, None, 626),
         (((6, 0, 0), (0, 6, 0), (0, 0, 6)), 8, None, 985),
         (((5, 0, 0), (0, 5, 0), (0, 0, 5)), 5, None, 624),
-        (((4, 0, 0), (1, 4, 0), (2, 1, 5)), 5, 160, 327),
+        (((4, 0, 0), (1, 4, 0), (2, 1, 5)), 5, 160, 297),
         (((8, 0, 0), (0, 8, 0), (0, 0, 8)), 2, None, 384),
         (((6, 0, 0), (0, 6, 0), (0, 0, 6)), 6, None, 2017),
-        (((4, 0, 0), (0, 4, 0), (0, 0, 5)), 5, 14000, 493),
-        (((6, 0, 0), (0, 6, 0), (0, 0, 6)), 12, 23490, 76),
+        (((4, 0, 0), (0, 4, 0), (0, 0, 5)), 5, 14000, 260),
+        (((6, 0, 0), (0, 6, 0), (0, 0, 6)), 12, 23490, 57),
         (((8, 0, 0), (0, 8, 0), (0, 0, 8)), 8, None, 5438),
     ],
     # ids without the count, so that a re-pin keeps the test names
@@ -299,10 +317,11 @@ def test_orbital_branching_cuts_nodes():
 @example((((4, 0, 0), (0, 4, 0), (0, 0, 5)), 5))
 @example((((2, 0, 0), (0, 3, 0), (0, 0, 3)), 2))
 def test_orbital_stream_matches_plain_stream(case):
-    # branching phase 2 on point-group orbits keeps the first optimum and,
-    # through the leaf multiplicities, every weighted sum of a weight the
-    # point group leaves invariant: the number of cosets and the size of
-    # the translation stabiliser
+    # branching on point-group orbits keeps the first optimum of the
+    # include-first stream, and the colour-class count keeps, through the
+    # leaf multiplicities, every weighted sum of a weight the point group
+    # leaves invariant: the number of cosets and the size of the
+    # translation stabiliser
     period, d2 = case
     q = quotient(period)
     graph = build_exclusion_graph(q, d2)
@@ -314,30 +333,53 @@ def test_orbital_stream_matches_plain_stream(case):
         plain = list(_stream(graph, [IDENTITY_OP], short_of(k), NodeBudget(20_000)))
     except BudgetExhaustedError:
         assume(False)
-    orbital = list(_stream(graph, _point_group(q), short_of(k), NodeBudget(None)))
-    assert orbital[0][0] == plain[0][0]
-    assert all(mult == 1 for _, mult in plain)
-    assert sum(mult for _, mult in orbital) == len(plain)
+    orbital = _stream(graph, _point_group(q), short_of(k), NodeBudget(None))
+    assert next(orbital) == plain[0]
+    counted = _count_leaves(graph, _point_group(q), k, NodeBudget(None))
+    assert_count_matches(q, plain, counted)
+
+
+def assert_count_matches(q, plain, counted):
+    """The weighted colour-class leaves give the plain stream's number of
+    optima and its sum of translation stabiliser sizes."""
 
     def stabiliser(mask):
         return len(q.stabiliser(mask))
 
-    assert sum(stabiliser(m) * mult for m, mult in orbital) == sum(
-        stabiliser(m) for m, _ in plain
+    assert sum(mult for _, mult in counted) == len(plain)
+    assert sum(stabiliser(m) * mult for m, mult in counted) == sum(
+        stabiliser(m) for m in plain
     )
 
 
+def test_count_matches_plain_stream_on_small_periods():
+    # the colour-class count under the point group against the plain
+    # include-first stream, on every HNF period of index <= 16 at every
+    # admissible d2 up to 13
+    cases = 0
+    for period in hnf_periods(16):
+        q = quotient(period)
+        for d2 in range(1, min(13, q.min_period_sq_norm()) + 1):
+            graph = build_exclusion_graph(q, d2)
+            ops = _point_group(q)
+            k = _phase1(graph, ops)[0]
+            plain = list(_stream(graph, [IDENTITY_OP], short_of(k), NodeBudget(None)))
+            counted = _count_leaves(graph, ops, k, NodeBudget(None))
+            assert_count_matches(q, plain, counted)
+            cases += 1
+    assert cases > 1000
+
+
 def test_phase2_orbital_branching_cuts_nodes():
-    # a phase-2 point group that silently shrank to the identity would pass
-    # every correctness oracle; the node count of the count stream would not
+    # a count whose point group silently shrank to the identity would pass
+    # every correctness oracle; its node count would not
     q = quotient(((4, 0, 0), (0, 4, 0), (0, 0, 5)))
     graph = build_exclusion_graph(q, 5)
     k = _phase1(graph, _point_group(q))[0]
     nodes = {}
     for name, ops in (("point group", _point_group(q)), ("identity", [IDENTITY_OP])):
         budget = NodeBudget(None)
-        for _ in _stream(graph, ops, short_of(k), budget):
-            pass
+        _count_leaves(graph, ops, k, budget)
         nodes[name] = budget.nodes
     assert 4 * nodes["point group"] <= nodes["identity"]
 
@@ -379,7 +421,7 @@ def candidates(data, adj):
 @given(st.sampled_from(COVER_GRAPHS), st.data())
 def test_clique_cover_matches_list_scan(adj, data):
     cand = candidates(data, adj)
-    cliques, free = clique_cover(cand, adj)
+    cliques, free = clique_cover(cand, bit_rows(adj))
     # the scan's cover of all the candidates is the cliques, in order, with
     # the isolated candidates as singletons among them
     cover = list_scan_clique_cover(cand, adj)
@@ -394,7 +436,7 @@ def test_clique_cover_hands_back_the_isolated_candidates(adj, data):
     # its own in the greedy cover, so the cover of the candidates is the
     # cover without them plus one singleton each
     cand = candidates(data, adj)
-    cliques, free = clique_cover(cand, adj)
+    cliques, free = clique_cover(cand, bit_rows(adj))
     assert free == isolated(cand, adj)
     assert cliques == list_scan_clique_cover(cand & ~free, adj)
 
@@ -416,19 +458,21 @@ def checked_short_of(adj, k):
 @given(periods_and_d2())
 @example((((4, 0, 0), (0, 4, 0), (0, 0, 5)), 5))
 def test_short_of_matches_isolated_then_cover(case):
-    # every node of the count stream under the point group is bounded by
-    # its isolated candidates plus the list-scan cover of the rest, and the
-    # stream cut by that bound spends the solver's nodes and gives its count
+    # every node of the witness stream under the point group is bounded by
+    # its isolated candidates plus the list-scan cover of the rest; phase 1,
+    # the witness up to its first leaf and the count spend the solver's
+    # nodes, and the count's weighted leaves give its count
     period, d2 = case
     q = quotient(period)
     graph = build_exclusion_graph(q, d2)
     ops = _point_group(q)
     k, phase1_nodes = _phase1(graph, ops)
-    budget = NodeBudget(None)
-    leaves = list(_stream(graph, ops, checked_short_of(graph.adjacency, k), budget))
+    witness, count = NodeBudget(None), NodeBudget(None)
+    next(_stream(graph, ops, checked_short_of(graph.adjacency, k), witness))
+    leaves = _count_leaves(graph, ops, k, count)
     got = max_packing(q, d2, count=True)
     assert graph.n * sum(mult for _, mult in leaves) == got.count * k
-    assert phase1_nodes + budget.nodes == got.nodes
+    assert phase1_nodes + witness.nodes + count.nodes == got.nodes
 
 
 def test_density_cardinality_table_small():

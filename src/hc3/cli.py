@@ -311,6 +311,13 @@ def _cmd_excite(args) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_INPUT)
+    if candidates := len(c.insertion_candidates()):
+        print(
+            f"# warning: configuration not saturated ({candidates} insertion"
+            " candidates); every admissible insertion is listed as an excitation"
+            " of order <= 0",
+            file=sys.stderr,
+        )
     # every listed translation class occurs once per fundamental domain
     items = [
         {"order": e.order, "added": e.added, "removed": e.removed, "per_cell": 1}

@@ -16,12 +16,14 @@ beyond the cutoff can touch the cell.  ``voronoi_cell`` freezes the
 certified cell into Fraction vertices once; ``tessellation_check`` never
 does, and sums the cell volumes in integers.
 
-The cutter keeps one vertex-plane incidence table: the set of planes each
-vertex lies on.  A cut extends it for the vertices on the new plane and
-gives each new vertex the two or more planes its edge lies on; planes are
-never removed.  The facets are the planes with at least three vertices, and
-each facet cycle is walked from its least vertex to the neighbour on a
-second common plane, counterclockwise about the outward normal.
+The cutter keeps one vertex-plane incidence table: for each vertex, the
+bitmask of the planes it lies on (bit k for plane k).  A cut sets the new
+plane's bit on the vertices that lie on it and gives each new vertex the
+two or more planes its edge lies on (a mask c with c & (c - 1) nonzero);
+planes are never removed.  The facets are the planes with at least three
+vertices, and each facet cycle is walked from its least vertex to the
+neighbour on a second common plane, counterclockwise about the outward
+normal.
 
 Volumes are exact rationals obtained from an outward-oriented fan
 triangulation of the facet cycles, summed in integers over a common
@@ -29,8 +31,14 @@ denominator.
 
 The minimal-cell search runs ``search.include_first``, under the identity
 group, over the admissible neighbourhoods of the origin in a ball; it drops
-a node whose chosen and candidate points leave a cell no smaller than the
-best, and a leaf reuses that cell.
+a node whose chosen and candidate points S leave a cell no smaller than the
+best, and a leaf reuses that cell.  The cut cell is the cube cut by every
+bisector of S (the stop at twice the cell radius is exact), so a bisector
+that carries no facet is redundant: for every S' with F(S) <= S' <= S, F(S)
+the points whose planes carry a facet, the cell of S' is the cell of S.  A
+child's set lies inside its parent's, so the search keeps the cut cells of
+a chain of ancestors, each set inside the one before, and a node whose set
+holds the facet points of one of them takes that cell instead of cutting.
 """
 
 from __future__ import annotations
@@ -97,9 +105,10 @@ class _Poly:
     """Mutable vertex/half-space intersection used during cutting.
 
     Vertices are homogeneous integer 4-tuples (X, Y, Z, W), W > 0, gcd 1;
-    planes are (normal, offset) pairs, and tight[i] is the set of indices of
-    the planes that vertex i lies on.  Every stored plane supports the
-    polytope, so two vertices on two common planes span an edge.
+    planes are (normal, offset) pairs, and tight[i] is the bitmask of the
+    planes that vertex i lies on (bit k for plane k).  Every stored plane
+    supports the polytope, so two vertices on two common planes span an
+    edge.
     """
 
     __slots__ = ("verts", "planes", "tight")
@@ -108,7 +117,7 @@ class _Poly:
         self,
         verts: list[HVec],
         planes: list[tuple[Site, int]],
-        tight: list[frozenset[int]],
+        tight: list[int],
     ):
         self.verts = verts
         self.planes = planes
@@ -128,7 +137,7 @@ class _Poly:
                 normal = tuple(sign if i == axis else 0 for i in range(3))
                 planes.append((normal, sign * center[axis] + r))
         tight = [
-            frozenset(k for k, (a, b) in enumerate(planes) if dot(a, v) == b)
+            sum(1 << k for k, (a, b) in enumerate(planes) if dot(a, v) == b)
             for v in corners
         ]
         return cls(corners, planes, tight)
@@ -141,26 +150,27 @@ class _Poly:
         pos = [i for i, si in enumerate(s) if si > 0]
         if not pos:
             return False
-        k = len(self.planes)
+        bit = 1 << len(self.planes)
         self.planes.append((normal, offset))
         verts, tight = self.verts, self.tight
         keep = [i for i, si in enumerate(s) if si <= 0]
         self.verts = [verts[i] for i in keep]
-        self.tight = [tight[i] | {k} if s[i] == 0 else tight[i] for i in keep]
+        self.tight = [tight[i] | bit if s[i] == 0 else tight[i] for i in keep]
         for i in keep:
             si = s[i]
             if si == 0:
                 continue
             for j in pos:
                 common = tight[i] & tight[j]
-                if len(common) < 2:
+                # fewer than two common planes: no edge
+                if not common & (common - 1):
                     continue
                 # s_j v_i - s_i v_j lies on the plane, and its W is positive
                 vi, sj, vj = verts[i], s[j], verts[j]
                 h = [sj * vi[m] - si * vj[m] for m in range(4)]
                 g = gcd(*h)
                 self.verts.append((h[0] // g, h[1] // g, h[2] // g, h[3] // g))
-                self.tight.append(common | {k})
+                self.tight.append(common | bit)
         return True
 
     def sq_radius(self, center: Site) -> tuple[int, int]:
@@ -185,10 +195,12 @@ class _Poly:
         pts, scale = _scaled(self.verts)
         members: list[list[int]] = [[] for _ in self.planes]
         for i, t in enumerate(self.tight):
-            for p in t:
-                members[p].append(i)
+            while t:
+                low = t & -t
+                members[low.bit_length() - 1].append(i)
+                t ^= low
         cycles = {
-            p: _facet_cycle(pts, self.tight, m, self.planes[p][0])
+            p: _facet_cycle(pts, self.tight, m, p, self.planes[p][0])
             for p, m in enumerate(members)
             if len(m) >= 3
         }
@@ -232,14 +244,17 @@ def _fan_volume(pts: list[Site], scale: int, cycles) -> Fraction:
 
 
 def _facet_cycle(
-    pts: list[Site], tight: list[frozenset[int]], members: list[int], normal: Site
+    pts: list[Site], tight: list[int], members: list[int], plane: int, normal: Site
 ) -> tuple[int, ...]:
-    """The vertices of a facet, counterclockwise around the outward normal
-    from the least index: each step goes to the neighbour on a second common
-    plane.  pts are the vertices over a common positive denominator."""
+    """The vertices of the facet on plane index `plane`, counterclockwise
+    around the outward normal from the least index: each step goes to the
+    neighbour on a second common plane.  pts are the vertices over a common
+    positive denominator."""
+    others = ~(1 << plane)
 
     def neighbours(v: int) -> list[int]:
-        return [u for u in members if u != v and len(tight[u] & tight[v]) >= 2]
+        second = tight[v] & others
+        return [u for u in members if u != v and tight[u] & second]
 
     first = members[0]
     a, b = neighbours(first)
@@ -349,14 +364,22 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
     """Best-effort minimum Voronoi cell volume over admissible neighborhoods
     of the origin inside the given ball.
 
-    ``search.include_first`` over insertion candidates with a strong lower
-    bound: the cell cut by every still-possible candidate.  Candidates with
-    no remaining conflicts are always included (they can only shrink the
-    cell).  A leaf value counts only when its cell certifies (all vertices
-    strictly inside radius/2), so the reported volume is a true cell volume
-    of some admissible extension.
+    ``search.include_first`` over insertion candidates, dropping a node
+    whose cell cut by every still-possible candidate (chosen and candidate
+    points) is no smaller than the best.  Candidates with no remaining
+    conflicts are always included (they can only shrink the cell).  A leaf
+    value counts only when its cell certifies (all vertices strictly inside
+    radius/2), so the reported volume is a true cell volume of some
+    admissible extension.
     NON-EXHAUSTIVE beyond the node budget: `completed` reports whether the
     search ran to the end.
+
+    `certified` (a value was found and every leaf reached certified) is
+    NOT a proof that no admissible neighbourhood has a smaller cell.  The
+    drop is a lower bound only for cells that lie inside radius/2: where
+    the cell of a node reaches beyond it, points outside the ball can cut
+    the cells below that node smaller than the best, and the node is
+    dropped all the same.
     """
     if radius < ceil_sqrt(d2):
         raise ValueError(f"radius {radius} below exclusion distance for d2={d2}")
@@ -369,16 +392,35 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
     cands = [v for _, v in pairs]
     conflict = conflict_masks(cands, d2)
     budget = NodeBudget(node_budget)
+    # the candidate behind each bisector normal 2v, as a bit
+    bit_of = {(2 * x, 2 * y, 2 * z): 1 << i for i, (x, y, z) in enumerate(cands)}
     best_volume: Fraction | None = None
     best_mask = 0
     uncertified = False
-    poly = vol = None
+    vol = inside = None
+    # (S, facet mask, volume, whether the cell lies inside radius/2) of the
+    # cells cut at ancestors, each set inside the one before
+    chain: list[tuple[int, int, Fraction, bool]] = []
 
     def drop(chosen: int, cand: int, bound: int) -> bool:
-        # the cell of chosen | cand bounds the leaves below; a leaf reuses it
-        nonlocal poly, vol
-        poly = _cut_cell((0, 0, 0), radius, members(pairs, chosen | cand))
-        vol = poly.volume()
+        # the cell of S = chosen | cand bounds the leaves below; a leaf reuses
+        # it.  A cut cell of a superset of S whose facet points all lie in S
+        # is the cell of S: the bisectors it drops support no facet.
+        nonlocal vol, inside
+        s = chosen | cand
+        while chain and s & ~chain[-1][0]:
+            chain.pop()
+        for entry in reversed(chain):
+            if not entry[1] & ~s:
+                break
+        else:
+            cell = _cut_cell((0, 0, 0), radius, members(pairs, s))
+            pts, scale, cycles = cell._facets()
+            facets = sum(bit_of.get(cell.planes[p][0], 0) for p in cycles)
+            volume = _fan_volume(pts, scale, cycles.values())
+            entry = (s, facets, volume, cell.inside((0, 0, 0), radius))
+            chain.append(entry)
+        _, _, vol, inside = entry
         return best_volume is not None and vol >= best_volume
 
     completed = True
@@ -386,7 +428,7 @@ def min_cell_search(d2: int, radius: int, node_budget: int = 100_000) -> MinCell
         for chosen in include_first(
             conflict, 0, (1 << len(cands)) - 1, drop, budget, lambda v, _: (v,), [0]
         ):
-            if poly.inside((0, 0, 0), radius):
+            if inside:
                 best_volume, best_mask = vol, chosen
             else:
                 uncertified = True

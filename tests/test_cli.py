@@ -374,6 +374,26 @@ def test_excite_and_budget_exit(tmp_path):
     assert "complete no" in r.stdout
 
 
+def test_excite_warns_on_an_unsaturated_configuration(tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"d2":2,"period":[[4,0,0],[0,4,0],[0,0,4]],"sites":[]}')
+    argv = ["excite", str(empty), "--max-order", "2", "--radius", "2", "--budget", "50"]
+    r = run_cli(*argv)
+    assert r.returncode == 3
+    assert r.stderr.splitlines() == [
+        "# warning: configuration not saturated (64 insertion candidates); every"
+        " admissible insertion is listed as an excitation of order <= 0"
+    ]
+    assert r.stdout.splitlines()[-1] == "complete no"
+    # the warning leaves stdout alone: --json still parses
+    assert json.loads(run_cli(*argv, "--json").stdout)["complete"] is False
+
+    st_doc = tmp_path / "st.json"
+    run_cli("layered", "--d2", "5", "--word", "ST", "--out", str(st_doc), check=True)
+    r = run_cli("excite", str(st_doc), "--max-order", "3", "--radius", "2", check=True)
+    assert r.stderr == ""
+
+
 def test_slide_check_and_scan(tmp_path):
     doc = tmp_path / "bcc.json"
     from hc3.documents import save
@@ -664,14 +684,15 @@ def test_cli_exit_codes_are_bounded(fuzz_dir, data):
             assert exc.code in (0, 1, 2, 3), argv
             return
     assert code in (0, 1, 2, 3), argv
-    # the stream contract: stderr holds pack's "# nodes=" line, and one
-    # "error: " line on a failure that printed no verdict
+    # the stream contract: stderr holds pack's "# nodes=" line or excite's
+    # "# warning:" line, and one "error: " line on a failure that printed no
+    # verdict
     errors = err.getvalue().splitlines()
-    if errors[:1] and errors[0].startswith("# nodes="):
+    if errors[:1] and errors[0].startswith(("# nodes=", "# warning: ")):
         errors = errors[1:]
     if code == 0:
         assert errors == [], argv
     elif out.getvalue():  # a verdict: inadmissible, an invalid slide, incomplete
-        assert err.getvalue() == "", argv
+        assert errors == [], argv
     else:
         assert len(errors) == 1 and errors[0].startswith("error: "), argv

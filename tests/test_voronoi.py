@@ -8,9 +8,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hc3.admissibility import Configuration
+from hc3.admissibility import Configuration, conflict_masks
 from hc3.catalog import build_layered, known_sublattice, known_sublattice_keys
 from hc3.lattice import (
+    UNIT_BASIS,
     Window,
     add,
     apply_symmetry,
@@ -26,8 +27,10 @@ from hc3.lattice import (
     sub,
     symmetry_group,
 )
+from hc3.search import BudgetExhaustedError, NodeBudget, include_first, members
 from hc3.voronoi import (
     Facet,
+    MinCellResult,
     RationalPolytope,
     _cut_cell,
     cell_volume,
@@ -230,6 +233,65 @@ def test_min_cell_search_partial_flag():
     assert result.volume is None or result.volume >= 9
 
 
+def recutting_min_cell_search(d2, radius, node_budget):
+    """``min_cell_search`` with a drop that cuts the cell of every node from
+    scratch: the reference for its reuse of an ancestor's cell."""
+    ball = lattice_points(UNIT_BASIS, (0, 0, 0), radius * radius)
+    pairs = sorted(
+        ((sq_norm(v), v) for v in ball if v != (0, 0, 0) and d2 <= sq_norm(v)),
+        reverse=True,
+    )
+    cands = [v for _, v in pairs]
+    budget = NodeBudget(node_budget)
+    best_volume, best_mask, uncertified = None, 0, False
+    poly = vol = None
+
+    def drop(chosen, cand, bound):
+        nonlocal poly, vol
+        poly = _cut_cell((0, 0, 0), radius, members(pairs, chosen | cand))
+        vol = poly.volume()
+        return best_volume is not None and vol >= best_volume
+
+    completed = True
+    try:
+        for chosen in include_first(
+            conflict_masks(cands, d2), 0, (1 << len(cands)) - 1, drop, budget,
+            lambda v, _: (v,), [0],
+        ):
+            if poly.inside((0, 0, 0), radius):
+                best_volume, best_mask = vol, chosen
+            else:
+                uncertified = True
+    except BudgetExhaustedError:
+        completed = False
+    return MinCellResult(
+        volume=best_volume,
+        neighborhood=tuple(reversed(members(cands, best_mask))),
+        completed=completed,
+        certified=best_volume is not None and not uncertified,
+        nodes=budget.nodes,
+    )
+
+
+@pytest.mark.parametrize(
+    "d2,radius,node_budget",
+    [
+        (2, 3, None),
+        (3, 3, None),
+        (2, 4, None),
+        (3, 4, None),
+        (4, 3, 300),
+        (5, 3, 300),
+        # a cell cut in an earlier subtree has its facet points in a later
+        # node's set, which also holds points outside that cell's set
+        (4, 4, 50),
+    ],
+)
+def test_min_cell_search_matches_recutting_every_node(d2, radius, node_budget):
+    want = recutting_min_cell_search(d2, radius, node_budget)
+    assert min_cell_search(d2, radius, node_budget) == want
+
+
 def test_min_cell_search_rejects_small_radius():
     with pytest.raises(ValueError):
         min_cell_search(9, 2)
@@ -355,6 +417,44 @@ def test_cut_cell_matches_fraction_reference(inputs):
     want, volume = reference_cell(center, r, neighbors)
     assert cell == want
     assert cell_volume(cell) == volume
+
+
+def facet_points(center, poly):
+    """The neighbours whose bisectors carry a facet of the cut cell: the
+    plane 2(y - center).z <= ... of each facet past the six cube planes."""
+    _, _, cycles = poly._facets()
+    return {
+        add(center, tuple(a // 2 for a in poly.planes[p][0])) for p in cycles if p >= 6
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(cut_inputs(), st.lists(st.booleans(), min_size=1, max_size=16))
+# (2, 0, 0) only touches the fourfold vertex (1, 0, 0); every shell point
+# carries a facet, and the cell grows when any one of them is dropped
+@example(((0, 0, 0), 2, RHOMBIC_SHELL + [(2, 0, 0), (0, 2, 2)]), [False])
+# x <= 1/2 carries a facet; x <= 1 is the cube's face and never cuts
+@example(((0, 0, 0), 1, [(1, 0, 0), (2, 0, 0)]), [True])
+def test_cell_of_a_set_between_its_facet_points_and_itself(inputs, keep):
+    # the reuse lemma of min_cell_search: for F(S) <= S' <= S the cell of S'
+    # is the cell of S, and dropping a facet point changes the cell
+    center, r, neighbors = inputs
+    points = sorted(set(neighbors))
+    poly = _cut_cell(center, r, keyed(center, points))
+    cell, volume = set(poly.freeze().vertices), poly.volume()
+    facets = facet_points(center, poly)
+    assert facets <= set(points)
+    rest = [y for y in points if y not in facets]
+    kept = sorted(facets) + [y for i, y in enumerate(rest) if keep[i % len(keep)]]
+    between = _cut_cell(center, r, keyed(center, kept))
+    assert set(between.freeze().vertices) == cell
+    assert between.volume() == volume
+    want, want_volume = reference_cell(center, r, kept)
+    assert set(want.vertices) == cell
+    assert want_volume == volume
+    for y in facets:
+        less = [z for z in points if z != y]
+        assert _cut_cell(center, r, keyed(center, less)).volume() > volume
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,10 +12,11 @@ particle would conflict with its own periodic images.
 
 Every conflict test rests on the conflict offsets {v : 0 < |v|^2 < d2},
 one lattice ball: the conflicting pairs and with them `is_admissible`,
-insertion candidates, the exclusion graph and `conflict_masks` (the
-conflict bitmasks of a list of points).  In a window no two sites are
-farther apart than its diagonal, so the ball there is clipped to the
-diagonal's squared length.
+the insertion orders (one count, which the insertion candidates and
+`perturbations.min_insertion_order` read), the exclusion graph and
+`conflict_masks` (the conflict bitmasks of a list of points).  In a window
+no two sites are farther apart than its diagonal, so the ball there is
+clipped to the diagonal's squared length.
 
 On a torus the offsets are looked up for row 0 only, the cosets that
 conflict with coset 0: a torus is a group and u, v conflict exactly when
@@ -29,6 +30,7 @@ entry, and each later block is the first one with its row bitmasks rotated
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -127,18 +129,16 @@ class Configuration:
     def conflicting_pairs(self) -> Iterator[tuple[Site, Site]]:
         """Every pair a < b of occupied sites closer than the exclusion
         distance, in sorted order.  On a torus the sites conflicting with a
-        are the offset row of coset 0 translated by a (``_offset_row``), and
-        the reps are in sorted order, so the partners b > a are the occupied
-        bits above a's index; in a window b is a + v, v an offset."""
+        are the offset row of coset 0 translated by a (``_offset_row``),
+        masked by the occupied cosets, its partners the b > a among them; in
+        a window b is a + v, v an offset."""
         w = self.domain
         if isinstance(w, Quotient):
             row0, reps = _offset_row(w, self.d2), w.reps
-            rest = sum(1 << w.index_of(a) for a in self.occupied)
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                a = reps[low.bit_length() - 1]
-                yield from ((a, b) for b in members(reps, w.translate(row0, a) & rest))
+            occ = sum(1 << w.index_of(a) for a in self.occupied)
+            for a in members(reps, occ):
+                near = members(reps, w.translate(row0, a) & occ)
+                yield from ((a, b) for b in near if b > a)
             return
         offsets = self.conflict_offsets()
         for a in self.sorted_sites():
@@ -170,17 +170,22 @@ class Configuration:
 
     # -- local moves --------------------------------------------------------
 
+    def insertion_orders(self) -> dict[Site, int]:
+        """Each unoccupied domain site, in domain order, with its number of
+        conflicts - 1: its order as a one-site excitation.  The offsets are
+        symmetric under v -> -v, so the occupied o with x among their o + v
+        are exactly the conflicts of x (on a torus each image of o once)."""
+        reduce, offsets = self.domain.reduce, self.conflict_offsets()
+        hits = Counter(reduce(add(o, v)) for o in self.occupied for v in offsets)
+        return {x: hits[x] - 1 for x in self.domain.sites() if x not in self.occupied}
+
     def insertion_candidates(self) -> list[Site]:
-        """All unoccupied domain sites insertable without violation.
+        """All unoccupied domain sites insertable without violation, those
+        of order -1.
 
         Empty list <=> the configuration is saturated.
         """
-        reduce = self.domain.reduce
-        offsets = self.conflict_offsets()
-        blocked = set(self.occupied)
-        for o in self.occupied:
-            blocked.update(reduce(add(o, v)) for v in offsets)
-        return [x for x in self.domain.sites() if x not in blocked]
+        return [x for x, k in self.insertion_orders().items() if k < 0]
 
     def with_sites(self, occupied) -> "Configuration":
         return Configuration(self.domain, self.d2, frozenset(occupied))

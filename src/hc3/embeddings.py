@@ -73,7 +73,6 @@ def vectors_of_norm(n: int) -> list[Site]:
                 else:
                     out.append((x, y, -z))
                     out.append((x, y, z))
-    out.sort()
     return out
 
 

@@ -17,7 +17,6 @@ sites, through the conflict offsets.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .admissibility import (
@@ -77,12 +76,9 @@ def insertion_conflicts(c: Configuration, x: Site) -> list[Site]:
 
 def min_insertion_order(c: Configuration) -> tuple[int, list[Site]]:
     """Minimum over the unoccupied sites of the domain of (number of
-    conflicts - 1), with all attaining sites in sorted order."""
-    reduce = c.domain.reduce
-    # the offsets are symmetric under v -> -v, so the occupied o with x
-    # among their o + v are exactly the conflicts of x
-    hits = Counter(reduce(add(o, v)) for o in c.occupied for v in c.conflict_offsets())
-    orders = {x: hits[x] - 1 for x in c.domain.sites() if x not in c.occupied}
+    conflicts - 1), ``Configuration.insertion_orders``, with all attaining
+    sites in sorted order."""
+    orders = c.insertion_orders()
     if not orders:
         raise ValueError("the domain has no unoccupied site")
     best = min(orders.values())
@@ -145,11 +141,14 @@ def enumerate_excitations(
         key=lambda x: (sq_norm(x), x),
     )
     conflict = conflict_masks(candidates, c.d2)
-    # removed points are bitmasks over the sorted points near the candidates
-    repelled = [insertion_conflicts(c, x) for x in candidates]
-    near = sorted(set().union(*repelled))
-    bit = {p: 1 << j for j, p in enumerate(near)}
-    removes = [sum(bit[p] for p in ps) for ps in repelled]
+    # removed points are bitmasks over the points near the candidates, in
+    # the order first met; canon sorts what it decodes
+    bit: dict[Site, int] = {}
+    removes = [
+        sum(bit.setdefault(p, 1 << len(bit)) for p in insertion_conflicts(c, x))
+        for x in candidates
+    ]
+    near = list(bit)
 
     stab_q = _stabilizer_lattice(c)
     found: dict[tuple, None] = {}
@@ -167,21 +166,22 @@ def enumerate_excitations(
             for t in shifts
         )
 
-    # a level holds (next candidate index, added mask, removed mask) triples
+    # a level holds (added mask, removed mask) pairs; the next candidate
+    # index is one past the highest added bit, added.bit_length()
     complete = True
-    level = [(0, 0, 0)]
+    level = [(0, 0)]
     try:
         while level:
             deeper = []
-            for start, added, removed in level:
-                for i in range(start, len(candidates)):
+            for added, removed in level:
+                for i in range(added.bit_length(), len(candidates)):
                     if added & conflict[i]:
                         continue  # conflicts with an already added point
                     counter.spend()
                     a, r = added | 1 << i, removed | removes[i]
                     if r.bit_count() - a.bit_count() <= max_order:
                         found.setdefault(canon(a, r))
-                    deeper.append((i + 1, a, r))
+                    deeper.append((a, r))
             level = deeper
     except BudgetExhaustedError:
         complete = False

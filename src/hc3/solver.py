@@ -53,24 +53,14 @@ Each is a ``lattice.SymmetryOp``, op(v)_i = sign_i * v[perm_i], and one
 inline back-substitution labels its images: of the period generators, all
 coset 0 for an op of the group, and of a branched vertex, under the ops of
 the node's own group only (``search.Images``).  Most groups below the root
-are small, and a node under the trivial group computes no image.  The
-phases branch on orbits (orbital branching, Ostrowski, Linderoth, Rossi &
-Smriglio 2011; ``search.orbit``): each node carries the subgroup, as a list
-of ops, that maps its candidates onto themselves; the child that includes v
-takes the stabiliser of v, and the node then drops the whole orbit of v from
-its candidates and keeps the group.  Any optimum that meets the orbit has
-an image through v, so the optimum is the same as without symmetry, in far
-fewer nodes.  In the count each optimum S the loop finds comes with the
-multiplicity  mult(S) = prod |O| / |S & O|  over the include edges on its
-path, O the orbit dropped after that edge (``search.multiplicity``), and a
-count is the exact sum  sum_S w(S) * mult(S) / k: the group maps the optima
-through v onto the optima through each u of O, so the optima that meet O
-carry |O| times the weight of those through v, each divided by |S & O|.
-Both weights are invariant under the group: w = n trivially, and w =
-|Stab(S)| because the point group normalises the translations.  The first
-set of the witness stream is still the lexicographically least optimum: had
-it met a dropped orbit at u != v, its image through v under the node's
-group would agree with it below v and contain v, and so come first.
+are small, and a node under the trivial group computes no image.
+``hc3.search`` gives the rest: the phases branch on orbits under the
+group, each optimum S the count finds carries a multiplicity mult(S), so
+that a count is the exact sum  sum_S w(S) * mult(S) / k  for any weight w
+the group leaves invariant, and the first set of the witness stream is
+still the lexicographically least optimum.  Both weights are invariant:
+w = n trivially, and w = |Stab(S)| because the point group normalises the
+translations.
 
 Determinism contract: phase 1, the witness and the count are each one
 sequential depth-first loop over an explicit stack, so optimum, witness,

@@ -193,15 +193,14 @@ class _Poly:
         """The scaled vertices, their scale, and the cycle of every facet (a
         plane with at least three vertices) by plane index."""
         pts, scale = _scaled(self.verts)
-        members: list[list[int]] = [[] for _ in self.planes]
+        planes = range(len(self.planes))
+        on: list[list[int]] = [[] for _ in planes]
         for i, t in enumerate(self.tight):
-            while t:
-                low = t & -t
-                members[low.bit_length() - 1].append(i)
-                t ^= low
+            for p in members(planes, t):
+                on[p].append(i)
         cycles = {
             p: _facet_cycle(pts, self.tight, m, p, self.planes[p][0])
-            for p, m in enumerate(members)
+            for p, m in enumerate(on)
             if len(m) >= 3
         }
         return pts, scale, cycles

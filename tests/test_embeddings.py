@@ -245,3 +245,11 @@ def test_admits_layered_rejects_non_embeddings():
         admits_layered(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(NotAnFccEmbeddingError):
         admits_layered(((2, 0, 0), (0, 2, 0), (1, 1, 1)))
+    # even shortest norms whose shells are not the 12 FCC vectors: norm 2
+    # with 4 vectors, and 2Z^3, norm 4 with 6
+    for basis in (
+        ((1, 1, 0), (1, -1, 0), (0, 0, 2)),
+        ((2, 0, 0), (0, 2, 0), (0, 0, 2)),
+    ):
+        with pytest.raises(NotAnFccEmbeddingError, match="is not FCC"):
+            admits_layered(basis)

@@ -103,6 +103,13 @@ def test_hnf_singular_rejected():
         hnf(((1, 2, 3), (2, 4, 6), (0, 0, 1)))
 
 
+def test_lattice_points_rejects_dependent_generators():
+    with pytest.raises(SingularBasisError):
+        lattice_points(((1, 0, 0), (2, 0, 0)), (0, 0, 0), 4)
+    with pytest.raises(SingularBasisError):
+        lattice_points(((1, 2, 3), (2, 4, 6), (0, 0, 1)), (0, 0, 0), 4)
+
+
 @settings(max_examples=150)
 @given(nonsingular_bases())
 def test_hnf_idempotent(basis):

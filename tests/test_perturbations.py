@@ -203,6 +203,32 @@ def test_min_insertion_order_matches_per_site_scan(case):
             assert min_insertion_order(config) == want
 
 
+FULL_WINDOW = Configuration(
+    Window((0, 0, 0), (1, 1, 0)), 2, frozenset(Window((0, 0, 0), (1, 1, 0)).sites())
+)
+EMPTY_TORUS = Configuration(quotient(DIAG2), 2, frozenset())
+
+
+@settings(max_examples=100, deadline=None)
+@given(configurations_and_sites())
+@example((FULL_WINDOW, None))
+@example((EMPTY_TORUS, None))
+def test_insertion_orders_count_insertion_conflicts(case):
+    c, _ = case
+    orders = c.insertion_orders()
+    free = [x for x in c.domain.sites() if x not in c.occupied]
+    assert list(orders) == free
+    for x in free:
+        assert orders[x] == len(insertion_conflicts(c, x)) - 1
+    assert c.insertion_candidates() == [x for x in free if orders[x] == -1]
+    if not free:
+        assert orders == {} and c.insertion_candidates() == []
+        with pytest.raises(ValueError, match="no unoccupied site"):
+            min_insertion_order(c)
+    if not c.occupied:
+        assert set(orders.values()) == {-1}
+
+
 def test_dhcp_face_center_has_exactly_three_conflicts():
     dhcp = dhcp_doubled()
     conflicts = insertion_conflicts(dhcp, (0, 1, -1))
